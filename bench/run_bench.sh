@@ -10,7 +10,7 @@
 #                            (1.0 = no fill beyond the basis itself)
 # and the cut-and-bound counters:
 #   cuts                     whether the cut/probing/rc-fixing stack ran
-#   cuts_applied/_clique/_cover/_gomory/_odd_cycle
+#   cuts_applied/_clique/_cover
 #                            cutting planes appended to the LPs, per class
 #   probing_fixed, rc_fixed  variables fixed by probing / reduced cost
 #   root_gap_closed          fraction of the root gap the cut loop closed
@@ -21,20 +21,11 @@
 #   rel_fixed, rel_tightened variables fixed / bounds tightened by probes
 #
 # By default every model x thread combination runs with cuts on and cuts
-# off, dual-simplex re-solves on and off (cuts-on config), devex vs
-# dantzig dual pricing (cuts-on/dual-on config), and the hyper-sparse dual
-# ratio test on and off (cuts-on/dual-on/devex config; columns hypersparse,
-# hs_pivots, hs_dense_pivots, rho_nnz_mean, btran/ftran sparse-vs-dense) —
-# the A/B pairs land in one BENCH_solver.json so the cut/dual/pricing/
-# hypersparse wins stay visible in the perf trajectory; the default
-# configuration additionally records a reliability-probing on/off pair
-# ("rel"; solver default on) and a PR-10 separator-pair off/on pair
-# ("gomory": Gomory MI + lifted odd-cycle together; solver default off —
-# measured slower on the built-ins under the warm-dual/devex path).
-# ADVBIST_BENCH_CUTS, ADVBIST_BENCH_DUAL, ADVBIST_BENCH_DUAL_PRICING,
-# ADVBIST_BENCH_HYPERSPARSE, ADVBIST_BENCH_RELIABILITY and
-# ADVBIST_BENCH_GOMORY pin a single configuration
-# (ADVBIST_BENCH_ODD_CYCLE additionally pins the odd-cycle class alone).
+# off, and the cuts-on configuration additionally records a
+# reliability-probing on/off pair ("rel"; solver default on), so the A/B
+# pairs land in one BENCH_solver.json and the cut and probe wins stay
+# visible in the perf trajectory. ADVBIST_BENCH_CUTS and
+# ADVBIST_BENCH_RELIABILITY pin a single configuration.
 #
 # Crash-safety columns: every run records checkpoint_seconds / checkpoints
 # (snapshot-writer overhead; zero in the default checkpointing-off baseline,
@@ -43,8 +34,8 @@
 # batch solved cold through the spool, then re-answered from the result
 # cache) lands as the "serve" object; ADVBIST_BENCH_SERVE=0 skips it.
 #
-# Factorization knobs: ADVBIST_BENCH_REFACTOR (pivots between
-# refactorizations), ADVBIST_BENCH_DENSE_LU=1 (dense sweep only).
+# Factorization knob: ADVBIST_BENCH_REFACTOR (pivots between
+# refactorizations).
 # Cut knobs: ADVBIST_BENCH_CUT_ROUNDS, ADVBIST_BENCH_CUT_INTERVAL,
 # ADVBIST_BENCH_MAX_CUTS, ADVBIST_BENCH_PROBING=0, ADVBIST_BENCH_RCFIX=0.
 # Branching knobs: ADVBIST_BENCH_STRONG_BRANCH, ADVBIST_BENCH_PC_REL.
@@ -101,15 +92,9 @@ baseline = json.loads(os.environ["BASELINE_JSON"])
 with open(sys.argv[1]) as f:
     current = json.load(f)
 
-# A run's configuration key. Committed baselines that predate the "dual" /
-# "pricing" / "hypersparse" / "rel" / "gomory" columns match the new
-# default configuration (dual on, devex, hypersparse on, reliability
-# probing on, Gomory/odd-cycle separators off).
+# A run's configuration key.
 def key(run):
-    return (run["model"], run["threads"], run["cuts"],
-            run.get("dual", True), run.get("pricing", "devex"),
-            run.get("hypersparse", True), run.get("rel", True),
-            run.get("gomory", False))
+    return (run["model"], run["threads"], run["cuts"], run["rel"])
 
 current_by_key = {key(r): r for r in current["runs"]}
 PROVEN = ("optimal", "infeasible")

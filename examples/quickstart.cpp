@@ -93,7 +93,7 @@ int main() {
               st.nodes, st.lp_iterations, st.lp_primal_phase1_iterations,
               st.lp_primal_phase2_iterations, st.lp_dual_iterations);
   std::printf("  dual pricing: %lld dual re-solves, %lld fallbacks, "
-              "%lld Devex weight resets (--dual-pricing dantzig|devex|se)\n",
+              "%lld Devex weight resets\n",
               st.lp_dual_solves, st.lp_dual_fallbacks, st.lp_devex_resets);
   std::printf("  branching: %d strong-branch probes seeded the shared "
               "pseudocosts, %d variables fixed by infeasible probes "

@@ -1,5 +1,7 @@
 #include "hls/benchmarks.hpp"
 
+#include <stdexcept>
+
 namespace advbist::hls {
 
 namespace {
@@ -365,8 +367,7 @@ Benchmark benchmark_by_name(const std::string& name) {
   if (name == "iir3") return make_iir3();
   if (name == "dct4") return make_dct4();
   if (name == "wavelet6") return make_wavelet6();
-  ADVBIST_REQUIRE(false, "unknown benchmark: " + name);
-  return {};
+  throw std::invalid_argument("unknown benchmark: " + name);
 }
 
 }  // namespace advbist::hls

@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <queue>
 #include <utility>
 
 #include "ilp/conflict_graph.hpp"
 #include "ilp/tolerances.hpp"
-#include "lp/scaling.hpp"
-#include "lp/simplex.hpp"
-#include "util/check.hpp"
 
 namespace advbist::ilp {
 
@@ -218,361 +213,6 @@ std::vector<Cut> separate_cover_cuts(const Model& model,
   std::vector<Cut> best;
   best.reserve(order.size());
   for (const int idx : order) best.push_back(std::move(cuts[idx]));
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// Gomory mixed-integer cuts
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Gomory coefficient of one shifted nonbasic term t_j >= 0 in
-/// sum g_j t_j >= f0: the mixed-integer rounding function for integer
-/// columns, the sign-split linear function for continuous ones.
-double gomory_coeff(double a, bool integer, double f0) {
-  if (integer) {
-    const double f = a - std::floor(a);
-    return f <= f0 ? f : f0 * (1.0 - f) / (1.0 - f0);
-  }
-  return a >= 0.0 ? a : f0 * (-a) / (1.0 - f0);
-}
-
-}  // namespace
-
-std::vector<Cut> separate_gomory_cuts(
-    const lp::SimplexSolver& lp_solver, const Model& model,
-    const std::vector<double>& x, const std::vector<double>& global_lb,
-    const std::vector<double>& global_ub, double min_violation, int max_cuts) {
-  std::vector<Cut> cuts;
-  std::vector<double> violations;
-  if (max_cuts <= 0) return cuts;
-  const int n = lp_solver.num_structural();
-  const int m = lp_solver.num_rows();
-  constexpr double kAway = 1e-2;       // min distance of f0 from 0 and 1
-  constexpr double kFixedTol = 1e-12;  // bound interval below this: fixed
-  constexpr double kCoeffDrop = 1e-9;  // x-space cleanup threshold
-  constexpr double kMaxDynamism = 1e6;
-  constexpr double kMaxMagnitude = 1e8;
-  constexpr int kBasic = 2;  // SimplexSolver column_status basic value
-
-  std::vector<double> alpha;
-  std::vector<double> coeff(static_cast<std::size_t>(n), 0.0);
-  std::vector<int> touched;
-  std::vector<char> in_touched(static_cast<std::size_t>(n), 0);
-  std::vector<Term> row_terms;
-  const std::vector<int>& basis = lp_solver.basis();
-
-  for (int pos = 0; pos < m; ++pos) {
-    const int b = basis[pos];
-    // Source rows: fractional integer structurals basic in the row.
-    if (b >= n || model.variable(b).type != VarType::kInteger) continue;
-    const double bfrac = x[b] - std::floor(x[b]);
-    if (bfrac < kAway || bfrac > 1.0 - kAway) continue;
-    double beta = 0.0;
-    if (!lp_solver.tableau_row(pos, alpha, beta)) break;
-
-    // Pass 1 over the nonbasic columns: shift each to a globally valid
-    // bound (t_j = x_j - lb or ub - x_j, always >= 0 at EVERY feasible
-    // point, not just in the separating node's subtree) and fold the shift
-    // into the row constant. Structurals shift against the GLOBAL bounds;
-    // slack bounds are row properties and globally valid as-is. A needed
-    // shift against an infinite bound kills the row.
-    struct NbCol {
-      int col;
-      double a;      // tableau coefficient, sign-adjusted for the shift
-      double bound;  // the bound shifted against
-      bool at_upper;
-      bool integer;  // t_j integral at every integer-feasible point
-    };
-    std::vector<NbCol> nb;
-    double beta_shifted = beta;
-    bool usable = true;
-    for (int col = 0; col < n + m; ++col) {
-      if (col == b) continue;
-      if (lp_solver.column_status(col) == kBasic) continue;
-      const double a = alpha[col];
-      bool integer = false;
-      double lo, hi;
-      if (col < n) {
-        lo = global_lb[col];
-        hi = global_ub[col];
-        integer = model.variable(col).type == VarType::kInteger;
-      } else {
-        lo = lp_solver.tableau_column_lower(col);
-        hi = lp_solver.tableau_column_upper(col);
-      }
-      if (hi - lo < kFixedTol) continue;  // fixed column: t == 0 everywhere
-      const bool at_upper = lp_solver.column_status(col) == 1;
-      const double bound = at_upper ? hi : lo;
-      if (!std::isfinite(bound)) {
-        usable = false;
-        break;
-      }
-      // t_j integrality needs both the variable and the shift bound
-      // integral (x integer minus integer bound).
-      integer = integer && std::floor(bound) == bound;
-      beta_shifted -= a * bound;
-      nb.push_back({col, at_upper ? -a : a, bound, at_upper, integer});
-    }
-    if (!usable) continue;
-    const double f0 = beta_shifted - std::floor(beta_shifted);
-    if (f0 < kAway || f0 > 1.0 - kAway) continue;
-
-    // Pass 2: Gomory mixed-integer cut  sum g_j t_j >= f0  translated back
-    // to structural space (t -> x shift; slack t -> original_row
-    // substitution s_r = rhs_r - a_r.x). Collected as sum c_v x_v >= K.
-    std::fill(coeff.begin(), coeff.end(), 0.0);
-    for (const int v : touched) in_touched[v] = 0;
-    touched.clear();
-    double K = f0;
-    auto add_coeff = [&](int v, double c) {
-      // Membership must not key on coeff[v] == 0.0: a variable whose
-      // running sum transiently cancels to exact zero and then receives
-      // another contribution would be pushed twice, and the cleanup pass
-      // below would emit its term twice — doubling the coefficient in the
-      // finished cut (an invalid cut; the separator fuzzer catches this).
-      if (c != 0.0 && !in_touched[v]) {
-        in_touched[v] = 1;
-        touched.push_back(v);
-      }
-      coeff[v] += c;
-    };
-    for (const NbCol& c : nb) {
-      const double g = gomory_coeff(c.a, c.integer, f0);
-      if (g == 0.0) continue;
-      // g applies to t = sign (z - bound) with sign = -1 at upper bound.
-      const double sign = c.at_upper ? -1.0 : 1.0;
-      if (c.col < n) {
-        add_coeff(c.col, g * sign);
-        K += g * sign * c.bound;
-      } else {
-        // Slack bound is always 0, so g t = g sign s_r.
-        double row_rhs = 0.0;
-        lp_solver.original_row(c.col - n, row_terms, row_rhs);
-        const double cs = g * sign;
-        for (const Term& t : row_terms) add_coeff(t.var, -cs * t.coeff);
-        K -= cs * row_rhs;
-      }
-    }
-
-    // Cleanup + quality gates on the >=-form cut  sum c_v x_v >= K.
-    // Dropping a tiny coefficient relaxes K by the worst case of the
-    // dropped term over the variable's global box (needs finite bounds).
-    double max_abs = 0.0, min_abs = std::numeric_limits<double>::infinity();
-    std::vector<Term> terms;
-    usable = true;
-    for (const int v : touched) {
-      const double c = coeff[v];
-      if (std::abs(c) < kCoeffDrop) {
-        if (c == 0.0) continue;
-        const double lo = global_lb[v], hi = global_ub[v];
-        if (!std::isfinite(lo) || !std::isfinite(hi)) {
-          usable = false;
-          break;
-        }
-        K -= std::max(c * lo, c * hi);
-        continue;
-      }
-      terms.push_back({v, c});
-      max_abs = std::max(max_abs, std::abs(c));
-      min_abs = std::min(min_abs, std::abs(c));
-    }
-    if (!usable || terms.empty()) continue;
-    if (max_abs / min_abs > kMaxDynamism) continue;
-    if (max_abs > kMaxMagnitude || std::abs(K) > kMaxMagnitude) continue;
-    if (static_cast<int>(terms.size()) > std::max(8, (3 * n) / 4)) continue;
-
-    // Normalize by a power of two (exact) and negate into the pool's
-    // <=-convention; a hair of rhs slack absorbs factorization-level error
-    // in the tableau row. add_rows() re-scales the row via row_scale_for
-    // when lp_scaling is active, so no scaling work is needed here.
-    const double inv = 1.0 / lp::snap_pow2(max_abs);
-    Cut cut;
-    cut.cut_class = CutClass::kGomory;
-    cut.terms.reserve(terms.size());
-    for (Term& t : terms) cut.terms.push_back({t.var, -t.coeff * inv});
-    std::sort(cut.terms.begin(), cut.terms.end(),
-              [](const Term& a, const Term& b) { return a.var < b.var; });
-    cut.rhs = -K * inv;
-    cut.rhs += 1e-9 * (1.0 + std::abs(cut.rhs));
-    const double viol = cut.violation(x);
-    if (viol <= min_violation) continue;
-    cuts.push_back(std::move(cut));
-    violations.push_back(viol);
-  }
-
-  // Best violation first, capped.
-  std::vector<int> order(cuts.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return violations[a] > violations[b];
-  });
-  if (static_cast<int>(order.size()) > max_cuts) order.resize(max_cuts);
-  std::vector<Cut> best;
-  best.reserve(order.size());
-  for (const int idx : order) best.push_back(std::move(cuts[idx]));
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// Lifted odd-cycle cuts
-// ---------------------------------------------------------------------------
-
-std::vector<Cut> separate_odd_cycle_cuts(const ConflictGraph& graph,
-                                         const std::vector<double>& x,
-                                         double min_violation, int max_cuts) {
-  std::vector<Cut> out;
-  const int nvar = graph.num_variables();
-  const int nlit = 2 * nvar;
-  if (max_cuts <= 0 || nlit == 0 || graph.num_edges() == 0) return out;
-
-  auto weight = [&](int l) {
-    const double v = x[ConflictGraph::lit_var(l)];
-    const double w = ConflictGraph::lit_val(l) ? v : 1.0 - v;
-    return std::min(1.0, std::max(0.0, w));
-  };
-  // Edge cost (1 - w_u - w_v)/2, clamped at 0: an odd closed walk of total
-  // cost < 1/2 is exactly a violated odd-cycle inequality (each vertex
-  // appears in two edges, so the cycle's cost is |C|/2 - sum w).
-  auto cost = [&](int u, int v) {
-    return std::max(0.0, (1.0 - weight(u) - weight(v)) * 0.5);
-  };
-
-  // Start literals: fractional, strongest first, capped (each start is one
-  // Dijkstra run over the double cover).
-  std::vector<int> starts;
-  for (int l = 0; l < nlit; ++l) {
-    const double w = weight(l);
-    if (w > 0.1 && w < 0.9 && !graph.neighbors(l).empty()) starts.push_back(l);
-  }
-  std::sort(starts.begin(), starts.end(),
-            [&](int a, int b) { return weight(a) > weight(b); });
-  if (starts.size() > 64) starts.resize(64);
-
-  // Double cover: vertex 2l + parity; crossing an edge flips parity, so a
-  // shortest (s,0) -> (s,1) path is a minimum-cost odd closed walk at s.
-  const int nv = 2 * nlit;
-  std::vector<double> dist(nv);
-  std::vector<int> parent(nv);
-  std::vector<std::vector<int>> seen_cycles;
-  std::vector<double> violations;
-
-  for (const int s : starts) {
-    std::fill(dist.begin(), dist.end(),
-              std::numeric_limits<double>::infinity());
-    std::fill(parent.begin(), parent.end(), -1);
-    using Item = std::pair<double, int>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
-    const int src = 2 * s, dst = 2 * s + 1;
-    dist[src] = 0.0;
-    pq.push({0.0, src});
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
-      if (d > dist[u] + 1e-15) continue;
-      if (u == dst) break;
-      const int ul = u >> 1, up = u & 1;
-      for (const int vl : graph.neighbors(ul)) {
-        const int v = 2 * vl + (up ^ 1);
-        const double nd = d + cost(ul, vl);
-        if (nd < dist[v] - 1e-15) {
-          dist[v] = nd;
-          parent[v] = u;
-          pq.push({nd, v});
-        }
-      }
-    }
-    if (dist[dst] >= 0.5) continue;  // no violated odd walk through s
-
-    // Walk the path back: the closed walk is s -> l1 -> ... -> l_{k-1} -> s
-    // with k edges, so the pushed literals [s, l_{k-1}, ..., l1] are the
-    // cycle. Keep only simple odd cycles over distinct variables (the
-    // inequality needs pairwise-distinct variables).
-    std::vector<int> cycle;
-    bool simple = true;
-    int u = dst;
-    while (u != src && u != -1) {
-      cycle.push_back(u >> 1);
-      u = parent[u];
-    }
-    if (u != src) continue;  // broken parent chain
-    if (cycle.size() < 3 || cycle.size() % 2 == 0) continue;
-    std::vector<int> vars;
-    for (const int l : cycle) vars.push_back(ConflictGraph::lit_var(l));
-    std::sort(vars.begin(), vars.end());
-    for (std::size_t i = 1; i < vars.size(); ++i)
-      if (vars[i] == vars[i - 1]) simple = false;
-    if (!simple) continue;
-
-    std::vector<int> key = cycle;
-    std::sort(key.begin(), key.end());
-    bool duplicate = false;
-    for (const std::vector<int>& k : seen_cycles)
-      if (k == key) duplicate = true;
-    if (duplicate) continue;
-    seen_cycles.push_back(std::move(key));
-
-    // Sequential (conservative) lifting: a literal of a NEW variable in
-    // conflict with the entire current support joins with the hub
-    // coefficient (|C|-1)/2 — at most one hub can be true (hubs are
-    // pairwise adjacent), and a true hub forces every cycle literal to 0.
-    const double hub = static_cast<double>(cycle.size() - 1) / 2.0;
-    std::vector<int> support = cycle;
-    std::vector<int> lifted;
-    std::vector<int> cands(graph.neighbors(cycle[0]).begin(),
-                           graph.neighbors(cycle[0]).end());
-    std::sort(cands.begin(), cands.end(),
-              [&](int a, int b) { return weight(a) > weight(b); });
-    for (const int cand : cands) {
-      if (weight(cand) < 0.05) break;  // sorted: the rest are weaker
-      const int cv = ConflictGraph::lit_var(cand);
-      bool ok = true;
-      for (const int l : support) {
-        if (ConflictGraph::lit_var(l) == cv ||
-            !graph.conflicts_with(cand, l)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      lifted.push_back(cand);
-      support.push_back(cand);
-    }
-
-    // Translate to x-space: coefficient 1 per cycle literal, `hub` per
-    // lifted literal; a complement literal folds a negated coefficient and
-    // shifts the rhs (same convention as clique_cut_from_literals).
-    Cut cut;
-    cut.cut_class = CutClass::kOddCycle;
-    cut.rhs = hub;
-    auto add_literal = [&cut](int l, double c) {
-      if (ConflictGraph::lit_val(l)) {
-        cut.terms.push_back({ConflictGraph::lit_var(l), c});
-      } else {
-        cut.terms.push_back({ConflictGraph::lit_var(l), -c});
-        cut.rhs -= c;
-      }
-    };
-    for (const int l : cycle) add_literal(l, 1.0);
-    for (const int l : lifted) add_literal(l, hub);
-    std::sort(cut.terms.begin(), cut.terms.end(),
-              [](const Term& a, const Term& b) { return a.var < b.var; });
-    const double viol = cut.violation(x);
-    if (viol <= min_violation) continue;
-    out.push_back(std::move(cut));
-    violations.push_back(viol);
-  }
-
-  std::vector<int> order(out.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return violations[a] > violations[b];
-  });
-  if (static_cast<int>(order.size()) > max_cuts) order.resize(max_cuts);
-  std::vector<Cut> best;
-  best.reserve(order.size());
-  for (const int idx : order) best.push_back(std::move(out[idx]));
   return best;
 }
 

@@ -1,6 +1,6 @@
 // Cutting planes for the 0/1-dominated MILPs of the BIST formulation.
 //
-// Four separators, all producing globally valid <=-rows (they never exclude
+// Two separators, both producing globally valid <=-rows (they never exclude
 // an integer-feasible point, so cuts can be shared freely between branch &
 // bound workers and separated from any node's fractional LP point):
 //
@@ -16,25 +16,6 @@
 //    of the extension outweighs C, so the bound survives). >=-rows are
 //    negated first; equality rows contribute both sides.
 //
-//  * Gomory mixed-integer cuts read straight off the LU factors: one BTRAN
-//    per fractional integer basic gives the tableau row
-//    (SimplexSolver::tableau_row, original units), nonbasics are shifted to
-//    their GLOBAL bounds (so the cut is valid everywhere, not just in the
-//    separating node's subtree), the mixed-integer rounding function
-//    strengthens integer columns, and slacks are substituted back out via
-//    original_row(). Cuts above a dynamism/density threshold are rejected;
-//    coefficients are normalized by a power-of-two factor so the pooled
-//    cut stays well-scaled whether or not lp_scaling is active.
-//
-//  * Lifted odd-cycle cuts from the conflict graph: an odd cycle C of
-//    literals (pairwise-distinct variables) satisfies
-//    sum_{l in C} w_l <= (|C|-1)/2 at every 0/1 point, where w_l is the
-//    literal's value. Violated cycles are found by shortest-path search in
-//    the bipartite double cover of the literal graph (edge cost
-//    max(0, (1 - w_u - w_v)/2); an odd closed walk of cost < 1/2 is a
-//    violated cycle), then sequentially lifted: a literal in conflict with
-//    the entire current support joins with the hub coefficient (|C|-1)/2.
-//
 // The CutPool deduplicates cuts structurally (sorted term vector + rhs) and
 // ages them by activity: a pooled-but-unapplied cut that stays slack at the
 // fractional points it is re-evaluated against loses a life per round and
@@ -43,20 +24,13 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "lp/model.hpp"
 
-namespace advbist::lp {
-class SimplexSolver;
-}
-
 namespace advbist::ilp {
 
-class ConflictGraph;
-
-enum class CutClass : std::uint8_t { kClique, kCover, kGomory, kOddCycle };
+enum class CutClass : std::uint8_t { kClique, kCover };
 
 struct Cut {
   std::vector<lp::Term> terms;  ///< sorted by var, unique, nonzero
@@ -83,27 +57,6 @@ struct Cut {
 [[nodiscard]] std::vector<Cut> separate_cover_cuts(
     const lp::Model& model, const std::vector<bool>& skip_row,
     const std::vector<double>& x, double min_violation, int max_cuts);
-
-/// Separates Gomory mixed-integer cuts from the optimal basis held by
-/// `lp_solver` (which must have just solved `model`'s current LP to
-/// optimality — the tableau rows are read off its LU factors). `x` is the
-/// LP point over the structural variables; `global_lb`/`global_ub` are the
-/// GLOBALLY valid integer-variable bounds (root bounds plus broadcast
-/// fixings, NOT node-local branching bounds): nonbasic structurals are
-/// shifted against these so the resulting cut never excludes an
-/// integer-feasible point of the original model. Returns at most
-/// `max_cuts` cuts with violation > min_violation at `x`, best first.
-[[nodiscard]] std::vector<Cut> separate_gomory_cuts(
-    const lp::SimplexSolver& lp_solver, const lp::Model& model,
-    const std::vector<double>& x, const std::vector<double>& global_lb,
-    const std::vector<double>& global_ub, double min_violation, int max_cuts);
-
-/// Separates lifted odd-cycle cuts from the conflict graph at fractional
-/// point `x`. Returns at most `max_cuts` cuts with violation >
-/// min_violation, best first.
-[[nodiscard]] std::vector<Cut> separate_odd_cycle_cuts(
-    const ConflictGraph& graph, const std::vector<double>& x,
-    double min_violation, int max_cuts);
 
 /// Deduplicating cut pool with activity aging. Not thread-safe; the solver
 /// serializes access under its search mutex.

@@ -143,13 +143,6 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.primal_phase2_iterations += s.primal_phase2_iterations;
   into.dual_bound_flips += s.dual_bound_flips;
   into.devex_resets += s.devex_resets;
-  into.dual_hypersparse_pivots += s.dual_hypersparse_pivots;
-  into.dual_dense_pivots += s.dual_dense_pivots;
-  into.dual_rho_nnz += s.dual_rho_nnz;
-  into.dual_ftran_sparse += s.dual_ftran_sparse;
-  into.dual_ftran_dense += s.dual_ftran_dense;
-  into.dual_btran_sparse += s.dual_btran_sparse;
-  into.dual_btran_dense += s.dual_btran_dense;
   into.rows_deleted += s.rows_deleted;
   into.peak_rows = std::max(into.peak_rows, s.peak_rows);
   into.recovery_refactorize += s.recovery_refactorize;
@@ -218,8 +211,6 @@ struct SearchContext {
   std::atomic<std::size_t> pool_applied{0};  ///< mirror of applied().size()
   std::atomic<long long> clique_separated{0};
   std::atomic<long long> cover_separated{0};
-  std::atomic<long long> gomory_separated{0};
-  std::atomic<long long> odd_cycle_separated{0};
 
   // --- in-tree reliability branching (shared probe budget + accounting) ---
   std::atomic<long long> reliability_budget{0};
@@ -371,11 +362,7 @@ class Worker {
   static lp::SimplexOptions simplex_options(const Options& opt) {
     lp::SimplexOptions so;
     so.refactor_every = std::max(1, opt.lp_refactor_every);
-    so.sparse_factorization = opt.lp_sparse_factorization;
     so.markowitz_tol = opt.lp_markowitz_tol;
-    so.dual_pricing = opt.lp_dual_pricing;
-    so.hypersparse = opt.lp_hypersparse;
-    so.hypersparse_threshold = opt.lp_hypersparse_threshold;
     so.scaling = opt.lp_scaling;
     return so;
   }
@@ -534,24 +521,6 @@ class Worker {
       ctx_.cover_separated.fetch_add(static_cast<long long>(covers.size()));
       for (Cut& c : covers) found.push_back(std::move(c));
     }
-    if (opt.odd_cycle_cuts && ctx_.graph != nullptr) {
-      auto cycles = separate_odd_cycle_cuts(*ctx_.graph, x, kCutViolationEps,
-                                            opt.max_cuts_per_round);
-      ctx_.odd_cycle_separated.fetch_add(
-          static_cast<long long>(cycles.size()));
-      for (Cut& c : cycles) found.push_back(std::move(c));
-    }
-    if (opt.gomory_rounds > 0) {
-      // The caller just re-solved this worker's LP to optimality, so the
-      // tableau rows read off simplex_'s live LU factors. Shifting against
-      // the worker's rc-tightened root bounds (NOT the node's branching
-      // bounds) keeps every emitted cut valid pool-wide.
-      auto gmi = separate_gomory_cuts(simplex_, reduced_, x, root_lb_,
-                                      root_ub_, kCutViolationEps,
-                                      opt.max_cuts_per_round);
-      ctx_.gomory_separated.fetch_add(static_cast<long long>(gmi.size()));
-      for (Cut& c : gmi) found.push_back(std::move(c));
-    }
     int applied = 0;
     {
       std::lock_guard<std::mutex> lock(ctx_.mutex);
@@ -574,13 +543,12 @@ class Worker {
     return applied;
   }
 
-  /// One node LP re-solve on the configured path — the dual simplex by
-  /// default (the warm basis stays dual-feasible across branching bound
-  /// changes and slack-basic row appends; lp::SimplexSolver falls back to
-  /// the primal path itself when it is not) — followed by cut-row aging.
+  /// One node LP re-solve through the dual simplex (the warm basis stays
+  /// dual-feasible across branching bound changes and slack-basic row
+  /// appends; lp::SimplexSolver falls back to the primal path itself when
+  /// it is not) — followed by cut-row aging.
   LpResult resolve_lp() {
-    LpResult lp = ctx_.options->lp_dual_simplex ? simplex_.solve_dual()
-                                                : simplex_.solve();
+    LpResult lp = simplex_.solve_dual();
     if (lp.status == LpStatus::kIterLimit) {
       // A warm re-solve that burned the whole iteration budget is almost
       // always a mangled warm basis (degenerate stalling after bound
@@ -774,8 +742,7 @@ class Worker {
         }
         --allowance;
         simplex_.set_variable_bounds(c.v, plo, phi);
-        const LpResult probe =
-            opt.lp_dual_simplex ? simplex_.solve_dual() : simplex_.solve();
+        const LpResult probe = simplex_.solve_dual();
         ctx_.lp_iterations.fetch_add(probe.iterations);
         ctx_.reliability_probed.fetch_add(1, std::memory_order_relaxed);
         simplex_.set_variable_bounds(c.v, lo, hi);
@@ -919,8 +886,7 @@ class Worker {
       double t = std::clamp(std::round(x[pick]), lo, hi);
       for (int attempt = 0;; ++attempt) {
         dive_lp_->set_variable_bounds(pick, t, t);
-        LpResult lp =
-            opt.lp_dual_simplex ? dive_lp_->solve_dual() : dive_lp_->solve();
+        LpResult lp = dive_lp_->solve_dual();
         ctx_.lp_iterations.fetch_add(lp.iterations);
         const bool ok = lp.status == LpStatus::kOptimal &&
                         !ctx_.prunable(ctx_.node_bound(lp.objective));
@@ -1060,8 +1026,7 @@ class Worker {
     // Branching target; in-tree separation may tighten the LP and retry.
     int branch_var = pick_branch(lp.x, opt.integrality_tol);
     const bool cuts_on = opt.cut_node_interval > 0 && ctx_.cut_pool != nullptr &&
-                         (opt.use_clique_cuts || opt.use_cover_cuts ||
-                          opt.gomory_rounds > 0 || opt.odd_cycle_cuts) &&
+                         (opt.use_clique_cuts || opt.use_cover_cuts) &&
                          !ctx_.shed_cuts.load(std::memory_order_relaxed);
     if (cuts_on && branch_var >= 0 &&
         ++nodes_since_separation_ >= opt.cut_node_interval) {
@@ -1342,7 +1307,7 @@ bool validate_checkpoint(const SolveCheckpoint& ck, const Model& original,
   for (const CheckpointCut& cut : ck.cuts) {
     if (cut.terms.empty() || !std::isfinite(cut.rhs))
       return fail("cut row malformed");
-    if (cut.cut_class > static_cast<std::uint8_t>(CutClass::kOddCycle))
+    if (cut.cut_class > static_cast<std::uint8_t>(CutClass::kCover))
       return fail("unknown cut class");
     int prev = -1;
     for (const lp::Term& t : cut.terms) {
@@ -1503,10 +1468,7 @@ Solution Solver::solve_impl(const Model& input,
 
   // Conflict edges readable straight off the surviving rows (one-hot and
   // clique rows, z <= x style implications); probing added the deeper ones.
-  // Odd-cycle separation walks the same graph, so it keeps the row-derived
-  // edges alive even with clique cuts switched off.
-  if (options_.use_clique_cuts || options_.odd_cycle_cuts)
-    graph.add_from_rows(reduced, {});
+  if (options_.use_clique_cuts) graph.add_from_rows(reduced, {});
   graph.finalize();
 
   ctx.model = &model;
@@ -1546,8 +1508,7 @@ Solution Solver::solve_impl(const Model& input,
   CutPool pool(std::max(options_.max_pool_cuts,
                         options_.max_cuts_per_round));
   const bool cuts_enabled =
-      options_.use_clique_cuts || options_.use_cover_cuts ||
-      options_.gomory_rounds > 0 || options_.odd_cycle_cuts;
+      options_.use_clique_cuts || options_.use_cover_cuts;
   const bool run_root_loop =
       (options_.cut_rounds > 0 && cuts_enabled) || options_.use_rc_fixing;
   double root_bound = -lp::kInfinity;
@@ -1622,24 +1583,6 @@ Solution Solver::solve_impl(const Model& input,
                 static_cast<long long>(covers.size()));
             for (Cut& c : covers) pool.add(std::move(c));
           }
-          if (options_.odd_cycle_cuts) {
-            auto cycles = separate_odd_cycle_cuts(
-                graph, x, kCutViolationEps, options_.max_cuts_per_round);
-            ctx.odd_cycle_separated.fetch_add(
-                static_cast<long long>(cycles.size()));
-            for (Cut& c : cycles) pool.add(std::move(c));
-          }
-          if (round < options_.gomory_rounds) {
-            // Tableau rows come straight off the root LP's warm LU factors
-            // (one BTRAN per fractional integer basic). Shifts go against
-            // the ROOT bounds, so the cuts stay valid pool-wide.
-            auto gmi = separate_gomory_cuts(*root_lp, reduced, x,
-                                            ctx.root_lb, ctx.root_ub,
-                                            kCutViolationEps,
-                                            options_.max_cuts_per_round);
-            ctx.gomory_separated.fetch_add(static_cast<long long>(gmi.size()));
-            for (Cut& c : gmi) pool.add(std::move(c));
-          }
           const std::vector<Cut> taken = pool.take_violated(
               x, kCutViolationEps, options_.max_cuts_per_round);
           if (taken.empty()) break;
@@ -1655,8 +1598,7 @@ Solution Solver::solve_impl(const Model& input,
           root_lp->add_rows(rows);
           // The appended rows enter slack-basic, so the dual re-solve path
           // applies at the root exactly as it does in the tree.
-          rlp = options_.lp_dual_simplex ? root_lp->solve_dual()
-                                         : root_lp->solve();
+          rlp = root_lp->solve_dual();
           ctx.lp_iterations.fetch_add(rlp.iterations);
           if (rlp.status == LpStatus::kInfeasible) {
             // Valid cuts + feasible LP turned infeasible: no integer point.
@@ -1748,11 +1690,6 @@ Solution Solver::solve_impl(const Model& input,
     // root optimum, not a stale pre-fixing one (their seeds enter the
     // store at full reliability weight — they must be exact).
     LpResult base = rlp;
-    // Probes honor lp_dual_simplex like every other re-solve site, so a
-    // --dual 0 run really never touches the dual path.
-    const auto probe_solve = [&] {
-      return options_.lp_dual_simplex ? sb.solve_dual() : sb.solve();
-    };
     // Probe solves are iteration-capped and routinely hit the cap; keep
     // them out of the dual_solves/dual_fallbacks health diagnostic (which
     // measures warm-start quality of NODE re-solves) by snapshotting.
@@ -1803,7 +1740,7 @@ Solution Solver::solve_impl(const Model& input,
           const double phi = up ? hi : fl;
           if (plo > phi) continue;  // a prior fixing emptied this branch
           sb.set_variable_bounds(c.v, plo, phi);
-          const LpResult probe = probe_solve();
+          const LpResult probe = sb.solve_dual();
           ctx.lp_iterations.fetch_add(probe.iterations);
           ++sol.stats.strong_branch_probed;
           sb.set_variable_bounds(c.v, lo, hi);
@@ -1844,7 +1781,7 @@ Solution Solver::solve_impl(const Model& input,
           // later candidate's degradation is measured against the true
           // current base, then restore the probe budget.
           sb.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-          const LpResult rebase = probe_solve();
+          const LpResult rebase = sb.solve_dual();
           ctx.lp_iterations.fetch_add(rebase.iterations);
           sb.set_max_iterations(std::max(1, options_.strong_branch_lp_iters));
           if (rebase.status == LpStatus::kInfeasible) {
@@ -1904,9 +1841,7 @@ Solution Solver::solve_impl(const Model& input,
   }
 
   ctx.cut_model = &reduced;
-  ctx.graph = (options_.use_clique_cuts || options_.odd_cycle_cuts)
-                  ? &graph
-                  : nullptr;
+  ctx.graph = options_.use_clique_cuts ? &graph : nullptr;
   ctx.cut_pool = cuts_enabled ? &pool : nullptr;
   ctx.root_applied_cuts = pool.applied().size();
   if (restored != nullptr && cuts_enabled) {
@@ -1917,7 +1852,7 @@ Solution Solver::solve_impl(const Model& input,
       Cut cut;
       cut.terms = c.terms;
       cut.rhs = c.rhs;
-      // validate_checkpoint already capped cut_class at kOddCycle.
+      // validate_checkpoint already capped cut_class at kCover.
       cut.cut_class = static_cast<CutClass>(c.cut_class);
       pool.restore_applied(std::move(cut));
     }
@@ -2050,13 +1985,6 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.lp_rows_deleted = ctx.lp_stats.rows_deleted;
   sol.stats.lp_peak_rows = ctx.lp_stats.peak_rows;
   sol.stats.lp_devex_resets = ctx.lp_stats.devex_resets;
-  sol.stats.lp_dual_hypersparse_pivots = ctx.lp_stats.dual_hypersparse_pivots;
-  sol.stats.lp_dual_dense_pivots = ctx.lp_stats.dual_dense_pivots;
-  sol.stats.lp_dual_rho_nnz = ctx.lp_stats.dual_rho_nnz;
-  sol.stats.lp_dual_ftran_sparse = ctx.lp_stats.dual_ftran_sparse;
-  sol.stats.lp_dual_ftran_dense = ctx.lp_stats.dual_ftran_dense;
-  sol.stats.lp_dual_btran_sparse = ctx.lp_stats.dual_btran_sparse;
-  sol.stats.lp_dual_btran_dense = ctx.lp_stats.dual_btran_dense;
   sol.stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
   sol.stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
   sol.stats.lp_recovery_dense = ctx.lp_stats.recovery_dense;
@@ -2065,14 +1993,10 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.lp_aborted_solves = ctx.lp_stats.aborted_solves;
   sol.stats.cuts_clique_separated = ctx.clique_separated.load();
   sol.stats.cuts_cover_separated = ctx.cover_separated.load();
-  sol.stats.cuts_gomory_separated = ctx.gomory_separated.load();
-  sol.stats.cuts_odd_cycle_separated = ctx.odd_cycle_separated.load();
   for (const Cut& c : pool.applied()) {
     switch (c.cut_class) {
       case CutClass::kClique: ++sol.stats.cuts_clique_applied; break;
       case CutClass::kCover: ++sol.stats.cuts_cover_applied; break;
-      case CutClass::kGomory: ++sol.stats.cuts_gomory_applied; break;
-      case CutClass::kOddCycle: ++sol.stats.cuts_odd_cycle_applied; break;
     }
   }
   sol.stats.cuts_aged_out = pool.aged_out();

@@ -86,21 +86,6 @@ struct Options {
   bool use_probing = true;
   /// Reduced-cost fixing at the root and at incumbent improvements.
   bool use_rc_fixing = true;
-  /// Rounds of Gomory mixed-integer separation inside the root cut loop
-  /// (`--gomory N`, 0 disables the class). Tableau rows are read straight
-  /// off the LU factors — one BTRAN per fractional integer basic — so the
-  /// first few rounds are where the class pays; deeper rounds mostly
-  /// produce dense, rejected rows. Off by default: on the built-in HLS
-  /// circuits the warm-dual/devex path proves optima in fewer nodes
-  /// without the extra rows (the bench A/B pair keeps the trade-off
-  /// measured); the class pays on weaker configurations (dantzig pricing,
-  /// primal-only re-solves) and on general MPS/LP input.
-  int gomory_rounds = 0;
-  /// Separate lifted odd-cycle cuts from the conflict graph
-  /// (`--odd-cycle 0|1`). Shares the clique machinery's graph; enabling
-  /// either class builds it. Off by default for the same measured reason
-  /// as `gomory_rounds`.
-  bool odd_cycle_cuts = false;
   /// In-tree separation every N nodes per worker (0 disables).
   int cut_node_interval = 16;
   /// Cut-pool capacity; least-active unapplied cuts are evicted beyond it.
@@ -119,41 +104,16 @@ struct Options {
   // see lp::SimplexOptions) ---
   /// Pivots between basis refactorizations (see lp::SimplexOptions).
   int lp_refactor_every = 50;
-  /// Sparse Markowitz LU (default); false = dense partial-pivot sweep only.
-  bool lp_sparse_factorization = true;
   /// Relative threshold-pivoting tolerance for Markowitz pivots in (0, 1].
   double lp_markowitz_tol = 0.1;
-  // --- dual re-solves + LP cut-row aging ---
-  /// Re-solve node LPs with the dual simplex: after a branching bound
-  /// change (and after cut rows are appended slack-basic) the warm basis
-  /// stays dual-feasible, so a handful of dual pivots replaces the primal
-  /// phase-1/phase-2 pass. Falls back to the primal path per-solve when
-  /// the basis cannot be made dual-feasible (see lp::SimplexSolver).
-  bool lp_dual_simplex = true;
+  // --- LP cut-row aging (node re-solves run the dual simplex: after a
+  // branching bound change, and after cut rows are appended slack-basic,
+  // the warm basis stays dual-feasible) ---
   /// Delete a cut row from a worker's LP once its slack stayed basic for
   /// this many consecutive node re-solves — the cut has not been binding,
   /// and the factorization stops paying for it (the shared pool keeps its
   /// own aging; this only shrinks the LP). 0 disables deletion.
   int lp_row_age_limit = 40;
-  /// Leaving-row pricing rule for the dual re-solves (`--dual-pricing
-  /// dantzig|devex|se`). Devex (default) prices rows by violation^2 over a
-  /// reference weight approximating the steepest-edge row norm — the
-  /// standard 2-3x on heavily degenerate 0/1 relaxations; kSteepestEdge is
-  /// the exact (one extra FTRAN per pivot) reference mode; kDantzig is the
-  /// PR-4 largest-violation rule. See lp::DualPricing.
-  lp::DualPricing lp_dual_pricing = lp::DualPricing::kDevex;
-  /// Hyper-sparse dual ratio test (`--hypersparse 0|1`): track the nonzero
-  /// pattern of the BTRANed pivot row through the factor solves and price
-  /// only the columns it actually touches via a row-wise CSR mirror,
-  /// instead of the dense rho'A pass over every nonbasic column. Bit-exact
-  /// with the dense pass by construction; rows denser than
-  /// `lp_hypersparse_threshold` fall back to the dense pass (counted in
-  /// `lp_dual_dense_pivots`, never silent). See lp::SimplexOptions.
-  bool lp_hypersparse = true;
-  /// Density cutoff for the sparse BTRAN pattern walk as a fraction of the
-  /// row count: once the tracked pattern exceeds `threshold * m`, the
-  /// sparse solve bails to the dense path for that pivot.
-  double lp_hypersparse_threshold = 0.3;
   /// Geometric-mean + equilibration scaling of each worker's LP
   /// (`--scale 0|1`, see lp/scaling.hpp). Factors are snapped to powers of
   /// two, so scale/unscale round-trips are bit-exact and every public
@@ -263,12 +223,14 @@ struct Stats {
   // --- cutting planes ---
   long long cuts_clique_separated = 0;  ///< clique cuts found (pre-dedup)
   long long cuts_cover_separated = 0;   ///< cover cuts found (pre-dedup)
-  long long cuts_gomory_separated = 0;  ///< Gomory MI cuts found (pre-dedup)
-  long long cuts_odd_cycle_separated = 0;  ///< odd-cycle cuts (pre-dedup)
+  /// Always 0: the Gomory and odd-cycle separators were removed. The four
+  /// counters stay because the Table-2 bench (t2bench/main.cpp) sums them.
+  long long cuts_gomory_separated = 0;
+  long long cuts_odd_cycle_separated = 0;
   int cuts_clique_applied = 0;          ///< clique cuts appended to LPs
   int cuts_cover_applied = 0;           ///< cover cuts appended to LPs
-  int cuts_gomory_applied = 0;          ///< Gomory MI cuts appended to LPs
-  int cuts_odd_cycle_applied = 0;       ///< odd-cycle cuts appended to LPs
+  int cuts_gomory_applied = 0;
+  int cuts_odd_cycle_applied = 0;
   long long cuts_aged_out = 0;          ///< pool evictions (inactivity)
   // --- reduced-cost fixing ---
   int rc_fixed_root = 0;       ///< bound tightenings at the root
@@ -317,23 +279,6 @@ struct Stats {
   /// dual solve is normal; one per dual pivot means the weights never
   /// accumulate and Devex has silently degraded to Dantzig.
   long long lp_devex_resets = 0;
-  // --- hyper-sparse dual ratio test (summed over workers) ---
-  /// Dual pivots priced through the sparse indexed walk (pattern kept
-  /// under the density cutoff all the way through BTRAN).
-  long long lp_dual_hypersparse_pivots = 0;
-  /// Dual pivots that fell back to the dense rho'A pass (pattern blew the
-  /// density cutoff, or hypersparsity disabled).
-  long long lp_dual_dense_pivots = 0;
-  /// Sum of nnz(rho) over all dual pivots (sparse and dense alike); divide
-  /// by the pivot count for the mean BTRANed-row density.
-  long long lp_dual_rho_nnz = 0;
-  /// Entering/bound-flip FTRANs solved with pattern tracking vs densely
-  /// (the adaptive density gate picks per solve).
-  long long lp_dual_ftran_sparse = 0;
-  long long lp_dual_ftran_dense = 0;
-  /// Pivot-row BTRANs solved with pattern tracking vs densely.
-  long long lp_dual_btran_sparse = 0;
-  long long lp_dual_btran_dense = 0;
   // --- root strong branching (seeds the shared pseudocost store) ---
   int strong_branch_probed = 0;  ///< bounded probe re-solves performed
   int strong_branch_fixed = 0;   ///< variables fixed by an infeasible probe

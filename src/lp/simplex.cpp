@@ -14,19 +14,6 @@ namespace {
 constexpr double kInf = kInfinity;
 }
 
-bool parse_dual_pricing(const std::string& name, DualPricing& out) {
-  if (name == "dantzig") {
-    out = DualPricing::kDantzig;
-  } else if (name == "devex") {
-    out = DualPricing::kDevex;
-  } else if (name == "se") {
-    out = DualPricing::kSteepestEdge;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 SimplexSolver::SimplexSolver(const Model& model, Options options)
     : opt_(options), cfg_markowitz_tol_(options.markowitz_tol) {
   n_ = model.num_variables();
@@ -110,7 +97,6 @@ SimplexSolver::SimplexSolver(const Model& model, Options options)
   u_diag_.assign(m_, 0.0);
   work_.assign(m_, 0.0);
   work2_.assign(m_, 0.0);
-  rebuild_row_mirror();
 }
 
 void SimplexSolver::set_variable_bounds(int var, double lower, double upper) {
@@ -323,11 +309,6 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   // weights (the row dimension changed).
   candidates_.clear();
   dual_w_valid_ = false;
-  // The bordered extension changed L and the permutations, and the CSC
-  // arrays grew: rebuild the hypersparse side through its choke points.
-  factor_patterns_valid_ = false;
-  dual_rho_clean_ = false;  // dual_rho_ is sized for the old row count
-  rebuild_row_mirror();
 }
 
 std::vector<double> SimplexSolver::reduced_costs() const {
@@ -386,9 +367,6 @@ void SimplexSolver::clear_etas() {
   eta_start_.assign(1, 0);
   eta_idx_.clear();
   eta_val_.clear();
-  // Every caller just replaced the L/U factors (refactorization or cold
-  // start), so the transposed factor patterns are stale.
-  factor_patterns_valid_ = false;
 }
 
 void SimplexSolver::compute_basic_values() {
@@ -977,300 +955,6 @@ void SimplexSolver::btran(const std::vector<double>& cb,
   for (int i = 0; i < m_; ++i) y[perm_[i]] = q[i];
 }
 
-void SimplexSolver::rebuild_row_mirror() {
-  const int nnz = col_start_[n_];
-  row_start_.assign(m_ + 1, 0);
-  row_col_.resize(nnz);
-  row_val_.resize(nnz);
-  for (int p = 0; p < nnz; ++p) ++row_start_[col_row_[p] + 1];
-  for (int i = 0; i < m_; ++i) row_start_[i + 1] += row_start_[i];
-  // Filling in column order leaves each row's entries sorted by column —
-  // which makes the indexed alpha walk accumulate each column's terms in
-  // the same (ascending-row) order as the dense CSC pass, so the two
-  // paths produce bit-identical alphas.
-  std::vector<int> fill(row_start_.begin(), row_start_.end() - 1);
-  for (int v = 0; v < n_; ++v)
-    for (int p = col_start_[v]; p < col_start_[v + 1]; ++p) {
-      const int pos = fill[col_row_[p]]++;
-      row_col_[pos] = v;
-      row_val_[pos] = col_val_[p];
-    }
-}
-
-void SimplexSolver::ensure_factor_patterns() {
-  if (factor_patterns_valid_) return;
-  perm_inv_.resize(m_);
-  cperm_inv_.resize(m_);
-  for (int k = 0; k < m_; ++k) {
-    perm_inv_[perm_[k]] = k;
-    cperm_inv_[cperm_[k]] = k;
-  }
-  // Row patterns of U and L (a CSR transpose of the column patterns):
-  // ur_ lists, for each factor row k, the columns j > k whose U column
-  // contains k; lr_ the columns j < k whose L column contains k. They
-  // drive the mark propagation of the transposed solves in
-  // btran_unit_sparse: a finalized nonzero at k can only spread to those
-  // columns.
-  const int unnz = u_start_.empty() ? 0 : u_start_[m_];
-  ur_start_.assign(m_ + 1, 0);
-  ur_col_.resize(unnz);
-  for (int p = 0; p < unnz; ++p) ++ur_start_[u_idx_[p] + 1];
-  for (int k = 0; k < m_; ++k) ur_start_[k + 1] += ur_start_[k];
-  {
-    std::vector<int> fill(ur_start_.begin(), ur_start_.end() - 1);
-    for (int j = 0; j < m_; ++j)
-      for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-        ur_col_[fill[u_idx_[p]]++] = j;
-  }
-  const int lnnz = l_start_.empty() ? 0 : l_start_[m_];
-  lr_start_.assign(m_ + 1, 0);
-  lr_col_.resize(lnnz);
-  for (int p = 0; p < lnnz; ++p) ++lr_start_[l_idx_[p] + 1];
-  for (int k = 0; k < m_; ++k) lr_start_[k + 1] += lr_start_[k];
-  {
-    std::vector<int> fill(lr_start_.begin(), lr_start_.end() - 1);
-    for (int j = 0; j < m_; ++j)
-      for (int p = l_start_[j]; p < l_start_[j + 1]; ++p)
-        lr_col_[fill[l_idx_[p]]++] = j;
-  }
-  factor_patterns_valid_ = true;
-}
-
-bool SimplexSolver::btran_unit_sparse(int r) {
-  ensure_factor_patterns();
-  const int cutoff = std::max(
-      8, static_cast<int>(opt_.hypersparse_threshold * static_cast<double>(m_)));
-  if (static_cast<int>(hs_zb_.size()) < m_) {
-    hs_zb_.resize(m_, 0.0);
-    hs_markb_.resize(m_, 0);
-    hs_zf_.resize(m_, 0.0);
-    hs_markf_.resize(m_, 0);
-  }
-  std::vector<int>& patb = hs_patb_;
-  std::vector<int>& patf = hs_patf_;
-  patb.clear();
-  patf.clear();
-  auto cleanup = [&] {
-    for (const int i : patb) {
-      hs_zb_[i] = 0.0;
-      hs_markb_[i] = 0;
-    }
-    for (const int k : patf) {
-      hs_zf_[k] = 0.0;
-      hs_markf_[k] = 0;
-    }
-  };
-
-  // e_r through the reversed eta file (basis-position space). Each eta
-  // only rewrites component eta_row_[e]; the step is skipped — its result
-  // is exactly zero, matching the dense solve — unless that component or
-  // one of the eta's off-diagonal sources is already in the pattern.
-  hs_zb_[r] = 1.0;
-  hs_markb_[r] = 1;
-  patb.push_back(r);
-  for (int e = static_cast<int>(eta_row_.size()) - 1; e >= 0; --e) {
-    const int re = eta_row_[e];
-    // Off-pattern scratch entries are exactly zero, so the dot is computed
-    // directly (a separate relevance pre-scan would double the eta cost);
-    // a zero result on an unmarked row is simply not written back.
-    double zr = hs_zb_[re];
-    for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
-      zr -= eta_val_[p] * hs_zb_[eta_idx_[p]];
-    zr /= eta_diag_[e];
-    if (hs_markb_[re] != 0) {
-      hs_zb_[re] = zr;
-    } else if (zr != 0.0) {
-      hs_zb_[re] = zr;
-      hs_markb_[re] = 1;
-      patb.push_back(re);
-      if (static_cast<int>(patb.size()) > cutoff) {
-        cleanup();
-        return false;
-      }
-    }
-  }
-
-  // Gather into factor-column order (q[k] = z[cperm_[k]]).
-  for (const int i : patb) {
-    const int k = cperm_inv_[i];
-    hs_zf_[k] = hs_zb_[i];
-    hs_markf_[k] = 1;
-    patf.push_back(k);
-  }
-
-  // v' U = q': ascending scan over the marked columns; a finalized
-  // nonzero at k spreads the mark to the columns ur_ lists for row k
-  // (all > k, so the scan meets them later). Unmarked columns stay
-  // exactly zero, as they would in the dense solve.
-  for (int j = 0; j < m_; ++j) {
-    if (!hs_markf_[j]) continue;
-    double acc = hs_zf_[j];
-    for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-      acc -= hs_zf_[u_idx_[p]] * u_val_[p];
-    acc /= u_diag_[j];
-    hs_zf_[j] = acc;
-    if (acc != 0.0) {
-      for (int p = ur_start_[j]; p < ur_start_[j + 1]; ++p) {
-        const int jj = ur_col_[p];
-        if (hs_markf_[jj] == 0) {
-          hs_markf_[jj] = 1;
-          patf.push_back(jj);
-        }
-      }
-      if (static_cast<int>(patf.size()) > cutoff) {
-        cleanup();
-        return false;
-      }
-    }
-  }
-
-  // u' L = v': descending scan; a finalized nonzero at k spreads to the
-  // columns lr_ lists for row k (all < k).
-  for (int j = m_ - 1; j >= 0; --j) {
-    if (!hs_markf_[j]) continue;
-    double acc = hs_zf_[j];
-    for (int p = l_start_[j]; p < l_start_[j + 1]; ++p)
-      acc -= hs_zf_[l_idx_[p]] * l_val_[p];
-    hs_zf_[j] = acc;
-    if (acc != 0.0) {
-      for (int p = lr_start_[j]; p < lr_start_[j + 1]; ++p) {
-        const int jj = lr_col_[p];
-        if (hs_markf_[jj] == 0) {
-          hs_markf_[jj] = 1;
-          patf.push_back(jj);
-        }
-      }
-      if (static_cast<int>(patf.size()) > cutoff) {
-        cleanup();
-        return false;
-      }
-    }
-  }
-
-  // Scatter into dual_rho_ (original-row space), keeping it exactly zero
-  // off-pattern: clear only the previous pattern when it is known clean.
-  if (!dual_rho_clean_ || static_cast<int>(dual_rho_.size()) != m_) {
-    dual_rho_.assign(m_, 0.0);
-  } else {
-    for (const int i : dual_rho_pattern_) dual_rho_[i] = 0.0;
-  }
-  dual_rho_pattern_.clear();
-  for (const int k : patf) {
-    const double v = hs_zf_[k];
-    if (v == 0.0) continue;  // cancelled along the way: keep the row exact
-    const int row = perm_[k];
-    dual_rho_[row] = v;
-    dual_rho_pattern_.push_back(row);
-  }
-  // The pattern stays unsorted: every consumer of rho is a value scan over
-  // the dense vector (exact zeros off-pattern), so the list is needed only
-  // for the scoped clear above and the nnz stat.
-  dual_rho_clean_ = true;
-  cleanup();
-  return true;
-}
-
-void SimplexSolver::ftran_vec_sparse(std::vector<double>& v,
-                                     std::vector<int>& pattern) {
-  if (static_cast<int>(hs_zf_.size()) < m_) {
-    hs_zb_.resize(m_, 0.0);
-    hs_markb_.resize(m_, 0);
-    hs_zf_.resize(m_, 0.0);
-    hs_markf_.resize(m_, 0);
-  }
-  std::vector<int>& patf = hs_patf_;
-  patf.clear();
-  // Gather the seed into factor order (w[i] = v[perm_[i]], i.e. original
-  // row i lands at factor position perm_inv_[i]).
-  for (const int i : pattern) {
-    const int k = perm_inv_[i];
-    hs_zf_[k] = v[i];
-    hs_markf_[k] = 1;
-    patf.push_back(k);
-  }
-  // L solve (unit lower): a nonzero at k spreads directly along its own
-  // column entries (all > k), so the ascending mark scan is the exact
-  // sparse analogue of the dense value-skipping loop.
-  for (int k = 0; k < m_; ++k) {
-    if (!hs_markf_[k]) continue;
-    const double wk = hs_zf_[k];
-    if (wk == 0.0) continue;
-    for (int p = l_start_[k]; p < l_start_[k + 1]; ++p) {
-      const int idx = l_idx_[p];
-      hs_zf_[idx] -= l_val_[p] * wk;
-      if (hs_markf_[idx] == 0) {
-        hs_markf_[idx] = 1;
-        patf.push_back(idx);
-      }
-    }
-  }
-  // U solve: descending; spreads along the column entries (all < k).
-  for (int k = m_ - 1; k >= 0; --k) {
-    if (!hs_markf_[k]) continue;
-    const double wk = hs_zf_[k] / u_diag_[k];
-    hs_zf_[k] = wk;
-    if (wk == 0.0) continue;
-    for (int p = u_start_[k]; p < u_start_[k + 1]; ++p) {
-      const int idx = u_idx_[p];
-      hs_zf_[idx] -= u_val_[p] * wk;
-      if (hs_markf_[idx] == 0) {
-        hs_markf_[idx] = 1;
-        patf.push_back(idx);
-      }
-    }
-  }
-  // Scatter to basis-position space (v[cperm_[k]] = w[k]); the eta file
-  // then runs oldest-first in that space, marking the rows it fills in.
-  for (const int i : pattern) v[i] = 0.0;
-  pattern.clear();
-  for (const int k : patf) {
-    const int pos = cperm_[k];
-    v[pos] = hs_zf_[k];
-    hs_markb_[pos] = 1;
-    pattern.push_back(pos);
-    hs_zf_[k] = 0.0;
-    hs_markf_[k] = 0;
-  }
-  const int num_etas = static_cast<int>(eta_row_.size());
-  for (int e = 0; e < num_etas; ++e) {
-    const int re = eta_row_[e];
-    if (!hs_markb_[re]) continue;  // v[re] is exactly zero: the eta no-ops
-    const double vr = v[re] / eta_diag_[e];
-    if (vr != 0.0) {
-      for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p) {
-        const int idx = eta_idx_[p];
-        v[idx] -= eta_val_[p] * vr;
-        if (hs_markb_[idx] == 0) {
-          hs_markb_[idx] = 1;
-          pattern.push_back(idx);
-        }
-      }
-    }
-    v[re] = vr;
-  }
-  for (const int i : pattern) hs_markb_[i] = 0;
-  // The pattern is left unsorted: off-pattern entries of v are exact zeros,
-  // so downstream consumers are plain value scans over the dense vector and
-  // walk the true support in ascending order regardless.
-}
-
-void SimplexSolver::ftran_col_sparse(int col, std::vector<double>& w,
-                                     std::vector<int>& pattern) {
-  ensure_factor_patterns();
-  w.assign(m_, 0.0);
-  pattern.clear();
-  if (col < n_) {
-    for (int p = col_start_[col]; p < col_start_[col + 1]; ++p) {
-      w[col_row_[p]] = col_val_[p];
-      pattern.push_back(col_row_[p]);
-    }
-  } else {
-    w[col - n_] = 1.0;
-    pattern.push_back(col - n_);
-  }
-  ftran_vec_sparse(w, pattern);
-}
-
 double SimplexSolver::reduced_cost(int col, const std::vector<double>& y,
                                    const std::vector<double>& cost) const {
   double d = cost[col];
@@ -1474,8 +1158,8 @@ void SimplexSolver::pivot(int entering, int leaving_row, double t,
                           int entering_dir, const std::vector<double>& w,
                           Status leaving_status) {
   // Move the entering variable and update basic values. The value scans
-  // below skip w's exact zeros, so they already walk only the FTRAN
-  // result's true support — a pattern-tracked caller gains nothing here.
+  // below skip w's exact zeros, so they walk only the FTRAN result's true
+  // support.
   x_[entering] += entering_dir * t;
   if (t > 0.0) {
     for (int i = 0; i < m_; ++i) {
@@ -1705,7 +1389,6 @@ bool SimplexSolver::restore_dual_feasibility() {
 }
 
 void SimplexSolver::ensure_dual_weights() {
-  if (opt_.dual_pricing == DualPricing::kDantzig) return;
   if (dual_w_valid_ && static_cast<int>(dual_w_.size()) == m_) return;
   dual_w_.assign(m_, 1.0);  // the all-ones reference framework
   dual_w_valid_ = true;
@@ -1714,7 +1397,7 @@ void SimplexSolver::ensure_dual_weights() {
 
 void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w,
                                         const std::vector<double>& rho) {
-  if (opt_.dual_pricing == DualPricing::kDantzig || !dual_w_valid_) return;
+  if (!dual_w_valid_) return;
   const double wr = w[r];
   if (wr == 0.0) {
     dual_w_valid_ = false;
@@ -1760,12 +1443,10 @@ void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w,
 }
 
 int SimplexSolver::iterate_dual() {
-  // --- leaving row. Dantzig: the basic variable with the largest bound
-  // violation. Devex / steepest edge: the largest violation^2 / w_i, where
-  // w_i (approximately) carries ||e_i' B^-1||^2 — a violation is only worth
+  // --- leaving row: the largest violation^2 / w_i, where w_i
+  // (approximately) carries ||e_i' B^-1||^2 — a violation is only worth
   // chasing if the dual step it buys is long in the steepest-edge norm. ---
   ensure_dual_weights();
-  const bool weighted = opt_.dual_pricing != DualPricing::kDantzig;
   int r = -1;
   double best_score = 0.0;
   double viol = 0.0;
@@ -1776,8 +1457,7 @@ int SimplexSolver::iterate_dual() {
     const double above = x_[col] - ub_[col];
     const double v = below > above ? below : above;
     if (v <= opt_.feas_tol) continue;
-    const double score =
-        weighted ? v * v / std::max(dual_w_[i], 1e-10) : v;
+    const double score = v * v / std::max(dual_w_[i], 1e-10);
     if (score > best_score) {
       best_score = score;
       viol = v;
@@ -1789,40 +1469,10 @@ int SimplexSolver::iterate_dual() {
 
   // --- pivot row: rho' = e_r' B^{-1}; alpha_j = sgn * rho' a_j for every
   // nonbasic column (the sign normalization makes "d_j decreasing with the
-  // dual step" read the same for both violation directions). The sparse
-  // and dense BTRANs produce bit-identical vectors with exact zeros off
-  // the true support; the density EWMA picks whichever is cheaper, and a
-  // pivot counts as hypersparse when the indexed ratio walk engages — the
-  // pivot row fits under the density cutoff — regardless of which solve
-  // produced it. Denser rows fall back to the dense CSC alpha pass,
-  // counted (never silently) in dual_dense_pivots. ---
-  const int rho_cutoff = std::max(
-      8,
-      static_cast<int>(opt_.hypersparse_threshold * static_cast<double>(m_)));
-  int rho_nnz;
-  if (opt_.hypersparse && hs_rho_density_ < kPatternDensityGate &&
-      btran_unit_sparse(r)) {
-    ++stats_.dual_btran_sparse;
-    rho_nnz = static_cast<int>(dual_rho_pattern_.size());
-  } else {
-    dual_unit_.assign(m_, 0.0);
-    dual_unit_[r] = 1.0;
-    btran(dual_unit_, dual_rho_);
-    dual_rho_clean_ = false;
-    ++stats_.dual_btran_dense;
-    rho_nnz = 0;
-    for (int i = 0; i < m_; ++i) rho_nnz += dual_rho_[i] != 0.0 ? 1 : 0;
-  }
-  if (opt_.hypersparse)
-    hs_rho_density_ =
-        (1.0 - kPatternDensityAlpha) * hs_rho_density_ +
-        kPatternDensityAlpha * (static_cast<double>(rho_nnz) / m_);
-  stats_.dual_rho_nnz += rho_nnz;
-  dual_rho_sparse_ = opt_.hypersparse && rho_nnz <= rho_cutoff;
-  if (dual_rho_sparse_)
-    ++stats_.dual_hypersparse_pivots;
-  else
-    ++stats_.dual_dense_pivots;
+  // dual step" read the same for both violation directions). ---
+  dual_unit_.assign(m_, 0.0);
+  dual_unit_[r] = 1.0;
+  btran(dual_unit_, dual_rho_);
 
   dual_row_.clear();
   dual_cands_.clear();
@@ -1834,14 +1484,22 @@ int SimplexSolver::iterate_dual() {
   // theta*alpha in the dual step. The pre-PR-7 code filtered the theta
   // update at pivot_tol, so such columns drifted from their true reduced
   // costs by theta*alpha per pivot (flushed only at the next
-  // refactorization); tests/lp/hypersparse_test.cpp pins the fix.
+  // refactorization); tests/lp/dual_simplex_test.cpp pins the fix.
   const double drop_tol = 1e-4 * opt_.pivot_tol;
-  auto consider = [&](int j, double a) {
-    if (vstat_[j] == kBasic || lb_[j] == ub_[j]) return;
+  for (int j = 0; j < total_; ++j) {
+    if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
+    double a;
+    if (j < n_) {
+      a = 0.0;
+      for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
+        a += dual_rho_[col_row_[p]] * col_val_[p];
+    } else {
+      a = dual_rho_[j - n_];
+    }
     const double at = sgn * a;
-    if (std::abs(at) <= drop_tol) return;
+    if (std::abs(at) <= drop_tol) continue;
     dual_row_.push_back(DualRowEntry{j, at});
-    if (std::abs(at) <= opt_.pivot_tol) return;
+    if (std::abs(at) <= opt_.pivot_tol) continue;
     // Eligible entering columns: their reduced cost is driven towards zero
     // as the dual step grows; the breakpoint is the dual ratio.
     double ratio;
@@ -1850,59 +1508,10 @@ int SimplexSolver::iterate_dual() {
     else if (vstat_[j] == kAtUpper && at < 0.0)
       ratio = std::min(dual_d_[j], 0.0) / at;
     else
-      return;
+      continue;
     dual_cands_.push_back(DualCandidate{j, ratio, at});
-  };
-  if (dual_rho_sparse_) {
-    // Indexed walk: scatter rho_i * (row i) into the accumulator over the
-    // structural columns; slack alphas are the rho entries themselves.
-    // The ascending value scan over rho (off-pattern entries are exact
-    // zeros) makes each column's terms accumulate in ascending row order —
-    // the dense CSC pass's order — so the alphas match it bit for bit.
-    // The scatter is branch-free: untouched columns stay exactly zero and
-    // the O(n_) sweep drops them at the drop_tol test, which is cheaper
-    // than per-entry mark bookkeeping at the densities seen here.
-    if (static_cast<int>(hs_acc_.size()) < n_) hs_acc_.assign(n_, 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const double ri = dual_rho_[i];
-      if (ri == 0.0) continue;
-      for (int p = row_start_[i]; p < row_start_[i + 1]; ++p)
-        hs_acc_[row_col_[p]] += ri * row_val_[p];
-      consider(n_ + i, ri);
-    }
-    for (int j = 0; j < n_; ++j) {
-      consider(j, hs_acc_[j]);
-      hs_acc_[j] = 0.0;
-    }
-  } else {
-    for (int j = 0; j < total_; ++j) {
-      if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
-      double a;
-      if (j < n_) {
-        a = 0.0;
-        for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
-          a += dual_rho_[col_row_[p]] * col_val_[p];
-      } else {
-        a = dual_rho_[j - n_];
-      }
-      consider(j, a);
-    }
   }
   if (dual_cands_.empty()) return 2;  // dual ray: primal infeasible
-
-  // Capture the candidate set before the walk consumes the heap. The
-  // column list is sorted here — sparse and dense ratio passes push the
-  // same set in different orders — so traces compare canonically.
-  DualPivotTrace* rec = nullptr;
-  if (dual_trace_ != nullptr) {
-    dual_trace_->emplace_back();
-    rec = &dual_trace_->back();
-    rec->leaving_row = r;
-    rec->candidates.reserve(dual_cands_.size());
-    for (const DualCandidate& cand : dual_cands_)
-      rec->candidates.push_back(cand.col);
-    std::sort(rec->candidates.begin(), rec->candidates.end());
-  }
 
   // --- bound-flipping ratio test: walk the breakpoints in dual-step order;
   // a boxed candidate whose full flip still leaves the leaving variable
@@ -1967,7 +1576,6 @@ int SimplexSolver::iterate_dual() {
     break;
   }
   const double d_chosen = dual_d_[chosen];
-  if (rec != nullptr) rec->entering_col = chosen;
 
   // --- dual step: every nonbasic reduced cost moves along the pivot row.
   // Flipped candidates cross zero (consistent with their new bound); the
@@ -1980,22 +1588,9 @@ int SimplexSolver::iterate_dual() {
   dual_d_[chosen] = 0.0;
 
   // --- apply the flips: nonbasic values jump to the opposite bound; one
-  // accumulated FTRAN updates every basic value. With hypersparsity on,
-  // the flipped columns' rows seed a pattern-tracked FTRAN and the basic
-  // update walks the result pattern. ---
+  // accumulated FTRAN updates every basic value. ---
   if (!dual_flips_.empty()) {
-    // Pattern-tracked FTRAN only pays off when the result is genuinely
-    // sparse; a running density estimate (EWMA over recent results) gates
-    // it. Both paths produce bit-identical vectors, so the gate never
-    // changes the pivot trajectory — only the cost of computing it.
-    const bool track = opt_.hypersparse && hs_fcol_density_ < kPatternDensityGate;
     dual_fcol_.assign(m_, 0.0);
-    if (track) {
-      ensure_factor_patterns();
-      if (static_cast<int>(hs_seedmark_.size()) < m_)
-        hs_seedmark_.resize(m_, 0);
-      fcol_pattern_.clear();
-    }
     for (const int j : dual_flips_) {
       const double old = x_[j];
       double nv;
@@ -2009,67 +1604,21 @@ int SimplexSolver::iterate_dual() {
       x_[j] = nv;
       const double dx = nv - old;
       if (j < n_) {
-        for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
-          const int row = col_row_[p];
-          dual_fcol_[row] += col_val_[p] * dx;
-          if (track && hs_seedmark_[row] == 0) {
-            hs_seedmark_[row] = 1;
-            fcol_pattern_.push_back(row);
-          }
-        }
+        for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
+          dual_fcol_[col_row_[p]] += col_val_[p] * dx;
       } else {
-        const int row = j - n_;
-        dual_fcol_[row] += dx;
-        if (track && hs_seedmark_[row] == 0) {
-          hs_seedmark_[row] = 1;
-          fcol_pattern_.push_back(row);
-        }
+        dual_fcol_[j - n_] += dx;
       }
     }
-    if (track) {
-      for (const int i : fcol_pattern_) hs_seedmark_[i] = 0;
-      ftran_vec_sparse(dual_fcol_, fcol_pattern_);
-      ++stats_.dual_ftran_sparse;
-      hs_fcol_density_ = (1.0 - kPatternDensityAlpha) * hs_fcol_density_ +
-                         kPatternDensityAlpha *
-                             (static_cast<double>(fcol_pattern_.size()) / m_);
-      for (const int i : fcol_pattern_)
-        if (dual_fcol_[i] != 0.0) x_[basis_[i]] -= dual_fcol_[i];
-    } else {
-      ftran_vec(dual_fcol_);
-      ++stats_.dual_ftran_dense;
-      int nnz = 0;
-      for (int i = 0; i < m_; ++i) {
-        if (dual_fcol_[i] == 0.0) continue;
-        ++nnz;
-        x_[basis_[i]] -= dual_fcol_[i];
-      }
-      if (opt_.hypersparse)
-        hs_fcol_density_ = (1.0 - kPatternDensityAlpha) * hs_fcol_density_ +
-                           kPatternDensityAlpha * (static_cast<double>(nnz) / m_);
-    }
+    ftran_vec(dual_fcol_);
+    for (int i = 0; i < m_; ++i)
+      if (dual_fcol_[i] != 0.0) x_[basis_[i]] -= dual_fcol_[i];
     stats_.dual_bound_flips += static_cast<long long>(dual_flips_.size());
   }
 
   // --- entering column FTRAN + primal step onto the violated bound ---
   std::vector<double>& w = wcol_;
-  if (opt_.hypersparse && hs_wcol_density_ < kPatternDensityGate) {
-    ftran_col_sparse(chosen, w, wcol_pattern_);
-    ++stats_.dual_ftran_sparse;
-    hs_wcol_density_ = (1.0 - kPatternDensityAlpha) * hs_wcol_density_ +
-                       kPatternDensityAlpha *
-                           (static_cast<double>(wcol_pattern_.size()) / m_);
-  } else {
-    ftran(chosen, w);
-    ++stats_.dual_ftran_dense;
-    if (opt_.hypersparse) {
-      int nnz = 0;
-      for (int i = 0; i < m_; ++i)
-        if (w[i] != 0.0) ++nnz;
-      hs_wcol_density_ = (1.0 - kPatternDensityAlpha) * hs_wcol_density_ +
-                         kPatternDensityAlpha * (static_cast<double>(nnz) / m_);
-    }
-  }
+  ftran(chosen, w);
   const double wr = w[r];
   // w[r] and the BTRANed pivot-row entry are the same number computed two
   // ways; a disagreement (or a tiny pivot) flags factorization drift.
@@ -2164,7 +1713,7 @@ LpResult SimplexSolver::solve_dual() {
       // a fresh BTRAN of the basic costs. Together with the theta update in
       // iterate_dual covering every real alpha (dual_row_ is drop_tol-, not
       // pivot_tol-filtered) this is what keeps the incrementally maintained
-      // reduced costs honest — tests/lp/hypersparse_test.cpp pins the drift.
+      // reduced costs honest — tests/lp/dual_simplex_test.cpp pins the drift.
       compute_dual_reduced_costs();
     }
     const int rc = iterate_dual();
@@ -2309,12 +1858,6 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
   price_cursor_ = 0;
   dual_w_valid_ = false;  // basis positions shifted: weights are stale
   stats_.rows_deleted += del;
-  // Rows were renumbered: rebuild the CSR mirror from the compacted CSC
-  // arrays (single choke point) and drop the stale hypersparse state. The
-  // factor patterns follow from the refactorization below (clear_etas).
-  factor_patterns_valid_ = false;
-  dual_rho_clean_ = false;
-  rebuild_row_mirror();
 
   if (has_basis_) {
     // Rebuild the factors at the shrunken size. This is where the fill
@@ -2375,57 +1918,6 @@ std::vector<double> SimplexSolver::dense_basis_for_testing() const {
     }
   }
   return b;
-}
-
-bool SimplexSolver::tableau_row(int pos, std::vector<double>& alpha,
-                                double& beta) const {
-  if (!has_basis_ || pos < 0 || pos >= m_) return false;
-  // rho' = e_pos' B^-1: one BTRAN of a unit vector; rho is indexed by
-  // original row, so alpha'_j = rho . (scaled column j).
-  std::vector<double> cb(m_, 0.0);
-  cb[pos] = 1.0;
-  std::vector<double> rho;
-  btran(cb, rho);
-  alpha.assign(static_cast<std::size_t>(n_) + m_, 0.0);
-  for (int j = 0; j < n_; ++j) {
-    double a = 0.0;
-    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
-      a += rho[col_row_[p]] * col_val_[p];
-    alpha[j] = a;
-  }
-  for (int r = 0; r < m_; ++r) alpha[static_cast<std::size_t>(n_) + r] = rho[r];
-  const int b = basis_[pos];
-  // The row's constant is rho . rhs (NOT the basic variable's current
-  // value, which also folds in the nonbasic columns at their bounds).
-  beta = 0.0;
-  for (int r = 0; r < m_; ++r) beta += rho[r] * rhs_[r];
-  if (scaling_active_) {
-    // Original variable j relates to its scaled twin by x_j = C_j x'_j with
-    // C_j = col_scale_[j] for structurals and 1/row_scale_[r] for slack r
-    // (s'_r = R_r s_r). Dividing the scaled tableau row through by the
-    // basic variable's factor C_B gives alpha_j = alpha'_j C_B / C_j and
-    // beta = C_B beta' — all power-of-two multiplies, so exact.
-    const double cB = b < n_ ? col_scale_[b] : 1.0 / row_scale_[b - n_];
-    for (int j = 0; j < n_; ++j) alpha[j] *= cB / col_scale_[j];
-    for (int r = 0; r < m_; ++r)
-      alpha[static_cast<std::size_t>(n_) + r] *= cB * row_scale_[r];
-    beta *= cB;
-  }
-  alpha[b] = 1.0;  // B^-1 B = I exactly; overwrite the ~1 numeric value
-  return true;
-}
-
-void SimplexSolver::original_row(int row, std::vector<Term>& terms,
-                                 double& rhs) const {
-  ADVBIST_REQUIRE(row >= 0 && row < m_, "original_row index");
-  terms.clear();
-  for (int p = row_start_[row]; p < row_start_[row + 1]; ++p) {
-    const int col = row_col_[p];
-    double v = row_val_[p];
-    if (scaling_active_) v /= row_scale_[row] * col_scale_[col];
-    terms.push_back({col, v});
-  }
-  rhs = scaling_active_ ? rhs_[row] / row_scale_[row] : rhs_[row];
 }
 
 }  // namespace advbist::lp

@@ -99,29 +99,10 @@
 //    why resets are counted in Stats::devex_resets and pinned by
 //    tests/lp/dual_simplex_test.cpp.
 //
-//  * Hypersparsity (dual ratio test). The dual ratio test prices
-//    alpha_j = rho' a_j for the BTRANed pivot row rho over every nonbasic
-//    column; solve_dual replaces the column-major dense pass with an
-//    indexed walk over a row-wise CSR mirror of the structural columns,
-//    visiting only the rows where rho is nonzero. The walk is engaged
-//    whenever nnz(rho) stays under hypersparse_threshold (counted in
-//    Stats::dual_hypersparse_pivots; a denser rho keeps the column-major
-//    pass and counts in Stats::dual_dense_pivots — never silent). It is
-//    safe to key the walk off the DENSE BTRAN output too: dense solves
-//    value-skip, so off-support entries are exact zeros and the sparse and
-//    dense solves produce bit-identical vectors. Which solve runs is a
-//    separate, perf-only decision: three density EWMAs (pivot-row BTRAN,
-//    entering FTRAN, flip FTRAN) start optimistic-sparse and switch each
-//    solve to the dense kernel once its output density crosses
-//    kPatternDensityGate, because pattern-tracked solves lose once the
-//    pattern stops paying (Stats::dual_btran_/dual_ftran_ sparse vs dense
-//    count the split). Measured reality on the built-in circuits: mean
-//    nnz(rho) is ~145 of ~750 rows (~19% dense — NOT the handful of
-//    nonzeros classic hypersparsity assumes), so the BTRANs adapt to the
-//    dense kernel after warmup while the indexed walk still engages on
-//    >99% of pivots. Everything is exact: identical candidate sets,
-//    entering/leaving sequences and bound flips to the dense pass, pinned
-//    by the differential traces in tests/lp/hypersparse_test.cpp.
+//  * Dual ratio test. alpha_j = rho' a_j is priced for the BTRANed pivot
+//    row rho by one column-major pass over the nonbasic columns. (The
+//    pivot rows here average ~19% nonzeros, so an indexed walk over a
+//    row-wise copy of A measured no faster and is not used.)
 //
 // Problem sizes in this project are a few thousand rows/columns; the sparse
 // factorization keeps the refactorization cost proportional to fill while
@@ -129,7 +110,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -168,18 +148,12 @@ struct LpResult {
 
 /// Leaving-row selection rule for solve_dual() (see the header comment).
 enum class DualPricing {
-  kDantzig,       ///< largest primal bound violation (the PR-4 rule)
   kDevex,         ///< reference-framework Devex weights (default)
   kSteepestEdge,  ///< dual steepest edge (exact Forrest-Goldfarb update
                   ///< recurrence; weights restart all-ones on each reset) —
                   ///< reference mode, one extra FTRAN per pivot; use to
                   ///< validate the Devex path
 };
-
-/// Parses the user-facing pricing names ("dantzig", "devex", "se") shared
-/// by the CLI and the bench harness. Returns false on an unknown name and
-/// leaves `out` untouched.
-bool parse_dual_pricing(const std::string& name, DualPricing& out);
 
 struct SimplexOptions {
   double feas_tol = 1e-7;   ///< bound/row feasibility tolerance
@@ -199,23 +173,8 @@ struct SimplexOptions {
   /// Leaving-row rule for solve_dual(). kDevex (default) prices rows by
   /// violation^2 / reference-weight; kSteepestEdge maintains dual
   /// steepest-edge weights via the exact update recurrence (one extra
-  /// FTRAN per pivot; all-ones restart on each reset); kDantzig is the
-  /// plain largest-violation rule.
+  /// FTRAN per pivot; all-ones restart on each reset).
   DualPricing dual_pricing = DualPricing::kDevex;
-  /// Hyper-sparse dual ratio test: price alpha_j = rho' a_j by an indexed
-  /// walk over a row-wise CSR mirror of the structural columns (visiting
-  /// only the rows where the BTRANed pivot row rho is nonzero) instead of
-  /// a dense pass over every nonbasic column, and let density EWMAs pick
-  /// pattern-tracked vs dense kernels for the pivot-row BTRAN and the
-  /// entering/flip FTRANs per solve. Exact: a pivot row denser than
-  /// hypersparse_threshold keeps the dense pass (counted in
-  /// Stats::dual_dense_pivots, never silent), and both kernel choices
-  /// produce bit-identical vectors (see the header comment).
-  bool hypersparse = true;
-  /// Pivot-row density cutoff in (0, 1]: the indexed walk engages only
-  /// while nnz(rho) <= max(8, threshold * m) (a dense rho makes the walk
-  /// cost at least as much as the dense pass it replaces).
-  double hypersparse_threshold = 0.3;
   /// Geometric-mean + equilibration scaling (lp/scaling.hpp) applied to
   /// the internal problem data at construction. All factors are powers of
   /// two, so scaling is EXACT: solutions, bounds and reduced costs are
@@ -326,50 +285,6 @@ class SimplexSolver {
   /// Current number of constraint rows (grows with add_rows).
   [[nodiscard]] int num_added_rows() const { return m_ - initial_m_; }
 
-  // --- tableau access (Gomory cut separation, tests/lp/tableau_test.cpp) ---
-  //
-  // Column indexing for the tableau API: columns [0, num_structural()) are
-  // the structural variables, columns [num_structural(), num_structural() +
-  // num_rows()) are the row slacks (slack of row r at num_structural() + r).
-  // All values are reported in ORIGINAL (unscaled) units; the power-of-two
-  // scale factors make the unscaling exact.
-
-  /// Number of structural variables (slack columns start here).
-  [[nodiscard]] int num_structural() const { return n_; }
-
-  /// Nonbasic-at-lower (0) / nonbasic-at-upper (1) / basic (2) status of a
-  /// tableau column (structural or slack). Meaningful after a solve.
-  [[nodiscard]] int column_status(int col) const { return vstat_[col]; }
-
-  /// Bounds of a tableau column in original units. For structurals this is
-  /// variable_lower/upper; a slack's bounds encode its row's sense
-  /// ([0,inf) for <=, (-inf,0] for >=, [0,0] for =) and are invariant
-  /// under scaling (0 and +-inf scale to themselves).
-  [[nodiscard]] double tableau_column_lower(int col) const {
-    return col < n_ ? variable_lower(col) : lb_[col];
-  }
-  [[nodiscard]] double tableau_column_upper(int col) const {
-    return col < n_ ? variable_upper(col) : ub_[col];
-  }
-
-  /// Simplex tableau row of basis position `pos` (the row whose basic
-  /// variable is basis()[pos]): writes alpha (size num_structural() +
-  /// num_rows(), original units) with the row of B^-1 [A I] and beta with
-  /// the row's constant e_pos' B^-1 b, i.e.  sum_j alpha_j x_j = beta
-  /// holds at EVERY solution of the constraint system (so x_B(pos) =
-  /// beta - sum over nonbasic j of alpha_j x_j). alpha of the basic
-  /// variable itself is set to exactly 1; other basic columns carry only
-  /// factorization noise. One BTRAN of a unit vector per call. Returns
-  /// false when no factorized basis exists or `pos` is out of range.
-  bool tableau_row(int pos, std::vector<double>& alpha, double& beta) const;
-
-  /// Constraint row `row` of the CURRENT LP (model rows and appended cut
-  /// rows alike) in original units: terms over structural variables plus
-  /// the right-hand side, so callers can substitute the row's slack
-  /// s_row = rhs - a.x when translating tableau cuts back to structural
-  /// space.
-  void original_row(int row, std::vector<Term>& terms, double& rhs) const;
-
   /// Solves the LP relaxation (minimization) through the primal path:
   /// composite phase 1 repairs any warm-start infeasibility, phase 2
   /// optimizes.
@@ -420,27 +335,6 @@ class SimplexSolver {
     /// normal churn; a reset per dual PIVOT means the weights never
     /// accumulate and the rule has degraded to Dantzig.
     long long devex_resets = 0;
-
-    // --- hypersparse dual ratio test ---
-    /// Dual pivots priced by the indexed pattern walk (pivot-row pattern
-    /// tracked through BTRAN, alpha via the CSR row mirror).
-    long long dual_hypersparse_pivots = 0;
-    /// Dual pivots priced by the dense row pass: hypersparse disabled, or
-    /// the pivot-row pattern outgrew hypersparse_threshold (the fallback
-    /// is counted, never silent).
-    long long dual_dense_pivots = 0;
-    /// Cumulative nnz of the BTRANed pivot rows over all dual pivots;
-    /// mean = / (dual_hypersparse_pivots + dual_dense_pivots).
-    long long dual_rho_nnz = 0;
-    /// Entering/flip-column FTRANs solved with pattern tracking vs the
-    /// dense path inside the dual iteration (the adaptive density gate
-    /// picks per solve; both produce bit-identical vectors).
-    long long dual_ftran_sparse = 0;
-    long long dual_ftran_dense = 0;
-    /// Pivot-row BTRANs solved with pattern tracking vs the dense path
-    /// (density gate + cutoff abort; bit-identical either way).
-    long long dual_btran_sparse = 0;
-    long long dual_btran_dense = 0;
 
     // --- row deletion (delete_rows) ---
     long long rows_deleted = 0;  ///< cut rows aged out of the LP
@@ -496,21 +390,6 @@ class SimplexSolver {
   [[nodiscard]] int num_rows() const { return m_; }
   [[nodiscard]] const std::vector<int>& basis() const { return basis_; }
 
-  /// One dual pivot as seen by the ratio test: the leaving row, the column
-  /// chosen to enter, and the full eligible candidate set in breakpoint
-  /// order. The hypersparse differential suite records paired solvers
-  /// (indexed walk vs dense pass) and requires the sequences identical.
-  struct DualPivotTrace {
-    int leaving_row;
-    int entering_col;
-    std::vector<int> candidates;
-  };
-  /// Testing hook: when non-null, every dual pivot appends one trace
-  /// record. The pointer must outlive subsequent solve_dual() calls
-  /// (nullptr detaches).
-  void set_dual_trace_for_testing(std::vector<DualPivotTrace>* trace) {
-    dual_trace_ = trace;
-  }
   /// Testing hook: max |incrementally maintained dual_d_ - freshly
   /// recomputed reduced cost| over the nonbasic non-fixed columns.
   /// Meaningful right after a solve_dual() that finished on the dual path
@@ -602,14 +481,14 @@ class SimplexSolver {
   /// variable cannot flip (infinite opposite bound): the basis cannot be
   /// made dual-feasible by flipping and solve_dual must fall back.
   bool restore_dual_feasibility();
-  /// One dual pivot: leaving row by the configured pricing rule (Devex /
-  /// steepest-edge weights or largest primal bound violation), entering
+  /// One dual pivot: leaving row by the configured pricing rule (Devex or
+  /// steepest-edge weights), entering
   /// column by a bound-flipping dual ratio test over the BTRANed pivot
   /// row. Returns 0 = pivoted, 1 = primal feasible (dual optimal),
   /// 2 = primal infeasible (dual ray), 3 = numerical trouble.
   int iterate_dual();
   /// Re-initializes the dual pricing weights to the all-ones reference
-  /// framework when they are missing or stale (no-op under kDantzig).
+  /// framework when they are missing or stale.
   void ensure_dual_weights();
   /// Devex / exact steepest-edge weight update after a dual pivot with
   /// leaving row r, FTRANed entering column w (pivot element w[r]) and
@@ -618,37 +497,6 @@ class SimplexSolver {
   /// value-skip and cost O(nnz), never O(m) of multiplies.
   void update_dual_weights(int r, const std::vector<double>& w,
                            const std::vector<double>& rho);
-
-  // --- hypersparsity (pattern-tracked solves + indexed ratio test) ---
-  /// Rebuilds the row-wise CSR mirror of the structural columns from the
-  /// CSC arrays. The SINGLE choke point for mirror maintenance — called
-  /// from the constructor, add_rows() and delete_rows() right after the
-  /// CSC arrays change, so a stale mirror is impossible by construction.
-  void rebuild_row_mirror();
-  /// Lazily rebuilds the transposed factor patterns (row lists of U and
-  /// L) and the perm/cperm inverses consumed by the pattern-tracked
-  /// solves. Invalidated (factor_patterns_valid_ = false) whenever the
-  /// factors change: every refactorization / cold start (via
-  /// clear_etas) and the add_rows bordered extension.
-  void ensure_factor_patterns();
-  /// Pattern-tracked BTRAN of the unit vector e_r (rho' = e_r' B^{-1}).
-  /// On success dual_rho_ holds the pivot row (exactly zero off-pattern),
-  /// dual_rho_pattern_ its unsorted nonzero rows (used only for the scoped
-  /// clear and the nnz stat), and dual_rho_clean_ is set. Returns false —
-  /// caller redoes the solve densely and counts the fallback — when the
-  /// pattern outgrows hypersparse_threshold * m.
-  bool btran_unit_sparse(int r);
-  /// Pattern-tracked ftran_vec: v (indexed by original row, exactly zero
-  /// outside `pattern`) is solved in place to B^{-1} v (indexed by basis
-  /// position); `pattern` is replaced by the unsorted result pattern. Does
-  /// the same numeric work in the same order as the value-skipping dense
-  /// solve — bit-identical results — but skips the O(m) position scans
-  /// when the support is genuinely sparse.
-  void ftran_vec_sparse(std::vector<double>& v, std::vector<int>& pattern);
-  /// w = B^{-1} a_col with pattern tracking (ftran_vec_sparse seeded from
-  /// the column); `pattern` returns the unsorted nonzero basis positions.
-  void ftran_col_sparse(int col, std::vector<double>& w,
-                        std::vector<int>& pattern);
 
   // --- problem data (immutable except bounds and appended cut rows) ---
   int n_ = 0;          // structural variables
@@ -727,7 +575,7 @@ class SimplexSolver {
   // --- dual simplex scratch (sized lazily in solve_dual) ---
   std::vector<double> dual_d_;      // reduced costs, size total_
   std::vector<double> dual_rho_;    // BTRANed leaving row, size m_
-  std::vector<double> dual_unit_;   // e_r scratch for the dense rho BTRAN
+  std::vector<double> dual_unit_;   // e_r scratch for the rho BTRAN
   /// Candidate entering columns of one dual ratio test.
   struct DualCandidate {
     int col;
@@ -759,50 +607,6 @@ class SimplexSolver {
   std::vector<double> dual_w_;      // size m_ while valid
   bool dual_w_valid_ = false;
   std::vector<double> dual_tau_;    // B^-1 rho scratch (steepest edge only)
-
-  // --- hypersparse dual pricing state ---
-  // Row-wise CSR mirror of the structural columns: row_start_[i] ..
-  // row_start_[i+1] lists the (column, coefficient) entries of row i,
-  // sorted by column. Rebuilt WHOLE by rebuild_row_mirror() — the single
-  // choke point called from the constructor, add_rows() and
-  // delete_rows() — so it cannot go stale against the CSC arrays.
-  std::vector<int> row_start_, row_col_;
-  std::vector<double> row_val_;
-  // Transposed factor patterns for the pattern-tracked BTRAN: for factor
-  // index k, the U columns j > k with an entry in row k (ur_) and the L
-  // columns j < k with an entry in row k (lr_) — i.e. the row patterns
-  // of U and L — plus the perm/cperm inverses.
-  bool factor_patterns_valid_ = false;
-  std::vector<int> ur_start_, ur_col_, lr_start_, lr_col_;
-  std::vector<int> perm_inv_, cperm_inv_;
-  // Pattern-solve scratch. Invariant: all-zero between uses (every solve
-  // cleans exactly the entries its pattern touched).
-  std::vector<double> hs_zb_;             // basis-position values
-  std::vector<unsigned char> hs_markb_;   // basis-position marks
-  std::vector<double> hs_zf_;             // factor-order values
-  std::vector<unsigned char> hs_markf_;   // factor-order marks
-  std::vector<unsigned char> hs_seedmark_;  // original-row seed dedup
-  std::vector<int> hs_patb_, hs_patf_;    // pattern list scratch
-  std::vector<int> dual_rho_pattern_;  // unsorted nonzero rows of dual_rho_
-  bool dual_rho_sparse_ = false;  // pattern valid for the current pivot row
-  bool dual_rho_clean_ = false;   // dual_rho_ exactly zero off-pattern
-  // Alpha accumulator over the structural columns (indexed ratio walk);
-  // exactly zero between uses.
-  std::vector<double> hs_acc_;              // size n_
-  std::vector<int> wcol_pattern_;  // entering-column FTRAN pattern
-  std::vector<int> fcol_pattern_;  // flip-column FTRAN pattern
-  // Adaptive FTRAN gate: EWMA of recent result densities for the entering
-  // column and flip-accumulator solves. Pattern tracking only runs while
-  // the estimate stays under the gate; both paths produce bit-identical
-  // vectors, so switching never perturbs the pivot trajectory. Starts
-  // optimistic (density 0) so sparse workloads take the tracked path
-  // immediately and dense ones pay at most a handful of tracked solves.
-  static constexpr double kPatternDensityGate = 0.05;
-  static constexpr double kPatternDensityAlpha = 0.05;
-  double hs_wcol_density_ = 0.0;
-  double hs_fcol_density_ = 0.0;
-  double hs_rho_density_ = 0.0;  // BTRANed pivot-row density EWMA
-  std::vector<DualPivotTrace>* dual_trace_ = nullptr;  // testing hook
 
   // Markowitz elimination workspace, reused across refactorizations so the
   // per-row vectors keep their capacity (no allocation churn in the hot

@@ -1,12 +1,10 @@
 // advbist — command-line front end.
 //
-//   advbist synth   <circuit|file.dfg> [--k N] [--time S] [--threads N]
-//                                      [--verilog out.v]
-//   advbist sweep   <circuit|file.dfg> [--time S] [--threads N]  # all k
-//   advbist compare <circuit|file.dfg> [--time S] [--threads N]  # heuristics
-//   advbist print   <circuit>                            # dump .dfg text
-//   advbist solve   <file.mps|file.lp> [--time S] [--threads N] [--nodes N]
-//                                      [--scale 0|1] [... solver knobs]
+//   advbist synth   <circuit|file.dfg> [--k N] [--verilog out.v] [solver flags]
+//   advbist sweep   <circuit|file.dfg> [solver flags]  # all k
+//   advbist compare <circuit|file.dfg> [solver flags]  # vs heuristics
+//   advbist print   <circuit>                          # dump .dfg text
+//   advbist solve   <file.mps|file.lp> [solver flags]
 //                   # solve an untrusted MPS / CPLEX-LP instance directly:
 //                   # defensive reader -> sanitizer gate -> branch & cut.
 //                   # A malformed file is a typed parse error with its
@@ -19,25 +17,19 @@
 //                         [--ckpt-interval S] [--watch] [--poll S]
 //                         [--mem-limit MB] [--seed X]
 //
-// --threads N runs the branch & bound on N worker threads (0 = one per
-// hardware thread); parallel solves prove the same optimum as serial ones.
+// Solver flags are shared by every command that solves (synth, sweep,
+// compare, solve) and parsed by one parser: every value is validated, and a
+// bad or missing one exits 2 with usage before any solve starts.
 //
-// LP factorization knobs (all commands that solve):
+//   --time S       wall-clock limit in seconds (default 20)
+//   --threads N    branch & bound worker threads (default 1, 0 = one per
+//                  hardware thread); parallel solves prove the same optimum
+//   --nodes N      node limit (default unlimited)
+//
+// LP knobs:
 //   --refactor N   pivots between basis refactorizations (default 50)
 //   --mtol X       Markowitz threshold-pivoting tolerance in (0,1]
 //                  (default 0.1; larger = more stable, more fill)
-//   --dense-lu     disable the sparse Markowitz factorization (dense sweep)
-//   --dual 0|1     dual-simplex warm re-solves after bound changes and cut
-//                  appends (default 1; 0 = primal phase-1/2 re-solves)
-//   --dual-pricing dantzig|devex|se
-//                  leaving-row rule for the dual re-solves: devex reference
-//                  weights (default), exact steepest edge (se, one extra
-//                  FTRAN per pivot) or plain largest violation (dantzig)
-//   --hypersparse 0|1
-//                  hyper-sparse dual ratio test (default 1): walk only the
-//                  columns the BTRANed pivot row actually touches instead
-//                  of the dense rho'A pass; bit-exact, dense rows fall back
-//                  (counted, never silent)
 //   --row-age N    delete a cut row after its slack stayed basic for N
 //                  consecutive re-solves (default 40, 0 = never delete)
 //   --scale 0|1    geometric-mean + equilibration scaling of the worker LPs
@@ -46,22 +38,16 @@
 //                  [2^-6, 2^6]) skip the transform entirely — the built-in
 //                  benchmarks solve bit-identically either way.
 //
-// Cut-and-bound knobs (all commands that solve):
-//   --cuts 0|1       master cut switch (default 1); 0 silences every
-//                    separator class (clique, cover, Gomory, odd-cycle)
-//   --gomory N       Gomory mixed-integer cut separation rounds read off the
-//                    LU factors at fractional LP optima (default 0 = off:
-//                    on the built-in circuits the warm-dual path wins
-//                    without them; they pay on weaker configurations)
-//   --odd-cycle 0|1  lifted odd-cycle cuts from the conflict graph
-//                    (default 0, same measured reason as --gomory)
+// Cut-and-bound knobs:
+//   --cuts 0|1       master cut switch (default 1); 0 silences both
+//                    separator classes (clique, cover)
 //   --cut-rounds N   root separation rounds (default 8)
 //   --cut-interval N in-tree separation every N nodes, 0 = off (default 16)
 //   --max-cuts N     cuts applied per separation round (default 64)
 //   --probing 0|1    binary probing presolve (default 1)
 //   --rcfix 0|1      reduced-cost fixing (default 1)
 //
-// Branching knobs (all commands that solve):
+// Branching knobs:
 //   --strong-branch N  fractional root variables probed by strong branching
 //                      to seed the shared pseudocosts (default 12, 0 = off)
 //   --rel-probes N     global budget of in-tree reliability probes: bounded
@@ -69,7 +55,7 @@
 //                      still below the pseudocost reliability threshold,
 //                      allowance decaying with depth (default 64, 0 = off)
 //
-// Solve-lifecycle knobs (all commands that solve):
+// Solve-lifecycle knobs:
 //   --mem-limit MB   cooperative memory budget for the node + cut pools;
 //                    soft pressure sheds cuts/diving, the hard limit stops
 //                    the solve with an honest "memory limit" status (0 = off)
@@ -77,7 +63,7 @@
 //                    the original model + fresh-factorization bound
 //                    recertification; ON by default)
 //
-// Checkpoint/resume knobs (synth only):
+// Checkpoint/resume knobs:
 //   --checkpoint F     write a crash-safe solve snapshot to F on any early
 //                      stop (deadline, ^C/SIGTERM, memory/node limit); a
 //                      natural completion removes F instead
@@ -98,12 +84,17 @@
 //
 // <circuit> is a built-in benchmark name (fig1, tseng, paulin, fir6, iir3,
 // dct4, wavelet6); anything containing '.' is read as a .dfg text file.
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -143,25 +134,163 @@ hls::ParsedDesign load_design(const std::string& spec) {
 int usage() {
   std::fprintf(stderr,
                "usage: advbist <synth|sweep|compare|print> "
-               "<circuit|file.dfg> [--k N] [--time S] [--threads N] "
-               "[--refactor N] [--mtol X] [--dense-lu] [--dual 0|1] "
-               "[--dual-pricing dantzig|devex|se] [--hypersparse 0|1] "
-               "[--row-age N] "
-               "[--strong-branch N] [--rel-probes N] [--cuts 0|1] "
-               "[--gomory N] [--odd-cycle 0|1] "
-               "[--cut-rounds N] [--cut-interval N] [--max-cuts N] "
-               "[--probing 0|1] [--rcfix 0|1] [--mem-limit MB] [--no-audit] "
-               "[--checkpoint F] [--resume F] [--ckpt-interval S] "
-               "[--scale 0|1] [--verilog out.v]\n"
-               "       advbist solve <file.mps|file.lp> [--time S] "
-               "[--threads N] [--nodes N] [--scale 0|1] [solver knobs]\n"
+               "<circuit|file.dfg> [--k N] [--verilog out.v] [solver flags]\n"
+               "       advbist solve <file.mps|file.lp> [solver flags]\n"
                "       advbist submit <dir> <circuit|file.dfg|file.mps"
                "|file.lp> [--job ID] "
                "[--k N] [--time S] [--threads N] [--nodes N]\n"
                "       advbist serve <dir> [--queue N] [--retries N] "
                "[--time S] [--threads N] [--ckpt-interval S] [--watch] "
-               "[--poll S] [--mem-limit MB] [--seed X]\n");
+               "[--poll S] [--mem-limit MB] [--seed X]\n"
+               "solver flags: [--time S] [--threads N] [--nodes N] "
+               "[--refactor N] [--mtol X] [--row-age N] [--scale 0|1] "
+               "[--cuts 0|1] [--cut-rounds N] [--cut-interval N] "
+               "[--max-cuts N] [--probing 0|1] [--rcfix 0|1] "
+               "[--strong-branch N] [--rel-probes N] [--mem-limit MB] "
+               "[--no-audit] [--checkpoint F] [--resume F] "
+               "[--ckpt-interval S]\n");
   return 2;
+}
+
+/// Parses a whole decimal integer in [lo, hi].
+bool parse_int(const char* text, long long lo, long long hi, long long& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi)
+    return false;
+  out = v;
+  return true;
+}
+
+/// Parses a whole finite decimal number.
+bool parse_real(const char* text, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+enum class FlagParse { kNotSolverFlag, kTaken, kBad };
+
+/// Offers argv[i] to the solver-flag parser shared by synth, sweep, compare
+/// and solve. kTaken leaves `i` on the last argument consumed; kBad has
+/// already said what the flag wants.
+FlagParse parse_solver_flag(int argc, char** argv, int& i, ilp::Options& opt) {
+  const std::string flag = argv[i];
+  if (flag == "--no-audit") {
+    opt.exit_audit = false;
+    return FlagParse::kTaken;
+  }
+  using IntSetter = void (*)(ilp::Options&, long long);
+  static const struct {
+    const char* name;
+    long long min;
+    long long max;
+    IntSetter set;
+  } kIntFlags[] = {
+      {"--threads", 0, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.num_threads = static_cast<int>(v);
+       }},
+      {"--nodes", 0, LLONG_MAX,
+       [](ilp::Options& o, long long v) { o.node_limit = v; }},
+      {"--refactor", 1, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.lp_refactor_every = static_cast<int>(v);
+       }},
+      {"--row-age", 0, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.lp_row_age_limit = static_cast<int>(v);
+       }},
+      {"--strong-branch", 0, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.strong_branch_vars = static_cast<int>(v);
+       }},
+      {"--rel-probes", 0, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.reliability_probe_budget = static_cast<int>(v);
+       }},
+      {"--cut-rounds", 0, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.cut_rounds = static_cast<int>(v);
+       }},
+      {"--cut-interval", 0, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.cut_node_interval = static_cast<int>(v);
+       }},
+      {"--max-cuts", 1, INT_MAX,
+       [](ilp::Options& o, long long v) {
+         o.max_cuts_per_round = static_cast<int>(v);
+       }},
+      {"--mem-limit", 0, 1LL << 30,  // MB
+       [](ilp::Options& o, long long v) {
+         o.memory_limit_bytes = static_cast<std::size_t>(v) * 1024 * 1024;
+       }},
+      // 0|1 switches. --cuts 0 turns off both separator classes, which
+      // also idles the root cut loop and in-tree separation.
+      {"--cuts", 0, 1,
+       [](ilp::Options& o, long long v) {
+         o.use_clique_cuts = v == 1;
+         o.use_cover_cuts = v == 1;
+       }},
+      {"--probing", 0, 1,
+       [](ilp::Options& o, long long v) { o.use_probing = v == 1; }},
+      {"--rcfix", 0, 1,
+       [](ilp::Options& o, long long v) { o.use_rc_fixing = v == 1; }},
+      {"--scale", 0, 1,
+       [](ilp::Options& o, long long v) { o.lp_scaling = v == 1; }},
+  };
+  const bool is_string = flag == "--checkpoint" || flag == "--resume";
+  const bool is_real =
+      flag == "--time" || flag == "--mtol" || flag == "--ckpt-interval";
+  const auto* int_flag = std::find_if(
+      std::begin(kIntFlags), std::end(kIntFlags),
+      [&](const auto& f) { return flag == f.name; });
+  const bool is_int = int_flag != std::end(kIntFlags);
+  if (!is_string && !is_real && !is_int) return FlagParse::kNotSolverFlag;
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "advbist: %s wants a value\n", flag.c_str());
+    return FlagParse::kBad;
+  }
+  const char* value = argv[++i];
+  if (is_string) {
+    (flag == "--checkpoint" ? opt.checkpoint_path : opt.resume_path) = value;
+    return FlagParse::kTaken;
+  }
+  if (is_int) {
+    long long v = 0;
+    if (!parse_int(value, int_flag->min, int_flag->max, v)) {
+      std::fprintf(stderr, "advbist: %s wants an integer in [%lld, %lld]\n",
+                   flag.c_str(), int_flag->min, int_flag->max);
+      return FlagParse::kBad;
+    }
+    int_flag->set(opt, v);
+    return FlagParse::kTaken;
+  }
+  double v = 0.0;
+  const bool parsed = parse_real(value, v);
+  if (flag == "--time") {
+    if (!parsed || v <= 0.0) {
+      std::fprintf(stderr, "advbist: --time wants seconds > 0\n");
+      return FlagParse::kBad;
+    }
+    opt.time_limit_seconds = v;
+  } else if (flag == "--mtol") {
+    if (!parsed || v <= 0.0 || v > 1.0) {
+      std::fprintf(stderr, "advbist: --mtol wants a value in (0, 1]\n");
+      return FlagParse::kBad;
+    }
+    opt.lp_markowitz_tol = v;
+  } else {
+    if (!parsed || v < 0.0) {
+      std::fprintf(stderr, "advbist: --ckpt-interval wants seconds >= 0\n");
+      return FlagParse::kBad;
+    }
+    opt.checkpoint_interval_seconds = v;
+  }
+  return FlagParse::kTaken;
 }
 
 int cmd_submit(int argc, char** argv) {
@@ -171,22 +300,21 @@ int cmd_submit(int argc, char** argv) {
   spec.circuit = argv[3];
   for (int i = 4; i < argc; ++i) {
     if (i + 1 >= argc) return usage();
-    char* end = nullptr;
-    if (std::strcmp(argv[i], "--job") == 0) spec.id = argv[i + 1];
-    else if (std::strcmp(argv[i], "--k") == 0) {
-      spec.k = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || spec.k < 1) return usage();
+    const char* value = argv[i + 1];
+    long long n = 0;
+    if (std::strcmp(argv[i], "--job") == 0) {
+      spec.id = value;
+    } else if (std::strcmp(argv[i], "--k") == 0) {
+      if (!parse_int(value, 1, INT_MAX, n)) return usage();
+      spec.k = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--time") == 0) {
-      spec.time_limit = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' || spec.time_limit <= 0)
+      if (!parse_real(value, spec.time_limit) || spec.time_limit <= 0)
         return usage();
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      spec.threads = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || spec.threads < 0) return usage();
+      if (!parse_int(value, 0, INT_MAX, n)) return usage();
+      spec.threads = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--nodes") == 0) {
-      spec.node_limit = std::strtoll(argv[i + 1], &end, 10);
-      if (end == nullptr || *end != '\0' || spec.node_limit < 0)
-        return usage();
+      if (!parse_int(value, 0, LLONG_MAX, spec.node_limit)) return usage();
     } else {
       return usage();
     }
@@ -216,39 +344,35 @@ int cmd_serve(int argc, char** argv) {
       continue;
     }
     if (i + 1 >= argc) return usage();
-    char* end = nullptr;
+    const char* value = argv[i + 1];
+    long long n = 0;
     if (std::strcmp(argv[i], "--queue") == 0) {
-      so.queue_capacity = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || so.queue_capacity < 1)
-        return usage();
+      if (!parse_int(value, 1, INT_MAX, n)) return usage();
+      so.queue_capacity = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--retries") == 0) {
-      so.max_retries = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || so.max_retries < 0) return usage();
+      if (!parse_int(value, 0, INT_MAX, n)) return usage();
+      so.max_retries = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--time") == 0) {
-      so.default_time_limit = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' || so.default_time_limit <= 0)
+      if (!parse_real(value, so.default_time_limit) ||
+          so.default_time_limit <= 0)
         return usage();
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      so.default_threads = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || so.default_threads < 0)
-        return usage();
+      if (!parse_int(value, 0, INT_MAX, n)) return usage();
+      so.default_threads = static_cast<int>(n);
     } else if (std::strcmp(argv[i], "--ckpt-interval") == 0) {
-      so.checkpoint_interval_seconds = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' ||
+      if (!parse_real(value, so.checkpoint_interval_seconds) ||
           so.checkpoint_interval_seconds < 0)
         return usage();
     } else if (std::strcmp(argv[i], "--poll") == 0) {
-      so.poll_seconds = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' || so.poll_seconds <= 0)
+      if (!parse_real(value, so.poll_seconds) || so.poll_seconds <= 0)
         return usage();
     } else if (std::strcmp(argv[i], "--mem-limit") == 0) {
-      const long long mb = std::strtoll(argv[i + 1], &end, 10);
-      if (end == nullptr || *end != '\0' || mb < 0) return usage();
-      so.solver.memory_limit_bytes =
-          static_cast<std::size_t>(mb) * 1024 * 1024;
+      if (!parse_int(value, 0, 1LL << 30, n)) return usage();
+      so.solver.memory_limit_bytes = static_cast<std::size_t>(n) * 1024 * 1024;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      so.backoff.seed = std::strtoull(argv[i + 1], &end, 10);
-      if (end == nullptr || *end != '\0') return usage();
+      char* end = nullptr;
+      so.backoff.seed = std::strtoull(value, &end, 10);
+      if (end == value || *end != '\0') return usage();
     } else {
       return usage();
     }
@@ -283,85 +407,9 @@ int cmd_solve(int argc, char** argv) {
   const std::string path = argv[2];
   ilp::Options opt;
   opt.time_limit_seconds = 20.0;
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-audit") == 0) {
-      opt.exit_audit = false;
-      continue;
-    }
-    if (i + 1 >= argc) return usage();
-    char* end = nullptr;
-    if (std::strcmp(argv[i], "--time") == 0) {
-      opt.time_limit_seconds = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' || opt.time_limit_seconds <= 0)
-        return usage();
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      const int n = std::atoi(argv[i + 1]);
-      opt.num_threads = (n > 0 || std::strcmp(argv[i + 1], "0") == 0) ? n : 1;
-    } else if (std::strcmp(argv[i], "--nodes") == 0) {
-      opt.node_limit = std::strtoll(argv[i + 1], &end, 10);
-      if (end == nullptr || *end != '\0' || opt.node_limit < 0) return usage();
-    } else if (std::strcmp(argv[i], "--mem-limit") == 0) {
-      const long long mb = std::strtoll(argv[i + 1], &end, 10);
-      if (end == nullptr || *end != '\0' || mb < 0) return usage();
-      opt.memory_limit_bytes = static_cast<std::size_t>(mb) * 1024 * 1024;
-    } else if (std::strcmp(argv[i], "--strong-branch") == 0) {
-      const int v = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || v < 0) return usage();
-      opt.strong_branch_vars = v;
-    } else if (std::strcmp(argv[i], "--gomory") == 0) {
-      const int v = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || v < 0) return usage();
-      opt.gomory_rounds = v;
-    } else if (std::strcmp(argv[i], "--rel-probes") == 0) {
-      const int v = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || v < 0) return usage();
-      opt.reliability_probe_budget = v;
-    } else if (std::strcmp(argv[i], "--dual-pricing") == 0) {
-      if (!lp::parse_dual_pricing(argv[i + 1], opt.lp_dual_pricing))
-        return usage();
-    } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-      opt.checkpoint_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      opt.resume_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--ckpt-interval") == 0) {
-      opt.checkpoint_interval_seconds = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' ||
-          opt.checkpoint_interval_seconds < 0)
-        return usage();
-    } else if (std::strcmp(argv[i], "--scale") == 0 ||
-               std::strcmp(argv[i], "--cuts") == 0 ||
-               std::strcmp(argv[i], "--probing") == 0 ||
-               std::strcmp(argv[i], "--rcfix") == 0 ||
-               std::strcmp(argv[i], "--dual") == 0 ||
-               std::strcmp(argv[i], "--odd-cycle") == 0 ||
-               std::strcmp(argv[i], "--hypersparse") == 0) {
-      const char* val = argv[i + 1];
-      if (std::strcmp(val, "0") != 0 && std::strcmp(val, "1") != 0) {
-        std::fprintf(stderr, "advbist: %s wants 0 or 1\n", argv[i]);
-        return usage();
-      }
-      const bool on = val[0] == '1';
-      if (argv[i][2] == 's') opt.lp_scaling = on;
-      else if (argv[i][2] == 'c') {
-        // Master cut switch: 0 silences every separator class.
-        opt.use_clique_cuts = on;
-        opt.use_cover_cuts = on;
-        if (!on) {
-          opt.cut_rounds = 0;
-          opt.cut_node_interval = 0;
-          opt.gomory_rounds = 0;
-          opt.odd_cycle_cuts = false;
-        }
-      } else if (argv[i][2] == 'p') opt.use_probing = on;
-      else if (argv[i][2] == 'd') opt.lp_dual_simplex = on;
-      else if (argv[i][2] == 'h') opt.lp_hypersparse = on;
-      else if (argv[i][2] == 'o') opt.odd_cycle_cuts = on;
-      else opt.use_rc_fixing = on;
-    } else {
+  for (int i = 3; i < argc; ++i)
+    if (parse_solver_flag(argc, argv, i, opt) != FlagParse::kTaken)
       return usage();
-    }
-    ++i;
-  }
 
   const lp::ReadResult rr = lp::read_model_file(path);
   if (!rr.ok) {
@@ -440,169 +488,26 @@ int main(int argc, char** argv) {
     }
   }
   const std::string spec = argv[2];
+  core::SynthesizerOptions options;
+  options.solver.time_limit_seconds = 20.0;
   int k = 1;
-  double time_limit = 20.0;
-  int threads = 1;
-  int refactor_every = 0;      // 0: keep the solver default
-  double markowitz_tol = 0.0;  // 0: keep the solver default
-  bool dense_lu = false;
-  int dual = -1;     // -1: keep the solver default
-  int hypersparse = -1;  // -1: keep the solver default
-  int row_age = -1;  // -1: keep the solver default
-  std::string dual_pricing;  // empty: keep the solver default
-  int strong_branch = -1;    // -1: keep the solver default
-  int cuts = -1;          // -1: keep the solver default
-  int cut_rounds = -1;
-  int cut_interval = -1;
-  int max_cuts = -1;
-  int gomory = -1;      // -1: keep the solver default
-  int odd_cycle = -1;   // -1: keep the solver default
-  int rel_probes = -1;  // -1: keep the solver default
-  int probing = -1;
-  int rcfix = -1;
-  int scale = -1;  // -1: keep the solver default (scaling on)
-  long long mem_limit_mb = 0;  // 0: unlimited
-  bool exit_audit = true;
-  std::string checkpoint_path;
-  std::string resume_path;
-  double ckpt_interval = 0.0;
   std::string verilog_path;
   for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dense-lu") == 0) {
-      dense_lu = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--no-audit") == 0) {
-      exit_audit = false;
-      continue;
-    }
-    if (i + 1 >= argc) return usage();
-    if (std::strcmp(argv[i], "--k") == 0) k = std::atoi(argv[i + 1]);
-    else if (std::strcmp(argv[i], "--time") == 0) time_limit = std::atof(argv[i + 1]);
-    else if (std::strcmp(argv[i], "--threads") == 0) {
-      // Only a literal "0" selects auto (one worker per hardware thread);
-      // typos and negatives fall back to serial rather than going wide.
-      const int n = std::atoi(argv[i + 1]);
-      threads = (n > 0 || std::strcmp(argv[i + 1], "0") == 0) ? n : 1;
-    }
-    else if (std::strcmp(argv[i], "--refactor") == 0) {
-      char* end = nullptr;
-      refactor_every = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || refactor_every < 1) {
-        std::fprintf(stderr, "advbist: --refactor wants an integer >= 1\n");
+    const FlagParse p = parse_solver_flag(argc, argv, i, options.solver);
+    if (p == FlagParse::kTaken) continue;
+    if (p == FlagParse::kBad || i + 1 >= argc) return usage();
+    if (std::strcmp(argv[i], "--k") == 0) {
+      long long v = 0;
+      if (!parse_int(argv[i + 1], 1, INT_MAX, v)) {
+        std::fprintf(stderr, "advbist: --k wants an integer >= 1\n");
         return usage();
       }
+      k = static_cast<int>(v);
+    } else if (std::strcmp(argv[i], "--verilog") == 0) {
+      verilog_path = argv[i + 1];
+    } else {
+      return usage();
     }
-    else if (std::strcmp(argv[i], "--mtol") == 0) {
-      char* end = nullptr;
-      markowitz_tol = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' || markowitz_tol <= 0.0 ||
-          markowitz_tol > 1.0) {
-        std::fprintf(stderr, "advbist: --mtol wants a value in (0, 1]\n");
-        return usage();
-      }
-    }
-    else if (std::strcmp(argv[i], "--cuts") == 0 ||
-             std::strcmp(argv[i], "--probing") == 0 ||
-             std::strcmp(argv[i], "--rcfix") == 0 ||
-             std::strcmp(argv[i], "--dual") == 0 ||
-             std::strcmp(argv[i], "--scale") == 0 ||
-             std::strcmp(argv[i], "--odd-cycle") == 0 ||
-             std::strcmp(argv[i], "--hypersparse") == 0) {
-      const char* val = argv[i + 1];
-      if (std::strcmp(val, "0") != 0 && std::strcmp(val, "1") != 0) {
-        std::fprintf(stderr, "advbist: %s wants 0 or 1\n", argv[i]);
-        return usage();
-      }
-      const int on = val[0] == '1' ? 1 : 0;
-      if (argv[i][2] == 'c') cuts = on;
-      else if (argv[i][2] == 'p') probing = on;
-      else if (argv[i][2] == 'd') dual = on;
-      else if (argv[i][2] == 'h') hypersparse = on;
-      else if (argv[i][2] == 's') scale = on;
-      else if (argv[i][2] == 'o') odd_cycle = on;
-      else rcfix = on;
-    }
-    else if (std::strcmp(argv[i], "--gomory") == 0 ||
-             std::strcmp(argv[i], "--rel-probes") == 0) {
-      // 0 is a meaningful disable for both.
-      char* end = nullptr;
-      const int v = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "advbist: %s wants an integer >= 0\n", argv[i]);
-        return usage();
-      }
-      if (argv[i][2] == 'g') gomory = v;
-      else rel_probes = v;
-    }
-    else if (std::strcmp(argv[i], "--dual-pricing") == 0) {
-      lp::DualPricing parsed;
-      if (!lp::parse_dual_pricing(argv[i + 1], parsed)) {
-        std::fprintf(stderr,
-                     "advbist: --dual-pricing wants dantzig, devex or se\n");
-        return usage();
-      }
-      dual_pricing = argv[i + 1];
-    }
-    else if (std::strcmp(argv[i], "--strong-branch") == 0) {
-      // 0 is a meaningful disable (no root strong branching).
-      char* end = nullptr;
-      const int v = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "advbist: --strong-branch wants an integer >= 0\n");
-        return usage();
-      }
-      strong_branch = v;
-    }
-    else if (std::strcmp(argv[i], "--row-age") == 0) {
-      // 0 is a meaningful disable (rows are never deleted).
-      char* end = nullptr;
-      const int v = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "advbist: --row-age wants an integer >= 0\n");
-        return usage();
-      }
-      row_age = v;
-    }
-    else if (std::strcmp(argv[i], "--cut-rounds") == 0 ||
-             std::strcmp(argv[i], "--cut-interval") == 0 ||
-             std::strcmp(argv[i], "--max-cuts") == 0) {
-      // 0 is a meaningful disable for rounds/interval; --max-cuts needs a
-      // positive count (use --cuts 0 to turn separation off entirely).
-      const bool is_max_cuts = std::strcmp(argv[i], "--max-cuts") == 0;
-      const int min_value = is_max_cuts ? 1 : 0;
-      char* end = nullptr;
-      const int v = static_cast<int>(std::strtol(argv[i + 1], &end, 10));
-      if (end == nullptr || *end != '\0' || v < min_value) {
-        std::fprintf(stderr, "advbist: %s wants an integer >= %d\n", argv[i],
-                     min_value);
-        return usage();
-      }
-      if (std::strcmp(argv[i], "--cut-rounds") == 0) cut_rounds = v;
-      else if (std::strcmp(argv[i], "--cut-interval") == 0) cut_interval = v;
-      else max_cuts = v;
-    }
-    else if (std::strcmp(argv[i], "--mem-limit") == 0) {
-      char* end = nullptr;
-      mem_limit_mb = std::strtoll(argv[i + 1], &end, 10);
-      if (end == nullptr || *end != '\0' || mem_limit_mb < 0) {
-        std::fprintf(stderr, "advbist: --mem-limit wants megabytes >= 0\n");
-        return usage();
-      }
-    }
-    else if (std::strcmp(argv[i], "--checkpoint") == 0)
-      checkpoint_path = argv[i + 1];
-    else if (std::strcmp(argv[i], "--resume") == 0) resume_path = argv[i + 1];
-    else if (std::strcmp(argv[i], "--ckpt-interval") == 0) {
-      char* end = nullptr;
-      ckpt_interval = std::strtod(argv[i + 1], &end);
-      if (end == nullptr || *end != '\0' || ckpt_interval < 0) {
-        std::fprintf(stderr, "advbist: --ckpt-interval wants seconds >= 0\n");
-        return usage();
-      }
-    }
-    else if (std::strcmp(argv[i], "--verilog") == 0) verilog_path = argv[i + 1];
-    else return usage();
     ++i;
   }
 
@@ -613,42 +518,6 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    core::SynthesizerOptions options;
-    options.solver.time_limit_seconds = time_limit;
-    options.solver.num_threads = threads;
-    if (refactor_every > 0) options.solver.lp_refactor_every = refactor_every;
-    if (markowitz_tol > 0) options.solver.lp_markowitz_tol = markowitz_tol;
-    if (dense_lu) options.solver.lp_sparse_factorization = false;
-    if (dual >= 0) options.solver.lp_dual_simplex = dual == 1;
-    if (hypersparse >= 0) options.solver.lp_hypersparse = hypersparse == 1;
-    if (!dual_pricing.empty())
-      lp::parse_dual_pricing(dual_pricing, options.solver.lp_dual_pricing);
-    if (row_age >= 0) options.solver.lp_row_age_limit = row_age;
-    if (strong_branch >= 0) options.solver.strong_branch_vars = strong_branch;
-    if (cuts == 0) {
-      options.solver.use_clique_cuts = false;
-      options.solver.use_cover_cuts = false;
-      options.solver.cut_rounds = 0;
-      options.solver.cut_node_interval = 0;
-      options.solver.gomory_rounds = 0;
-      options.solver.odd_cycle_cuts = false;
-    }
-    if (cut_rounds >= 0) options.solver.cut_rounds = cut_rounds;
-    if (cut_interval >= 0) options.solver.cut_node_interval = cut_interval;
-    if (max_cuts > 0) options.solver.max_cuts_per_round = max_cuts;
-    if (gomory >= 0) options.solver.gomory_rounds = gomory;
-    if (odd_cycle >= 0) options.solver.odd_cycle_cuts = odd_cycle == 1;
-    if (rel_probes >= 0)
-      options.solver.reliability_probe_budget = rel_probes;
-    if (probing >= 0) options.solver.use_probing = probing == 1;
-    if (rcfix >= 0) options.solver.use_rc_fixing = rcfix == 1;
-    if (scale >= 0) options.solver.lp_scaling = scale == 1;
-    options.solver.memory_limit_bytes =
-        static_cast<std::size_t>(mem_limit_mb) * 1024 * 1024;
-    options.solver.exit_audit = exit_audit;
-    options.solver.checkpoint_path = checkpoint_path;
-    options.solver.resume_path = resume_path;
-    options.solver.checkpoint_interval_seconds = ckpt_interval;
     options.solver.cancel_flag = &g_cancel;
     std::signal(SIGINT, handle_cancel_signal);
     std::signal(SIGTERM, handle_cancel_signal);
@@ -687,21 +556,6 @@ int main(int argc, char** argv) {
             "LPs (peak %d rows)\n",
             st.lp_dual_solves, st.lp_dual_fallbacks, st.lp_bound_flips,
             st.lp_devex_resets, st.lp_rows_deleted, st.lp_peak_rows);
-      if (st.lp_dual_hypersparse_pivots + st.lp_dual_dense_pivots > 0) {
-        const long long piv =
-            st.lp_dual_hypersparse_pivots + st.lp_dual_dense_pivots;
-        std::printf(
-            "     hypersparse: %lld of %lld dual pivots sparse (%.1f%%), "
-            "mean rho nnz %.1f, btrans %lld sparse / %lld dense, "
-            "ftrans %lld sparse / %lld dense\n",
-            st.lp_dual_hypersparse_pivots, piv,
-            100.0 * static_cast<double>(st.lp_dual_hypersparse_pivots) /
-                static_cast<double>(piv),
-            static_cast<double>(st.lp_dual_rho_nnz) /
-                static_cast<double>(piv),
-            st.lp_dual_btran_sparse, st.lp_dual_btran_dense,
-            st.lp_dual_ftran_sparse, st.lp_dual_ftran_dense);
-      }
       if (st.strong_branch_probed > 0)
         std::printf(
             "     branching: %d strong-branch probes seeded the shared "
@@ -713,18 +567,14 @@ int main(int argc, char** argv) {
             "(%d variables fixed, %d bounds tightened)\n",
             st.reliability_probed, st.reliability_fixed,
             st.reliability_tightened);
-      if (st.cuts_clique_applied + st.cuts_cover_applied +
-                  st.cuts_gomory_applied + st.cuts_odd_cycle_applied >
-              0 ||
+      if (st.cuts_clique_applied + st.cuts_cover_applied > 0 ||
           st.probing_fixed > 0 || st.rc_fixed_root + st.rc_fixed_incumbent > 0)
         std::printf(
-            "     cuts: %d clique + %d cover + %d gomory + %d odd-cycle "
-            "applied (%lld/%lld/%lld/%lld separated, %lld aged out), probing "
-            "fixed %d of %d probed, rc fixed %d+%d, root gap closed %.0f%%\n",
+            "     cuts: %d clique + %d cover applied (%lld/%lld separated, "
+            "%lld aged out), probing fixed %d of %d probed, rc fixed %d+%d, "
+            "root gap closed %.0f%%\n",
             st.cuts_clique_applied, st.cuts_cover_applied,
-            st.cuts_gomory_applied, st.cuts_odd_cycle_applied,
             st.cuts_clique_separated, st.cuts_cover_separated,
-            st.cuts_gomory_separated, st.cuts_odd_cycle_separated,
             st.cuts_aged_out, st.probing_fixed, st.probing_probed,
             st.rc_fixed_root, st.rc_fixed_incumbent,
             100.0 * st.root_gap_closed);

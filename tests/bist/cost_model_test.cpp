@@ -40,7 +40,8 @@ TEST(CostModel, WideMuxExtrapolates) {
 }
 
 TEST(CostModel, NegativeFaninThrows) {
-  EXPECT_THROW(CostModel::paper_8bit().mux_cost(-1), std::invalid_argument);
+  EXPECT_THROW((void)CostModel::paper_8bit().mux_cost(-1),
+               std::invalid_argument);
 }
 
 TEST(CostModel, WidthScalingLinear) {
@@ -53,7 +54,7 @@ TEST(CostModel, WidthScalingLinear) {
 }
 
 TEST(CostModel, InvalidWidthThrows) {
-  EXPECT_THROW(CostModel::scaled_to_width(0), std::invalid_argument);
+  EXPECT_THROW((void)CostModel::scaled_to_width(0), std::invalid_argument);
 }
 
 TEST(CostModel, ConstantTpgPenaltyDominates) {

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -274,6 +276,41 @@ TEST(CheckpointResume, SnapshotFromADifferentModelIsRejected) {
   EXPECT_FALSE(s.stats.resumed);
   EXPECT_EQ(s.stats.resume_rejected, 1);
   EXPECT_EQ(s.status, SolveStatus::kOptimal);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, UnknownCutClassIsAColdStart) {
+  // Clique (0) and cover (1) are the only cut classes; a snapshot carrying
+  // any other class — e.g. one written when Gomory (2) and odd-cycle (3)
+  // cuts still existed — must be rejected and counted, not replayed.
+  const Instance inst = bist_instance("fig1");
+  const std::string path = temp_path("cut_class.ck");
+  std::remove(path.c_str());
+  Options stop;
+  stop.branch_priority = inst.priority;
+  stop.node_limit = 3;
+  stop.checkpoint_path = path;
+  (void)Solver(stop).solve(inst.model);
+  const std::optional<SolveCheckpoint> good = load_checkpoint(path);
+  ASSERT_TRUE(good.has_value());
+  ASSERT_FALSE(good->cuts.empty());
+  {
+    Options go;
+    go.branch_priority = inst.priority;
+    const Solution s = Solver(go).resume(inst.model, *good);
+    EXPECT_TRUE(s.stats.resumed);
+    EXPECT_EQ(s.stats.resume_rejected, 0);
+  }
+  for (const std::uint8_t cut_class : {2, 3}) {
+    SolveCheckpoint bad = *good;
+    bad.cuts[0].cut_class = cut_class;
+    Options go;
+    go.branch_priority = inst.priority;
+    const Solution s = Solver(go).resume(inst.model, bad);
+    EXPECT_FALSE(s.stats.resumed) << "class " << int{cut_class};
+    EXPECT_EQ(s.stats.resume_rejected, 1) << "class " << int{cut_class};
+    EXPECT_EQ(s.status, SolveStatus::kOptimal) << "class " << int{cut_class};
+  }
   std::remove(path.c_str());
 }
 

@@ -2,12 +2,11 @@
 //
 // The fuzzer enumerates every integer-feasible point of small random 0/1
 // models and asserts that no separated cut — from ANY registered separator
-// class (clique, lifted cover, Gomory mixed-integer, lifted odd-cycle) —
-// excludes any of them: the one property that keeps branch & cut exact.
-// Each seed also runs an ill-conditioned variant (rows spread by powers of
-// two up to 2^±9), and the whole sweep repeats with LP scaling on and off,
-// since the Gomory separator reads tableau rows off the live LU factors and
-// must emit identical-validity cuts in both regimes. The remaining suites
+// class (clique, lifted cover) — excludes any of them: the one property
+// that keeps branch & cut exact. Each seed also runs an ill-conditioned
+// variant (rows spread by powers of two up to 2^±9), and the separators run
+// both at uniform random fractional points and at LP optima solved with
+// the simplex's scaling on and off. The remaining suites
 // pin the cut pool's dedup/aging contract, the simplex's incremental row
 // append against a from-scratch solver, and that cuts, probing and
 // reduced-cost fixing do not change the proven optimum of the paper's
@@ -39,9 +38,8 @@ using lp::Term;
 // `pow2_spread` multiplies each row (both sides) by a random power of two
 // in [2^-9, 2^9]. The factors are exact in floating point, so the feasible
 // set is bit-identical to the unspread model while the coefficient range
-// spans ~6 orders of magnitude — the ill-conditioning regime the Gomory
-// separator's power-of-two normalization and the LP's scaling pass exist
-// for.
+// spans ~6 orders of magnitude — the ill-conditioning regime the LP's
+// scaling pass exists for.
 Model random_binary_model(std::uint64_t seed, int* out_n = nullptr,
                           bool pow2_spread = false) {
   util::Rng rng(seed);
@@ -104,19 +102,16 @@ struct SeparatedBatch {
 struct SeparatorCounts {
   long long clique = 0;
   long long cover = 0;
-  long long gomory = 0;
-  long long odd_cycle = 0;
 };
 
 // Runs every separator over `seeds` random 0/1 models (plus an
 // ill-conditioned power-of-two-spread variant per seed) and checks the
 // two-sided contract on each returned cut: violated at the separating
-// point, satisfied by every integer-feasible point. Clique, cover and
-// odd-cycle separate at uniform random fractional points; Gomory reads
-// tableau rows off an optimal basis, so each trial solves the binary
+// point, satisfied by every integer-feasible point. Each trial separates
+// at a uniform random fractional point and at the optimum of the binary
 // relaxation under a fresh randomized objective (with `lp_scaling` toggling
-// the simplex's internal power-of-two scaling) and separates at the LP
-// optimum.
+// the simplex's internal power-of-two scaling), the kind of vertex the
+// solver's cut loop separates at.
 void fuzz_all_separators(bool lp_scaling, std::uint64_t seeds,
                          SeparatorCounts* counts) {
   for (const bool spread : {false, true}) {
@@ -144,41 +139,31 @@ void fuzz_all_separators(bool lp_scaling, std::uint64_t seeds,
               << "seed " << seed << " var " << v;
         }
 
-      const std::vector<double> global_lb(n, 0.0);
-      const std::vector<double> global_ub(n, 1.0);
       util::Rng rng(seed * 7919 + (spread ? 13 : 1));
       for (int trial = 0; trial < 4; ++trial) {
         std::vector<double> x(n);
         for (int v = 0; v < n; ++v) x[v] = rng.next_double();
 
+        // Re-solve the relaxation under a randomized objective so
+        // successive trials land on different vertices (many fractional).
+        Model lpm = m;
+        for (int v = 0; v < n; ++v)
+          lpm.set_objective(v, rng.next_int(-8, 8) + rng.next_double());
+        lp::SimplexOptions so;
+        so.scaling = lp_scaling;
+        lp::SimplexSolver solver(lpm, so);
+        const lp::LpResult r = solver.solve();
+        std::vector<std::vector<double>> points = {x};
+        if (r.status == lp::LpStatus::kOptimal) points.push_back(r.x);
+
         std::vector<SeparatedBatch> batches;
-        {
-          SeparatedBatch b{"clique", CutClass::kClique, {}, x};
-          for (const auto& lits : graph.separate_cliques(x, 1e-4, 50))
+        for (const std::vector<double>& p : points) {
+          SeparatedBatch b{"clique", CutClass::kClique, {}, p};
+          for (const auto& lits : graph.separate_cliques(p, 1e-4, 50))
             b.cuts.push_back(clique_cut_from_literals(lits));
           batches.push_back(std::move(b));
-        }
-        batches.push_back({"cover", CutClass::kCover,
-                           separate_cover_cuts(m, {}, x, 1e-4, 50), x});
-        batches.push_back({"odd-cycle", CutClass::kOddCycle,
-                           separate_odd_cycle_cuts(graph, x, 1e-4, 50), x});
-        {
-          // Gomory needs an optimal basis: re-solve the relaxation under a
-          // randomized objective so successive trials land on different
-          // vertices (many of them fractional).
-          Model lpm = m;
-          for (int v = 0; v < n; ++v)
-            lpm.set_objective(v, rng.next_int(-8, 8) + rng.next_double());
-          lp::SimplexOptions so;
-          so.scaling = lp_scaling;
-          lp::SimplexSolver solver(lpm, so);
-          const lp::LpResult r = solver.solve();
-          if (r.status == lp::LpStatus::kOptimal)
-            batches.push_back({"gomory", CutClass::kGomory,
-                               separate_gomory_cuts(solver, lpm, r.x,
-                                                    global_lb, global_ub,
-                                                    1e-4, 50),
-                               r.x});
+          batches.push_back({"cover", CutClass::kCover,
+                             separate_cover_cuts(m, {}, p, 1e-4, 50), p});
         }
 
         for (const SeparatedBatch& batch : batches) {
@@ -187,8 +172,6 @@ void fuzz_all_separators(bool lp_scaling, std::uint64_t seeds,
             switch (batch.expected_class) {
               case CutClass::kClique: counts->clique += found; break;
               case CutClass::kCover: counts->cover += found; break;
-              case CutClass::kGomory: counts->gomory += found; break;
-              case CutClass::kOddCycle: counts->odd_cycle += found; break;
             }
           }
           for (const Cut& cut : batch.cuts) {
@@ -218,8 +201,6 @@ TEST(SeparatorFuzzer, AllClassesValidWithUnscaledLp) {
   // producing cuts would otherwise pass on an empty conjunction.
   EXPECT_GT(counts.clique, 0);
   EXPECT_GT(counts.cover, 0);
-  EXPECT_GT(counts.gomory, 0);
-  EXPECT_GT(counts.odd_cycle, 0);
 }
 
 TEST(SeparatorFuzzer, AllClassesValidWithScaledLp) {
@@ -227,8 +208,6 @@ TEST(SeparatorFuzzer, AllClassesValidWithScaledLp) {
   fuzz_all_separators(/*lp_scaling=*/true, /*seeds=*/120, &counts);
   EXPECT_GT(counts.clique, 0);
   EXPECT_GT(counts.cover, 0);
-  EXPECT_GT(counts.gomory, 0);
-  EXPECT_GT(counts.odd_cycle, 0);
 }
 
 TEST(CutsFuzzer, SolverWithCutsMatchesExhaustiveEnumeration) {
@@ -437,8 +416,6 @@ Options cut_determinism_options(const core::Formulation& f, bool cuts) {
     opt.use_cover_cuts = false;
     opt.use_probing = false;
     opt.use_rc_fixing = false;
-    opt.gomory_rounds = 0;
-    opt.odd_cycle_cuts = false;
     opt.reliability_probe_budget = 0;
     opt.cut_rounds = 0;
     opt.cut_node_interval = 0;

@@ -225,36 +225,6 @@ TEST(ParallelSolver, SharedPseudocostsKeepReductionDeterministic) {
   }
 }
 
-TEST(ParallelSolver, PricingModesProveTheSameOptimum) {
-  // Devex / steepest-edge / Dantzig dual pricing change which vertex each
-  // node re-solve lands on (and therefore the tree), never the optimum.
-  const hls::Benchmark bench = hls::benchmark_by_name("fig1");
-  core::FormulationOptions fo;
-  fo.include_bist = true;
-  fo.k = 2;
-  const core::Formulation f(bench.dfg, bench.modules, fo);
-
-  double optimum = 0.0;
-  bool first = true;
-  for (const lp::DualPricing pricing :
-       {lp::DualPricing::kDantzig, lp::DualPricing::kDevex,
-        lp::DualPricing::kSteepestEdge}) {
-    Options opt;
-    opt.branch_priority = f.branch_priorities();
-    opt.lp_dual_pricing = pricing;
-    const Solution s = solve_with_threads(f.model(), 1, opt);
-    ASSERT_EQ(s.status, SolveStatus::kOptimal)
-        << "pricing " << static_cast<int>(pricing);
-    if (first) {
-      optimum = s.objective;
-      first = false;
-    } else {
-      EXPECT_NEAR(s.objective, optimum, 1e-6)
-          << "pricing " << static_cast<int>(pricing);
-    }
-  }
-}
-
 TEST(ParallelSolver, ProvenStatusesNeverCoincideWithLimitHits) {
   // A proven status (optimal/infeasible) must never be reported from a
   // search that was cut short, serial or parallel.

@@ -1,16 +1,19 @@
-// Tableau-row extraction (SimplexSolver::tableau_row / original_row): the
-// BTRAN-derived row is checked against a dense reference on seeded bases.
+// Tableau rows off the live factors: the dual ratio test prices the pivot
+// row alpha = rho' [A I] with rho' = e_pos' B^-1 from one BTRAN of a unit
+// vector, so that BTRAN must give the true row of B^-1 whatever path built
+// the factors. The row is checked against a dense reference on seeded bases.
 //
 // The reference is computed independently in ORIGINAL units: with B the
-// basis matrix assembled from original_row() data (slack columns are unit
-// vectors in original units), solve B' y = e_pos by dense Gaussian
-// elimination; then the tableau row must satisfy alpha_j = y . a_j for
-// every column (structural and slack) and beta = y . rhs. That identity is
-// exactly what the Gomory separator consumes, so it is pinned:
+// basis matrix assembled from the model rows plus the appended cut rows
+// (slack columns are unit vectors), solve B' y = e_pos by dense Gaussian
+// elimination; then the row built from btran_for_testing must satisfy
+// alpha_j = y . a_j for every column (structural and slack). Pinned:
 //   * on the optimal basis of seeded random LPs,
-//   * after add_rows (cut rows) and delete_rows (aged cut rows),
+//   * after add_rows (bordered factor extension) and delete_rows (aged
+//     cut rows),
 //   * after a forced refactorization (fresh factors, empty eta file), and
-//   * with power-of-two scaling active (unscaling must be exact).
+//   * with power-of-two scaling active (the internal row, unscaled with
+//     the model's scale factors, must match the original-unit reference).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "lp/model.hpp"
+#include "lp/scaling.hpp"
 #include "lp/simplex.hpp"
 #include "util/rng.hpp"
 
@@ -95,20 +99,33 @@ bool dense_solve(std::vector<double> a, int m, std::vector<double>& rhs) {
   return true;
 }
 
-/// Checks every basis position's tableau_row() against the original-unit
-/// dense reference described in the header comment.
-void check_all_tableau_rows(const SimplexSolver& s, double tol) {
+/// The rows of the solver's current LP in original units: the model rows
+/// followed by the appended cut rows still in the LP.
+std::vector<ConstraintDef> lp_rows(const Model& model,
+                                   const std::vector<ConstraintDef>& cuts) {
+  std::vector<ConstraintDef> rows;
+  for (int r = 0; r < model.num_constraints(); ++r)
+    rows.push_back(model.constraint(r));
+  rows.insert(rows.end(), cuts.begin(), cuts.end());
+  return rows;
+}
+
+/// Checks the tableau row of every basis position, built from one BTRAN of
+/// a unit vector, against the original-unit dense reference described in
+/// the header comment. `sf` holds the solver's scale factors when its
+/// scaling is active (null otherwise): the BTRAN then runs on the scaled
+/// basis B' = R B C and rho = C_pos * (y' R) recovers the original row.
+void check_all_pivot_rows(const SimplexSolver& s,
+                          const std::vector<ConstraintDef>& rows, int n,
+                          const ScalingFactors* sf, double tol) {
   const int m = s.num_rows();
-  const int n = s.num_structural();
-  // Original-unit columns of the current LP, rebuilt from original_row():
-  // structural column j collects a_rj over the rows; slack r is unit e_r.
+  ASSERT_EQ(static_cast<int>(rows.size()), m);
+  // Original-unit columns of the current LP: structural column j collects
+  // a_rj over the rows; slack r is unit e_r.
   std::vector<std::vector<double>> col(static_cast<std::size_t>(n) + m,
                                        std::vector<double>(m, 0.0));
-  std::vector<double> rhs(m);
-  std::vector<Term> terms;
   for (int r = 0; r < m; ++r) {
-    s.original_row(r, terms, rhs[r]);
-    for (const Term& t : terms) col[t.var][r] = t.coeff;
+    for (const Term& t : rows[r].terms) col[t.var][r] = t.coeff;
     col[static_cast<std::size_t>(n) + r][r] = 1.0;
   }
   // Dense transposed basis (column-major B' has column i = row i of B).
@@ -117,28 +134,28 @@ void check_all_tableau_rows(const SimplexSolver& s, double tol) {
     for (int r = 0; r < m; ++r)
       bt[static_cast<std::size_t>(r) * m + i] = col[s.basis()[i]][r];
 
-  std::vector<double> alpha;
-  double beta = 0.0;
   for (int pos = 0; pos < m; ++pos) {
     std::vector<double> y(m, 0.0);
     y[pos] = 1.0;
     if (!dense_solve(bt, m, y)) continue;  // ill-conditioned seed: skip row
-    ASSERT_TRUE(s.tableau_row(pos, alpha, beta)) << "pos " << pos;
-    ASSERT_EQ(static_cast<int>(alpha.size()), n + m);
+    std::vector<double> unit(m, 0.0);
+    unit[pos] = 1.0;
+    std::vector<double> rho = s.btran_for_testing(unit);
+    if (sf != nullptr) {
+      const int b = s.basis()[pos];
+      const double c_pos = b < n ? sf->col[b] : 1.0 / sf->row[b - n];
+      for (int r = 0; r < m; ++r) rho[r] *= c_pos * sf->row[r];
+    }
     double scale = 1.0;
     for (const double v : y) scale = std::max(scale, std::abs(v));
     for (int j = 0; j < n + m; ++j) {
-      if (j == s.basis()[pos]) {
-        EXPECT_EQ(alpha[j], 1.0) << "basic column must be exactly 1";
-        continue;
+      double alpha = 0.0, ref = 0.0;
+      for (int r = 0; r < m; ++r) {
+        alpha += rho[r] * col[j][r];
+        ref += y[r] * col[j][r];
       }
-      double ref = 0.0;
-      for (int r = 0; r < m; ++r) ref += y[r] * col[j][r];
-      EXPECT_NEAR(alpha[j], ref, tol * scale) << "pos " << pos << " col " << j;
+      EXPECT_NEAR(alpha, ref, tol * scale) << "pos " << pos << " col " << j;
     }
-    double beta_ref = 0.0;
-    for (int r = 0; r < m; ++r) beta_ref += y[r] * rhs[r];
-    EXPECT_NEAR(beta, beta_ref, tol * scale) << "pos " << pos << " beta";
   }
 }
 
@@ -151,7 +168,7 @@ TEST_P(TableauRow, MatchesDenseReferenceOnSeededBases) {
   const Model m = random_lp(seed);
   SimplexSolver s(m, SimplexOptions{});
   if (s.solve().status != LpStatus::kOptimal) return;
-  check_all_tableau_rows(s, 1e-7);
+  check_all_pivot_rows(s, lp_rows(m, {}), m.num_variables(), nullptr, 1e-7);
 }
 
 // 2. The identity survives add_rows (slack-basic cut rows), a dual
@@ -180,24 +197,26 @@ TEST_P(TableauRow, SurvivesAddDeleteAndRefactorization) {
     cuts.push_back(std::move(def));
   }
   s.add_rows(cuts);
+  const int n = m.num_variables();
   if (s.solve_dual().status != LpStatus::kOptimal) return;
-  check_all_tableau_rows(s, 1e-7);
+  check_all_pivot_rows(s, lp_rows(m, cuts), n, nullptr, 1e-7);
 
   // Loose rows keep their slack basic, so they are deletable; the tableau
   // must be consistent at the shrunken size too.
   if (s.added_row_slack_basic(0)) {
     s.delete_rows({m.num_constraints()});
+    cuts.erase(cuts.begin());
     if (s.solve_dual().status == LpStatus::kOptimal)
-      check_all_tableau_rows(s, 1e-7);
+      check_all_pivot_rows(s, lp_rows(m, cuts), n, nullptr, 1e-7);
   }
 
   ASSERT_TRUE(s.refactorize_for_testing());
-  check_all_tableau_rows(s, 1e-7);
+  check_all_pivot_rows(s, lp_rows(m, cuts), n, nullptr, 1e-7);
 }
 
 // 3. With power-of-two scaling active on an ill-conditioned model, the
-//    accessor must report ORIGINAL units exactly (the reference is built
-//    from original_row data, which round-trips the scaling).
+//    rows BTRANed off the scaled factors, unscaled with the model's scale
+//    factors, must match the ORIGINAL-unit reference.
 TEST_P(TableauRow, ScaledModelReportsOriginalUnits) {
   const std::uint64_t seed = GetParam() * 7331ULL + 11;
   SCOPED_TRACE("seed " + std::to_string(seed));
@@ -228,20 +247,9 @@ TEST_P(TableauRow, ScaledModelReportsOriginalUnits) {
   SimplexSolver s(m, opt);
   if (s.solve().status != LpStatus::kOptimal) return;
   EXPECT_TRUE(s.scaling_active()) << "spread model should trigger scaling";
-  check_all_tableau_rows(s, 1e-7);
-
-  // original_row must reproduce the model rows bit-exactly (pow2 factors).
-  std::vector<Term> terms;
-  double rhs = 0.0;
-  for (int r = 0; r < m.num_constraints(); ++r) {
-    s.original_row(r, terms, rhs);
-    const ConstraintDef& def = m.constraint(r);
-    ASSERT_EQ(terms.size(), def.terms.size()) << "row " << r;
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      EXPECT_EQ(terms[i].var, def.terms[i].var);
-      EXPECT_EQ(terms[i].coeff, def.terms[i].coeff) << "row " << r;
-    }
-  }
+  const ScalingFactors sf = compute_scaling(m);
+  ASSERT_FALSE(sf.trivial);
+  check_all_pivot_rows(s, lp_rows(m, {}), n, &sf, 1e-7);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TableauRow,
