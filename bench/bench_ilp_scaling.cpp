@@ -35,8 +35,8 @@
 //   ADVBIST_BENCH_MAX_CUTS      cuts per separation round (default: solver)
 //   ADVBIST_BENCH_PROBING=0     disable binary probing in the cuts-on config
 //   ADVBIST_BENCH_RCFIX=0       disable reduced-cost fixing in cuts-on
-//   ADVBIST_BENCH_REFACTOR pivots between basis refactorizations (default:
-//                          solver default)
+//   ADVBIST_BENCH_REFACTOR cap on LU updates between refactorizations
+//                          (default: solver default)
 //   ADVBIST_BENCH_AUDIT=0  disable the exit audit (A/B for its overhead;
 //                          default on, and the recorded audit_seconds
 //                          column keeps the cost visible per run)

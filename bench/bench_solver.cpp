@@ -1,7 +1,11 @@
 // Ablation C: solver micro-benchmarks (google-benchmark). Measures the
-// simplex and branch & bound kernels that stand in for CPLEX 6.0, plus the
-// full fig1 synthesis path.
+// simplex and branch & bound kernels that stand in for CPLEX 6.0, the basis
+// factorization kernels on the paulin k=2 BIST formulation's LP basis, plus
+// the full fig1 synthesis path.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "core/formulation.hpp"
 #include "hls/benchmarks.hpp"
@@ -52,6 +56,95 @@ void BM_SimplexWarmRestart(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimplexWarmRestart);
+
+/// The LP relaxation of the paulin k=2 BIST formulation at its optimal
+/// basis, freshly refactorized and then moved `updates` seeded pivots away
+/// through Forrest–Tomlin updates (no refactorization in between).
+struct PaulinBasis {
+  lp::Model model;
+  std::unique_ptr<lp::SimplexSolver> lp;
+};
+
+PaulinBasis paulin_basis(int updates) {
+  const hls::Benchmark b = hls::benchmark_by_name("paulin");
+  core::FormulationOptions fo;
+  fo.include_bist = true;
+  fo.k = 2;
+  PaulinBasis pb{core::Formulation(b.dfg, b.modules, fo).model(), nullptr};
+  pb.lp = std::make_unique<lp::SimplexSolver>(pb.model);
+  pb.lp->solve();
+  pb.lp->refactorize_for_testing();
+  util::Rng rng(2024);
+  const int m = pb.lp->num_rows();
+  const int total = pb.model.num_variables() + m;
+  std::vector<char> basic(total, 0);
+  for (const int col : pb.lp->basis()) basic[col] = 1;
+  for (int done = 0, tries = 0; done < updates && tries < 1000 * updates;
+       ++tries) {
+    const int pos = rng.next_int(0, m - 1);
+    const int col = rng.next_int(0, total - 1);
+    if (basic[col]) continue;
+    const int leaving = pb.lp->basis()[pos];
+    if (!pb.lp->pivot_for_testing(pos, col)) continue;
+    basic[leaving] = 0;
+    basic[col] = 1;
+    ++done;
+  }
+  return pb;
+}
+
+/// Dense right-hand sides for FTRAN: a few structural columns of A (the
+/// entering columns FTRAN sees in the simplex).
+std::vector<std::vector<double>> ftran_inputs(const lp::Model& model) {
+  std::vector<std::vector<double>> rhs;
+  const int n = model.num_variables();
+  for (int j = 0; j < 16; ++j) {
+    const int var = (j * 7919) % n;
+    std::vector<double> v(model.num_constraints(), 0.0);
+    for (int r = 0; r < model.num_constraints(); ++r)
+      for (const lp::Term& t : model.constraint(r).terms)
+        if (t.var == var) v[r] = t.coeff;
+    rhs.push_back(std::move(v));
+  }
+  return rhs;
+}
+
+void BM_Ftran(benchmark::State& state) {
+  const PaulinBasis pb = paulin_basis(static_cast<int>(state.range(0)));
+  const std::vector<std::vector<double>> rhs = ftran_inputs(pb.model);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    std::vector<double> w = pb.lp->ftran_for_testing(rhs[i++ % rhs.size()]);
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.counters["updates"] = pb.lp->updates_since_refactor();
+}
+BENCHMARK(BM_Ftran)->Arg(0)->Arg(25)->Arg(100);
+
+void BM_Btran(benchmark::State& state) {
+  // Unit vectors: the dual simplex BTRANs e_r for every pivot row.
+  const PaulinBasis pb = paulin_basis(static_cast<int>(state.range(0)));
+  const int m = pb.lp->num_rows();
+  std::vector<double> unit(m, 0.0);
+  int pos = 0;
+  for (auto _ : state) {
+    unit[pos] = 1.0;
+    std::vector<double> y = pb.lp->btran_for_testing(unit);
+    benchmark::DoNotOptimize(y.data());
+    unit[pos] = 0.0;
+    pos = (pos + 97) % m;
+  }
+  state.counters["updates"] = pb.lp->updates_since_refactor();
+}
+BENCHMARK(BM_Btran)->Arg(0)->Arg(25)->Arg(100);
+
+void BM_Refactorize(benchmark::State& state) {
+  const PaulinBasis pb = paulin_basis(0);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(pb.lp->refactorize_for_testing());
+  state.counters["rows"] = pb.lp->num_rows();
+}
+BENCHMARK(BM_Refactorize);
 
 void BM_BranchAndBoundKnapsack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

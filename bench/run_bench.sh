@@ -34,7 +34,7 @@
 # batch solved cold through the spool, then re-answered from the result
 # cache) lands as the "serve" object; ADVBIST_BENCH_SERVE=0 skips it.
 #
-# Factorization knob: ADVBIST_BENCH_REFACTOR (pivots between
+# Factorization knob: ADVBIST_BENCH_REFACTOR (cap on LU updates between
 # refactorizations).
 # Cut knobs: ADVBIST_BENCH_CUT_ROUNDS, ADVBIST_BENCH_CUT_INTERVAL,
 # ADVBIST_BENCH_MAX_CUTS, ADVBIST_BENCH_PROBING=0, ADVBIST_BENCH_RCFIX=0.

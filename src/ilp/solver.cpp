@@ -151,6 +151,13 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.recovery_cold += s.recovery_cold;
   into.recovery_exhausted += s.recovery_exhausted;
   into.aborted_solves += s.aborted_solves;
+  into.refactor_update_cap += s.refactor_update_cap;
+  into.refactor_u_growth += s.refactor_u_growth;
+  into.refactor_stability += s.refactor_stability;
+  into.refactor_delete_rows += s.refactor_delete_rows;
+  into.refactor_certify += s.refactor_certify;
+  into.refactor_dual_ray += s.refactor_dual_ray;
+  into.refactor_refresh += s.refactor_refresh;
 }
 
 /// Approximate heap footprint of one pooled node, for the controller's
@@ -1991,6 +1998,13 @@ Solution Solver::solve_impl(const Model& input,
   sol.stats.lp_recovery_cold = ctx.lp_stats.recovery_cold;
   sol.stats.lp_recovery_exhausted = ctx.lp_stats.recovery_exhausted;
   sol.stats.lp_aborted_solves = ctx.lp_stats.aborted_solves;
+  sol.stats.lp_refactor_update_cap = ctx.lp_stats.refactor_update_cap;
+  sol.stats.lp_refactor_u_growth = ctx.lp_stats.refactor_u_growth;
+  sol.stats.lp_refactor_stability = ctx.lp_stats.refactor_stability;
+  sol.stats.lp_refactor_delete_rows = ctx.lp_stats.refactor_delete_rows;
+  sol.stats.lp_refactor_certify = ctx.lp_stats.refactor_certify;
+  sol.stats.lp_refactor_dual_ray = ctx.lp_stats.refactor_dual_ray;
+  sol.stats.lp_refactor_refresh = ctx.lp_stats.refactor_refresh;
   sol.stats.cuts_clique_separated = ctx.clique_separated.load();
   sol.stats.cuts_cover_separated = ctx.cover_separated.load();
   for (const Cut& c : pool.applied()) {
@@ -2096,7 +2110,7 @@ Solution Solver::solve_impl(const Model& input,
   //      an infeasible "solution" is never handed out.
   //  (b) The root dual bound is recomputed on a FRESH factorization of
   //      the final root LP (cuts + globally valid fixings as the search
-  //      left them), so eta-file drift cannot survive into the reported
+  //      left them), so LU-update drift cannot survive into the reported
   //      certificate. A recomputed bound that comes in BELOW the recorded
   //      root bound means the root certificate was corrupted: a kOptimal
   //      claim resting on it is downgraded to kFeasible.
@@ -2136,6 +2150,7 @@ Solution Solver::solve_impl(const Model& input,
       audit_lp.set_controller(nullptr);  // the audit itself always finishes
       audit_lp.set_max_iterations(lp::SimplexOptions{}.max_iterations);
       audit_lp.refresh_factorization();
+      ++sol.stats.lp_refactor_refresh;  // after the worker stats were folded
       const LpResult alp = audit_lp.solve();
       sol.stats.audit_lp_iterations = alp.iterations;
       const double recorded = sol.stats.root_cut_bound;

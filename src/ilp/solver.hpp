@@ -102,8 +102,9 @@ struct Options {
   int num_threads = 1;
   // --- LP basis-factorization knobs (forwarded to every worker's simplex,
   // see lp::SimplexOptions) ---
-  /// Pivots between basis refactorizations (see lp::SimplexOptions).
-  int lp_refactor_every = 50;
+  /// Cap on Forrest–Tomlin updates between basis refactorizations (see
+  /// lp::SimplexOptions::refactor_every).
+  int lp_refactor_every = 100;
   /// Relative threshold-pivoting tolerance for Markowitz pivots in (0, 1].
   double lp_markowitz_tol = 0.1;
   // --- LP cut-row aging (node re-solves run the dual simplex: after a
@@ -294,6 +295,15 @@ struct Stats {
   long long lp_recovery_cold = 0;         ///< rung 3: cold primal restarts
   long long lp_recovery_exhausted = 0;    ///< ladder spent; solve abandoned
   long long lp_aborted_solves = 0;  ///< LP solves aborted by the controller
+  // --- LP refactorization causes, summed over workers (see
+  // lp::SimplexSolver::Stats; the recovery rungs above add their own) ---
+  long long lp_refactor_update_cap = 0;  ///< lp_refactor_every updates hit
+  long long lp_refactor_u_growth = 0;    ///< U outgrew its update budget
+  long long lp_refactor_stability = 0;   ///< update stability check failed
+  long long lp_refactor_delete_rows = 0;  ///< cut-row deletion rebuilds
+  long long lp_refactor_certify = 0;   ///< infeasibility certifications
+  long long lp_refactor_dual_ray = 0;  ///< dual-ray re-verifications
+  long long lp_refactor_refresh = 0;   ///< exit-audit refresh_factorization
   // --- exit audit ---
   bool audit_ran = false;         ///< the exit audit executed
   bool audit_incumbent_ok = false;  ///< incumbent re-verified on the original

@@ -96,7 +96,6 @@ SimplexSolver::SimplexSolver(const Model& model, Options options)
   cperm_.assign(m_, 0);
   u_diag_.assign(m_, 0.0);
   work_.assign(m_, 0.0);
-  work2_.assign(m_, 0.0);
 }
 
 void SimplexSolver::set_variable_bounds(int var, double lower, double upper) {
@@ -148,20 +147,10 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   const int old_m = m_;
   const int add = static_cast<int>(rows.size());
 
-  // The factorization extension below needs factors that describe the
-  // *current* basis. The eta file is empty exactly when they do (every
-  // pivot appends an eta; refactorization clears them), so compact first
-  // when needed. A basis singular under both factorization paths falls
-  // back to a cold start at the new size.
-  bool extend = has_basis_;
-  if (extend && !eta_row_.empty() && !refactorize()) {
-    has_basis_ = false;
-    extend = false;
-  }
-
-  // Border rows l' of the extended L, computed against the old factors:
-  // l' U = g where g is the new row over the basic columns in factor-column
-  // order. Solved before any array is resized.
+  // Border rows l' = g' U^-1 R of the extended L, computed against the
+  // current factors and their pending updates, where g is the new row over
+  // the basic columns in slot order. Solved before any array is resized.
+  const bool extend = has_basis_;
   std::vector<std::vector<std::pair<int, double>>> border(add);
   if (extend) {
     std::vector<int> basis_pos(total_, -1);
@@ -182,14 +171,7 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
       std::vector<double>& q = work_;
       q.resize(old_m);
       for (int k = 0; k < old_m; ++k) q[k] = g[cperm_[k]];
-      // Forward solve l' U = g over the sparse U columns (the same
-      // recurrence as btran's transposed U step).
-      for (int j = 0; j < old_m; ++j) {
-        double acc = q[j];
-        for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-          acc -= q[u_idx_[p]] * u_val_[p];
-        q[j] = acc / u_diag_[j];
-      }
+      btran_upper(q);
       for (int k = 0; k < old_m; ++k)
         if (std::abs(q[k]) > 1e-14) border[i].emplace_back(k, q[k]);
     }
@@ -256,15 +238,21 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   stats_.peak_rows = std::max(stats_.peak_rows, m_);
 
   if (extend) {
-    // Extend the factors: identity rows/columns in P, Q and U, border rows
-    // in L. L is stored by column, so rebuild it once with the border
+    // Extend the factors: identity rows/columns in P, Q and U (new slots
+    // last in U's pivot order, with empty row and column lists), border
+    // rows in L. L is stored by column, so rebuild it once with the border
     // entries appended to their columns (entry row old_m + i is always
     // below its column k < old_m, preserving triangularity).
     for (int i = 0; i < add; ++i) {
       perm_.push_back(old_m + i);
       cperm_.push_back(old_m + i);
       u_diag_.push_back(1.0);
-      u_start_.push_back(u_start_.back());
+      u_order_.push_back(old_m + i);
+      for (PackedLists* lists : {&ucol_, &urow_}) {
+        lists->start.push_back(static_cast<int>(lists->idx.size()));
+        lists->len.push_back(0);
+        lists->cap.push_back(0);
+      }
     }
     std::vector<int> lextra(m_, 0);
     int lextra_total = 0;
@@ -342,31 +330,102 @@ void SimplexSolver::cold_start() {
     basis_[r] = n_ + r;
     vstat_[n_ + r] = kBasic;
   }
-  // The all-slack basis is the identity: trivial factors, empty eta file.
+  // The all-slack basis is the identity: trivial factors, no updates.
   l_start_.assign(m_ + 1, 0);
   l_idx_.clear();
   l_val_.clear();
-  u_start_.assign(m_ + 1, 0);
-  u_idx_.clear();
-  u_val_.clear();
+  ucol_.reset(m_);
   u_diag_.assign(m_, 1.0);
   perm_.resize(m_);   // add_rows may have grown the LP since construction
   cperm_.resize(m_);
   for (int r = 0; r < m_; ++r) perm_[r] = r;
   for (int r = 0; r < m_; ++r) cperm_[r] = r;
-  clear_etas();
+  reset_updates();
   candidates_.clear();
-  pivots_since_refactor_ = 0;
   has_basis_ = true;
   dual_w_valid_ = false;  // all-slack basis: stale dual pricing weights
 }
 
-void SimplexSolver::clear_etas() {
-  eta_row_.clear();
-  eta_diag_.clear();
-  eta_start_.assign(1, 0);
-  eta_idx_.clear();
-  eta_val_.clear();
+void SimplexSolver::PackedLists::reset(int n) {
+  start.assign(n, 0);
+  len.assign(n, 0);
+  cap.assign(n, 0);
+  idx.clear();
+  val.clear();
+}
+
+void SimplexSolver::PackedLists::renew(int s, int room) {
+  start[s] = static_cast<int>(idx.size());
+  len[s] = 0;
+  cap[s] = room;
+  idx.resize(idx.size() + room);
+  val.resize(val.size() + room);
+}
+
+void SimplexSolver::PackedLists::push(int s, int i, double v) {
+  if (len[s] == cap[s] && start[s] + cap[s] == static_cast<int>(idx.size())) {
+    // The list ends the arena: grow it in place.
+    idx.push_back(0);
+    val.push_back(0.0);
+    ++cap[s];
+  } else if (len[s] == cap[s]) {
+    const int from = start[s];
+    const int n = len[s];
+    renew(s, 2 * n + 4);
+    for (int p = 0; p < n; ++p) {
+      idx[start[s] + p] = idx[from + p];
+      val[start[s] + p] = val[from + p];
+    }
+    len[s] = n;
+  }
+  const int at = start[s] + len[s]++;
+  idx[at] = i;
+  val[at] = v;
+}
+
+void SimplexSolver::PackedLists::erase(int s, int i) {
+  const int last = start[s] + len[s] - 1;
+  for (int p = start[s]; p <= last; ++p) {
+    if (idx[p] != i) continue;
+    idx[p] = idx[last];
+    val[p] = val[last];
+    --len[s];
+    return;
+  }
+  ADVBIST_ENSURE(false, "U entry missing from its row/column list");
+}
+
+void SimplexSolver::reset_updates() {
+  // Row lists laid out by a counting pass (into cap), with two spare
+  // slots each so the first spikes that land in a row do not move it.
+  constexpr int kRowSpare = 2;
+  urow_.reset(m_);
+  u_nnz_ = 0;
+  for (int s = 0; s < m_; ++s) {
+    for (int p = ucol_.start[s]; p < ucol_.start[s] + ucol_.len[s]; ++p)
+      ++urow_.cap[ucol_.idx[p]];
+    u_nnz_ += ucol_.len[s];
+  }
+  int at = 0;
+  for (int s = 0; s < m_; ++s) {
+    urow_.start[s] = at;
+    urow_.cap[s] += kRowSpare;
+    at += urow_.cap[s];
+  }
+  urow_.idx.resize(at);
+  urow_.val.resize(at);
+  for (int s = 0; s < m_; ++s)
+    for (int p = ucol_.start[s]; p < ucol_.start[s] + ucol_.len[s]; ++p)
+      urow_.push(ucol_.idx[p], s, ucol_.val[p]);
+  u_nnz_factor_ = u_nnz_;
+  u_order_.resize(m_);
+  for (int s = 0; s < m_; ++s) u_order_[s] = s;
+  ft_slot_.clear();
+  ft_start_.assign(1, 0);
+  ft_idx_.clear();
+  ft_val_.clear();
+  spike_col_ = -1;
+  pivots_since_refactor_ = 0;
 }
 
 void SimplexSolver::compute_basic_values() {
@@ -759,29 +818,23 @@ bool SimplexSolver::refactorize_markowitz() {
   l_start_.assign(m + 1, 0);
   l_idx_.clear();
   l_val_.clear();
-  u_start_.assign(m + 1, 0);
-  u_idx_.clear();
-  u_val_.clear();
+  ucol_.reset(m);
   for (int k = 0; k < m; ++k) {
     for (int p = w.l_starts[k]; p < w.l_starts[k + 1]; ++p) {
       l_idx_.push_back(w.rowpos[w.l_orig_rows[p]]);
       l_val_.push_back(w.l_vals[p]);
     }
     l_start_[k + 1] = static_cast<int>(l_idx_.size());
-    for (const auto& [step, v] : w.ucols[cperm_[k]]) {
-      u_idx_.push_back(step);
-      u_val_.push_back(v);
-    }
-    u_start_[k + 1] = static_cast<int>(u_idx_.size());
+    ucol_.renew(k, 0);
+    for (const auto& [step, v] : w.ucols[cperm_[k]]) ucol_.push(k, step, v);
   }
+  reset_updates();
 
   stats_.factor_basis_nnz += basis_nnz;
   stats_.factor_fill_nnz +=
-      static_cast<long long>(l_idx_.size() + u_idx_.size()) + m - basis_nnz;
+      static_cast<long long>(l_idx_.size()) + u_nnz_ + m - basis_nnz;
   ++stats_.refactorizations;
   ++stats_.sparse_refactorizations;
-  clear_etas();
-  pivots_since_refactor_ = 0;
   dual_w_valid_ = false;  // refactorization resets the pricing framework
   return true;
 }
@@ -843,17 +896,12 @@ bool SimplexSolver::refactorize_dense() {
   l_start_.assign(m_ + 1, 0);
   l_idx_.clear();
   l_val_.clear();
-  u_start_.assign(m_ + 1, 0);
-  u_idx_.clear();
-  u_val_.clear();
+  ucol_.reset(m_);
   for (int k = 0; k < m_; ++k) {
     const double* colk = lu.data() + static_cast<std::size_t>(k) * mm;
-    for (int i = 0; i < k; ++i) {
-      if (colk[i] != 0.0) {
-        u_idx_.push_back(i);
-        u_val_.push_back(colk[i]);
-      }
-    }
+    ucol_.renew(k, 0);
+    for (int i = 0; i < k; ++i)
+      if (colk[i] != 0.0) ucol_.push(k, i, colk[i]);
     u_diag_[k] = colk[k];
     for (int i = k + 1; i < m_; ++i) {
       if (colk[i] != 0.0) {
@@ -861,22 +909,21 @@ bool SimplexSolver::refactorize_dense() {
         l_val_.push_back(colk[i]);
       }
     }
-    u_start_[k + 1] = static_cast<int>(u_idx_.size());
     l_start_[k + 1] = static_cast<int>(l_idx_.size());
   }
+  reset_updates();
 
   stats_.factor_basis_nnz += basis_nnz;
   stats_.factor_fill_nnz +=
-      static_cast<long long>(l_idx_.size() + u_idx_.size()) + m_ - basis_nnz;
+      static_cast<long long>(l_idx_.size()) + u_nnz_ + m_ - basis_nnz;
   ++stats_.refactorizations;
   ++stats_.dense_refactorizations;
-  clear_etas();
-  pivots_since_refactor_ = 0;
   dual_w_valid_ = false;  // refactorization resets the pricing framework
   return true;
 }
 
-void SimplexSolver::ftran_vec(std::vector<double>& v) const {
+void SimplexSolver::ftran_vec(std::vector<double>& v,
+                              std::vector<double>* spike) const {
   std::vector<double>& w = work_;
   w.resize(m_);
   for (int i = 0; i < m_; ++i) w[i] = v[perm_[i]];
@@ -887,30 +934,31 @@ void SimplexSolver::ftran_vec(std::vector<double>& v) const {
     for (int p = l_start_[k]; p < l_start_[k + 1]; ++p)
       w[l_idx_[p]] -= l_val_[p] * wk;
   }
-  // U solve.
-  for (int k = m_ - 1; k >= 0; --k) {
+  // Row etas, oldest first: each folds one eliminated U row back in.
+  const int num_row_etas = static_cast<int>(ft_slot_.size());
+  for (int e = 0; e < num_row_etas; ++e) {
+    double acc = w[ft_slot_[e]];
+    for (int p = ft_start_[e]; p < ft_start_[e + 1]; ++p)
+      acc -= ft_val_[p] * w[ft_idx_[p]];
+    w[ft_slot_[e]] = acc;
+  }
+  if (spike != nullptr) spike->assign(w.begin(), w.end());
+  // U solve, last slot of the pivot order first.
+  for (int pos = m_ - 1; pos >= 0; --pos) {
+    const int k = u_order_[pos];
+    if (w[k] == 0.0) continue;
     const double wk = w[k] / u_diag_[k];
     w[k] = wk;
-    if (wk == 0.0) continue;
-    for (int p = u_start_[k]; p < u_start_[k + 1]; ++p)
-      w[u_idx_[p]] -= u_val_[p] * wk;
+    const int end = ucol_.start[k] + ucol_.len[k];
+    for (int p = ucol_.start[k]; p < end; ++p)
+      w[ucol_.idx[p]] -= ucol_.val[p] * wk;
   }
-  // Scatter from factor-column order back to basis position (cperm_ is the
+  // Scatter from slot order back to basis position (cperm_ is the
   // identity after a dense sweep; the Markowitz path pivots columns freely).
   for (int k = 0; k < m_; ++k) v[cperm_[k]] = w[k];
-  // Eta file, oldest first, in basis-position space: v <- E^{-1} v.
-  const int num_etas = static_cast<int>(eta_row_.size());
-  for (int e = 0; e < num_etas; ++e) {
-    const int r = eta_row_[e];
-    const double vr = v[r] / eta_diag_[e];
-    if (vr != 0.0)
-      for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
-        v[eta_idx_[p]] -= eta_val_[p] * vr;
-    v[r] = vr;
-  }
 }
 
-void SimplexSolver::ftran(int col, std::vector<double>& w) const {
+void SimplexSolver::ftran(int col, std::vector<double>& w) {
   w.assign(m_, 0.0);
   if (col < n_) {
     for (int p = col_start_[col]; p < col_start_[col + 1]; ++p)
@@ -918,33 +966,36 @@ void SimplexSolver::ftran(int col, std::vector<double>& w) const {
   } else {
     w[col - n_] = 1.0;
   }
-  ftran_vec(w);
+  ftran_vec(w, &spike_);
+  spike_col_ = col;
+}
+
+void SimplexSolver::btran_upper(std::vector<double>& q) const {
+  // q' U = c' over the U rows in pivot order (scatter form: zero entries of
+  // q cost nothing), then the row etas newest first.
+  for (const int s : u_order_) {
+    if (q[s] == 0.0) continue;
+    const double qs = q[s] / u_diag_[s];
+    q[s] = qs;
+    const int end = urow_.start[s] + urow_.len[s];
+    for (int p = urow_.start[s]; p < end; ++p)
+      q[urow_.idx[p]] -= urow_.val[p] * qs;
+  }
+  for (int e = static_cast<int>(ft_slot_.size()) - 1; e >= 0; --e) {
+    const double qs = q[ft_slot_[e]];
+    if (qs == 0.0) continue;
+    for (int p = ft_start_[e]; p < ft_start_[e + 1]; ++p)
+      q[ft_idx_[p]] -= ft_val_[p] * qs;
+  }
 }
 
 void SimplexSolver::btran(const std::vector<double>& cb,
                           std::vector<double>& y) const {
-  std::vector<double>& z = work2_;
-  z.assign(cb.begin(), cb.end());
-  // Eta file in reverse, in basis-position space: z' <- z' E^{-1} touches
-  // only component `row`.
-  for (int e = static_cast<int>(eta_row_.size()) - 1; e >= 0; --e) {
-    const int r = eta_row_[e];
-    double zr = z[r];
-    for (int p = eta_start_[e]; p < eta_start_[e + 1]; ++p)
-      zr -= eta_val_[p] * z[eta_idx_[p]];
-    z[r] = zr / eta_diag_[e];
-  }
-  // Gather into factor-column order before the transposed triangular solves.
+  // Gather into slot order, then U', the row etas reversed, and L'.
   std::vector<double>& q = work_;
   q.resize(m_);
-  for (int k = 0; k < m_; ++k) q[k] = z[cperm_[k]];
-  // v' U = q' (forward over sparse columns), then u' L = v' (backward).
-  for (int j = 0; j < m_; ++j) {
-    double acc = q[j];
-    for (int p = u_start_[j]; p < u_start_[j + 1]; ++p)
-      acc -= q[u_idx_[p]] * u_val_[p];
-    q[j] = acc / u_diag_[j];
-  }
+  for (int k = 0; k < m_; ++k) q[k] = cb[cperm_[k]];
+  btran_upper(q);
   for (int j = m_ - 1; j >= 0; --j) {
     double acc = q[j];
     for (int p = l_start_[j]; p < l_start_[j + 1]; ++p)
@@ -1143,7 +1194,7 @@ int SimplexSolver::iterate(bool phase1, bool bland) {
   else
     degenerate_run_ = 0;
 
-  pivot(entering, leaving_row, t_max, dir, w, leaving_status);
+  if (!pivot(entering, leaving_row, t_max, dir, w, leaving_status)) return 3;
   // A primal pivot (fallback, phase 1 repair, or the phase-2 certificate)
   // moves the basis outside the dual pricing framework: reset it.
   dual_w_valid_ = false;
@@ -1154,9 +1205,18 @@ int SimplexSolver::iterate(bool phase1, bool bland) {
   return 0;
 }
 
-void SimplexSolver::pivot(int entering, int leaving_row, double t,
+bool SimplexSolver::pivot(int entering, int leaving_row, double t,
                           int entering_dir, const std::vector<double>& w,
                           Status leaving_status) {
+  // A basis change first updates the factors: an update that fails its
+  // stability check rejects the pivot before anything has moved.
+  if (leaving_row >= 0) {
+    ADVBIST_ENSURE(std::abs(w[leaving_row]) > opt_.pivot_tol,
+                   "pivot element too small");
+    ADVBIST_ENSURE(spike_col_ == entering, "pivot without its FTRAN spike");
+    if (!update_factors(leaving_row, w[leaving_row])) return false;
+  }
+
   // Move the entering variable and update basic values. The value scans
   // below skip w's exact zeros, so they walk only the FTRAN result's true
   // support.
@@ -1174,7 +1234,7 @@ void SimplexSolver::pivot(int entering, int leaving_row, double t,
     x_[entering] = (entering_dir > 0) ? ub_[entering] : lb_[entering];
     ++stats_.bound_flips;
     ++iterations_;
-    return;
+    return true;
   }
 
   const int leaving = basis_[leaving_row];
@@ -1184,37 +1244,102 @@ void SimplexSolver::pivot(int entering, int leaving_row, double t,
 
   basis_[leaving_row] = entering;
   vstat_[entering] = kBasic;
-
-  // Product-form update: append one eta vector built from the FTRANed
-  // entering column. O(nnz(w)) instead of an O(m^2) dense-inverse update.
-  const double alpha = w[leaving_row];
-  ADVBIST_ENSURE(std::abs(alpha) > opt_.pivot_tol, "pivot element too small");
-  eta_row_.push_back(leaving_row);
-  eta_diag_.push_back(alpha);
-  for (int i = 0; i < m_; ++i) {
-    if (i == leaving_row || w[i] == 0.0) continue;
-    eta_idx_.push_back(i);
-    eta_val_.push_back(w[i]);
-  }
-  eta_start_.push_back(static_cast<int>(eta_idx_.size()));
-  // Fault-injection hook: a perturbed eta diagonal is exactly the residual
-  // drift a long eta chain accumulates, compressed into one pivot — the
-  // recovery ladder's refactorization rung must absorb it.
-  if (auto* fi = util::FaultInjector::active();
-      fi != nullptr && fi->fire(util::FaultSite::kEtaPerturb))
-    eta_diag_.back() *= 1.0 + fi->perturbation();
-  ++pivots_since_refactor_;
   ++stats_.basis_pivots;
   ++iterations_;
+  return true;
 }
 
-bool SimplexSolver::needs_compaction() const {
-  // Pivot-count budget, plus a fill budget: long FTRAN/BTRAN eta chains
-  // cost more than the refactorization they avoid.
-  const std::size_t max_eta_nnz =
-      std::max<std::size_t>(4096, 16 * static_cast<std::size_t>(m_));
-  return pivots_since_refactor_ >= opt_.refactor_every ||
-         eta_idx_.size() > max_eta_nnz;
+bool SimplexSolver::update_factors(int leaving_row, double alpha) {
+  // Forrest–Tomlin: the slot k0 holding the leaving basis position gets
+  // the spike as its new U column and moves to the end of U's pivot order;
+  // its old U row, now below the diagonal, is eliminated against the rows
+  // that follow it in the order, and the multipliers become one row eta.
+  const int k0 = static_cast<int>(
+      std::find(cperm_.begin(), cperm_.end(), leaving_row) - cperm_.begin());
+  const int p0 = static_cast<int>(
+      std::find(u_order_.begin(), u_order_.end(), k0) - u_order_.begin());
+  const double old_diag = u_diag_[k0];
+  spike_col_ = -1;  // consumed
+  ft_row_.resize(m_, 0.0);
+
+  // 1. Eliminate row k0 in pivot order, reading U only. Every entry lies
+  // after p0 and fill only lands further on, so the walk leaves `row` all
+  // zero again. The multipliers are appended as a tentative row eta.
+  std::vector<double>& row = ft_row_;
+  for (int p = urow_.start[k0]; p < urow_.start[k0] + urow_.len[k0]; ++p)
+    row[urow_.idx[p]] = urow_.val[p];
+  double diag = spike_[k0];
+  for (int pos = p0 + 1; pos < m_; ++pos) {
+    const int t = u_order_[pos];
+    if (row[t] == 0.0) continue;
+    const double mult = row[t] / u_diag_[t];
+    row[t] = 0.0;
+    ft_idx_.push_back(t);
+    ft_val_.push_back(mult);
+    diag -= mult * spike_[t];
+    for (int p = urow_.start[t]; p < urow_.start[t] + urow_.len[t]; ++p)
+      row[urow_.idx[p]] -= mult * urow_.val[p];
+  }
+  // Fault-injection hook: a perturbed updated diagonal is the drift a long
+  // update chain can accumulate, compressed into one pivot — the stability
+  // check below must catch it and hand the basis to the recovery ladder.
+  if (auto* fi = util::FaultInjector::active();
+      fi != nullptr && fi->fire(util::FaultSite::kEtaPerturb))
+    diag *= 1.0 + fi->perturbation();
+
+  // 2. Stability: det(B) scales by alpha, so in exact arithmetic the new
+  // diagonal equals alpha times the one it replaces. A failed check (a
+  // near-singular pivot, or drift in the factors) drops the tentative row
+  // eta and leaves the factors describing the old basis.
+  constexpr double kStabilityTol = 1e-8;
+  if (!(std::abs(diag) > opt_.pivot_tol &&
+        std::abs(diag - alpha * old_diag) <= kStabilityTol * std::abs(diag))) {
+    ft_idx_.resize(ft_start_.back());
+    ft_val_.resize(ft_start_.back());
+    ++stats_.refactor_stability;
+    return false;
+  }
+  ft_slot_.push_back(k0);
+  ft_start_.push_back(static_cast<int>(ft_idx_.size()));
+
+  // 3. Row k0 leaves U; the spike replaces column k0 (whose old entries
+  // leave their rows).
+  for (int p = urow_.start[k0]; p < urow_.start[k0] + urow_.len[k0]; ++p)
+    ucol_.erase(urow_.idx[p], k0);
+  u_nnz_ -= urow_.len[k0];
+  urow_.len[k0] = 0;
+  for (int p = ucol_.start[k0]; p < ucol_.start[k0] + ucol_.len[k0]; ++p)
+    urow_.erase(ucol_.idx[p], k0);
+  u_nnz_ -= ucol_.len[k0];
+  ucol_.renew(k0, 0);
+  for (int i = 0; i < m_; ++i) {
+    if (i == k0 || spike_[i] == 0.0) continue;
+    ucol_.push(k0, i, spike_[i]);
+    urow_.push(i, k0, spike_[i]);
+    ++u_nnz_;
+  }
+  u_diag_[k0] = diag;
+
+  // 4. k0 becomes the last slot of the pivot order.
+  u_order_.erase(u_order_.begin() + p0);
+  u_order_.push_back(k0);
+  ++pivots_since_refactor_;
+  return true;
+}
+
+bool SimplexSolver::refactor_due() {
+  // U may grow to kUGrowth times its post-factorization size (diagonal
+  // included) before the update chain costs more than a refactorization.
+  constexpr long long kUGrowth = 4;
+  if (pivots_since_refactor_ >= opt_.refactor_every) {
+    ++stats_.refactor_update_cap;
+    return true;
+  }
+  if (u_nnz_ + m_ > kUGrowth * (u_nnz_factor_ + m_)) {
+    ++stats_.refactor_u_growth;
+    return true;
+  }
+  return false;
 }
 
 void SimplexSolver::finalize_result(LpResult& result, LpStatus status) {
@@ -1242,9 +1367,9 @@ LpResult SimplexSolver::solve() {
 LpResult SimplexSolver::run_primal() {
   LpResult result;
   if (!has_basis_) cold_start();
-  // A warm start keeps the existing factorization + eta file: the basis did
-  // not change, only bounds. needs_compaction() below compacts when the eta
-  // file has grown past its budget.
+  // A warm start keeps the existing factors and their pending updates: the
+  // basis did not change, only bounds. refactor_due() below refactorizes
+  // once the update budget is spent.
   compute_basic_values();
 
   degenerate_run_ = 0;
@@ -1261,13 +1386,14 @@ LpResult SimplexSolver::run_primal() {
   // An infeasibility verdict is as load-bearing as an optimality proof
   // (the branch & bound prunes a whole subtree on it — or declares the
   // model infeasible at the root), so it is only ever issued on a FRESH
-  // factorization: eta-file drift that manufactured the residual is wiped
+  // factorization: update drift that manufactured the residual is wiped
   // and the phase-1 conclusion re-derived. One certification per
   // conclusion attempt; new pivots re-arm it.
   int infeasibility_certified_at = -1;
   auto certify_infeasible = [&] {
     if (infeasibility_certified_at == iterations_) return true;  // re-derived
     infeasibility_certified_at = iterations_;
+    ++stats_.refactor_certify;
     if (!refactorize()) {
       // Cannot refresh — pivots chosen on drifted numbers can assemble a
       // genuinely singular basis, and a verdict that cannot be re-derived
@@ -1287,8 +1413,8 @@ LpResult SimplexSolver::run_primal() {
       ++stats_.aborted_solves;
       return finalize(LpStatus::kAborted);
     }
-    if (needs_compaction()) {
-      // A compaction refactorization that comes back singular climbs the
+    if (refactor_due()) {
+      // A scheduled refactorization that comes back singular climbs the
       // same ladder as pivot trouble (tighten, dense, cold) instead of
       // jumping straight to a cold start.
       if (refactorize())
@@ -1320,7 +1446,7 @@ LpResult SimplexSolver::run_primal() {
       ++stats_.aborted_solves;
       return finalize(LpStatus::kAborted);
     }
-    if (needs_compaction()) {
+    if (refactor_due()) {
       if (refactorize())
         compute_basic_values();
       else if (!escalate_recovery())
@@ -1334,6 +1460,8 @@ LpResult SimplexSolver::run_primal() {
         if (!certify_infeasible()) continue;
         return finalize(LpStatus::kInfeasible);
       }
+      if (rc1 == 3 && !escalate_recovery())
+        return finalize(LpStatus::kIterLimit);
       continue;
     }
     const bool bland = degenerate_run_ > kBlandTrigger;
@@ -1646,9 +1774,11 @@ int SimplexSolver::iterate_dual() {
     degenerate_run_ = 0;
 
   // The dual iteration computed both vectors the weight update needs: the
-  // FTRANed entering column and the BTRANed pivot row.
+  // FTRANed entering column and the BTRANed pivot row. (It must see the
+  // old factors; a pivot the factor update then rejects leaves stale
+  // weights and dual state, which the recovery ladder rebuilds.)
   update_dual_weights(r, w, dual_rho_);
-  pivot(chosen, r, t, dir, w, sgn < 0 ? kAtLower : kAtUpper);
+  if (!pivot(chosen, r, t, dir, w, sgn < 0 ? kAtLower : kAtUpper)) return 3;
   ++iter_dual_;
   dual_d_[leaving] = -sgn * theta;  // the leaving variable's new reduced cost
   return 0;
@@ -1698,7 +1828,7 @@ LpResult SimplexSolver::solve_dual() {
       finalize_result(result, LpStatus::kAborted);
       return result;
     }
-    if (needs_compaction()) {
+    if (refactor_due()) {
       if (!refactorize()) {
         // Ladder-recover like pivot trouble; a recovery that lost dual
         // feasibility beyond bound-flip repair ends on the primal path.
@@ -1726,9 +1856,10 @@ LpResult SimplexSolver::solve_dual() {
     if (rc == 1) break;  // primal feasible: let the primal loop certify
     if (rc == 2) {
       // Re-verify the dual ray on a fresh factorization before trusting it
-      // (the pivot row and reduced costs may carry eta-file drift).
+      // (the pivot row and reduced costs may carry update drift).
       if (!infeasibility_reverified) {
         infeasibility_reverified = true;
+        ++stats_.refactor_dual_ray;
         if (!refactorize()) {
           cold_start();
           return fallback();
@@ -1853,7 +1984,6 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
   cperm_.resize(m_);
   u_diag_.resize(m_);
   work_.resize(m_);
-  work2_.resize(m_);
   candidates_.clear();
   price_cursor_ = 0;
   dual_w_valid_ = false;  // basis positions shifted: weights are stale
@@ -1864,6 +1994,7 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
     // accounting must see the *current* row count: refactorize() measures
     // basis and fill nnz against m_, which has already been shrunk, so
     // aged-out rows neither inflate the basis term nor deflate the ratio.
+    ++stats_.refactor_delete_rows;
     if (!refactorize()) has_basis_ = false;  // next solve() cold-starts
   }
 }
@@ -1885,9 +2016,32 @@ double SimplexSolver::dual_reduced_cost_drift_for_testing() const {
 
 bool SimplexSolver::refresh_factorization() {
   if (!has_basis_) cold_start();
+  ++stats_.refactor_refresh;
   if (refactorize()) return true;
   cold_start();
   return false;
+}
+
+bool SimplexSolver::pivot_for_testing(int basis_pos, int col) {
+  ADVBIST_REQUIRE(has_basis_, "pivot_for_testing needs a basis");
+  ADVBIST_REQUIRE(basis_pos >= 0 && basis_pos < m_, "basis position");
+  ADVBIST_REQUIRE(col >= 0 && col < total_ && vstat_[col] != kBasic,
+                  "entering column must be nonbasic");
+  const int leaving = basis_[basis_pos];
+  Status rest = kAtLower;
+  if (!std::isfinite(lb_[leaving])) {
+    if (!std::isfinite(ub_[leaving])) return false;
+    rest = kAtUpper;
+  }
+  ftran(col, wcol_);
+  double wmax = 0.0;
+  for (const double v : wcol_) wmax = std::max(wmax, std::abs(v));
+  if (std::abs(wcol_[basis_pos]) <= std::max(opt_.pivot_tol, 0.1 * wmax))
+    return false;
+  if (!pivot(col, basis_pos, 0.0, +1, wcol_, rest)) return false;
+  candidates_.clear();
+  dual_w_valid_ = false;
+  return true;
 }
 
 std::vector<double> SimplexSolver::ftran_for_testing(

@@ -1,4 +1,5 @@
-// Bounded-variable primal simplex with a product-form-of-inverse basis.
+// Bounded-variable primal and dual simplex over a Forrest–Tomlin-updated
+// sparse LU basis factorization.
 //
 // Solves   min c'x   s.t.  row_lhs (sense) rhs,  l <= x <= u
 // over the continuous relaxation of a lp::Model (integrality is ignored;
@@ -14,35 +15,43 @@
 //    any basis.
 //
 //  * Basis representation. The basis inverse is never formed explicitly.
-//    A periodic refactorization computes an LU factorization of the basis
-//    matrix and compresses both factors into sparse column arrays. The
-//    default factorization is a sparse Markowitz-pivoting elimination
-//    (Suhl-style): singleton columns and rows are pivoted first at zero
-//    fill-in cost — the bases seen in this project are slack-heavy, so this
-//    triangularization usually resolves almost the whole basis — and the
-//    remaining "bump" is eliminated choosing pivots that minimize the
-//    Markowitz count (rowcount-1)*(colcount-1) subject to a relative
-//    threshold |a_rc| >= markowitz_tol * max|a_*c| for stability. Row and
-//    column counts are maintained incrementally; only the active submatrix
-//    is updated, so the cost is proportional to fill, not m^2. A basis the
+//    A refactorization computes an LU factorization of the basis matrix
+//    with sparse factors. The default factorization is a sparse
+//    Markowitz-pivoting elimination (Suhl-style): singleton columns and
+//    rows are pivoted first at zero fill-in cost — the bases seen in this
+//    project are slack-heavy, so this triangularization usually resolves
+//    almost the whole basis — and the remaining "bump" is eliminated
+//    choosing pivots that minimize the Markowitz count
+//    (rowcount-1)*(colcount-1) subject to a relative threshold
+//    |a_rc| >= markowitz_tol * max|a_*c| for stability. Row and column
+//    counts are maintained incrementally; only the active submatrix is
+//    updated, so the cost is proportional to fill, not m^2. A basis the
 //    Markowitz elimination flags as singular (or a markowitz_tol of 0 /
 //    sparse_factorization = false) falls back to the original dense
 //    column-major sweep with partial pivoting; a basis singular under both
 //    falls back to the all-slack cold-start basis. Both factorizations
-//    produce the same sparse-column L/U arrays (plus row/column pivot
-//    permutations) consumed by FTRAN/BTRAN, so the paths are
-//    interchangeable — tests/lp/factorization_diff_test.cpp pins them
-//    against each other and a dense-inverse reference. Between
-//    refactorizations each pivot appends one sparse *eta vector* to a flat
-//    eta file (product form of the inverse). FTRAN solves B w = a as
-//    w = Ek^-1 ... E1^-1 Q (U^-1 L^-1 P a) and BTRAN solves y'B = c' by
-//    applying the eta file in reverse followed by the transposed triangular
-//    solves. A pivot therefore costs O(nnz(w)) instead of the O(m^2)
-//    dense-inverse update the first version of this file used. The eta file
-//    is compacted (refactorized away) every `refactor_every` pivots or when
-//    its fill grows past a multiple of m, whichever comes first — the same
-//    mechanism caps numerical drift; a basis unchanged across warm-started
-//    re-solves is never refactorized again.
+//    produce the same factors (plus row/column pivot permutations), so the
+//    paths are interchangeable — tests/lp/factorization_diff_test.cpp pins
+//    them against each other and a dense-inverse reference.
+//
+//    Between refactorizations the factors are updated in place by the
+//    Forrest–Tomlin method (Forrest & Tomlin 1972; Suhl & Suhl 1993). U is
+//    kept both by column and by row, upper triangular in a pivot order of
+//    its slots. A pivot replaces the leaving slot's U column with the
+//    entering column's "spike" — the FTRAN intermediate after the L and
+//    row-eta stages, saved by the FTRAN that priced the pivot — moves the
+//    slot to the end of the pivot order, and eliminates the slot's old U
+//    row with one sparse row eta. FTRAN is L -> row etas -> U (in pivot
+//    order); BTRAN is U' -> row etas reversed -> L'. On the Table-2 models
+//    a spike carries a handful of nonzeros and a row eta about two, so an
+//    update costs O(m + nnz(spike)) and the solves stay about as cheap as
+//    right after a refactorization. Refactorization fires on
+//    `refactor_every` updates, on U growing past a fixed multiple of its
+//    post-factorization size, and — through the numerical-recovery ladder
+//    — when the updated diagonal disagrees with the pivot element times
+//    the replaced diagonal (the two are equal in exact arithmetic). A
+//    basis unchanged across warm-started re-solves is never refactorized
+//    again; Stats counts every refactorization cause.
 //
 //  * Pricing. A candidate list + cyclic block scan replaces full Dantzig
 //    pricing: iterate() first re-prices the surviving candidates from the
@@ -106,7 +115,8 @@
 //
 // Problem sizes in this project are a few thousand rows/columns; the sparse
 // factorization keeps the refactorization cost proportional to fill while
-// the eta file keeps the per-pivot cost proportional to actual fill.
+// the Forrest–Tomlin update keeps the per-pivot cost proportional to the
+// spike.
 #pragma once
 
 #include <cstdint>
@@ -160,10 +170,9 @@ struct SimplexOptions {
   double opt_tol = 1e-7;    ///< reduced-cost optimality tolerance
   double pivot_tol = 1e-9;  ///< minimum acceptable pivot magnitude
   int max_iterations = 500000;
-  /// Pivots between basis refactorizations. The sparse factorization made
-  /// compaction cheap, so a short interval (short eta file, fast
-  /// FTRAN/BTRAN) beats the dense-era default of 100.
-  int refactor_every = 50;
+  /// Cap on Forrest–Tomlin updates between basis refactorizations (U
+  /// growth and the update's stability check can refactorize earlier).
+  int refactor_every = 100;
   /// Use the sparse Markowitz factorization (false: dense sweep only).
   bool sparse_factorization = true;
   /// Relative threshold-pivoting tolerance in (0, 1]: a Markowitz pivot
@@ -246,12 +255,13 @@ class SimplexSolver {
   /// slack-basic row keeps the basis nonsingular AND dual-feasible (the new
   /// row's dual value is zero, so no reduced cost moves), which is why the
   /// natural follow-up is solve_dual(). The factorization is extended in
-  /// place: with current factors P B Q = L U, the bordered basis factors as
-  /// L' = [[L,0],[l',1]], U' = [[U,0],[0,1]] where l' solves
-  /// l' U = (new row over the basic columns) — one sparse triangular
-  /// solve and an O(nnz) L rebuild per row, never a cold start. (A non-empty
-  /// eta file is compacted first so the factors describe the current basis.)
-  /// Devex/steepest-edge dual weights are reset (the row dimension changed).
+  /// place, pending Forrest–Tomlin updates included: with B = L R^-1 U
+  /// (R the product of the row etas, permutations aside), the bordered
+  /// basis factors as L' = [[L,0],[l',1]], U' = [[U,0],[0,1]] with
+  /// l' = g' U^-1 R for the new row g over the basic columns — the U' and
+  /// row-eta stages of one BTRAN and an O(nnz) L rebuild per row, never a
+  /// refactorization or a cold start. Devex/steepest-edge dual weights are
+  /// reset (the row dimension changed).
   void add_rows(const std::vector<ConstraintDef>& rows);
 
   /// Deletes appended cut rows.
@@ -346,7 +356,7 @@ class SimplexSolver {
     // counter tallies the times that rung was climbed to. The rung resets
     // once the solve makes pivot progress again (a fresh incident restarts
     // at rung 0) and at every public solve entry.
-    long long recovery_refactorize = 0;  ///< rung 0: eta file compacted away
+    long long recovery_refactorize = 0;  ///< rung 0: basis refactorized
     long long recovery_tighten = 0;  ///< rung 1: markowitz_tol tightened 5x
     long long recovery_dense = 0;    ///< rung 2: dense LU forced
     long long recovery_cold = 0;     ///< rung 3: cold primal restart
@@ -355,6 +365,19 @@ class SimplexSolver {
     long long recovery_exhausted = 0;
     /// LP solves aborted mid-iteration by the solve controller.
     long long aborted_solves = 0;
+
+    // --- refactorization causes (a trigger is counted when it fires; the
+    // recovery-ladder rungs above count their own refactorizations) ---
+    long long refactor_update_cap = 0;  ///< refactor_every updates reached
+    long long refactor_u_growth = 0;    ///< U outgrew its update budget
+    /// The updated U diagonal failed the stability check; the pivot is
+    /// rejected and the recovery ladder refactorizes the unchanged basis.
+    long long refactor_stability = 0;
+    long long refactor_delete_rows = 0;  ///< delete_rows rebuild
+    /// A phase-1 infeasibility verdict re-derived on fresh factors.
+    long long refactor_certify = 0;
+    long long refactor_dual_ray = 0;  ///< dual ray re-verified on fresh factors
+    long long refactor_refresh = 0;   ///< refresh_factorization() (exit audit)
 
     /// Mean nnz(L+U) / nnz(B) over all refactorizations (1.0 = no fill).
     [[nodiscard]] double fill_ratio() const {
@@ -367,17 +390,18 @@ class SimplexSolver {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Forces an immediate refactorization of the current basis
-  /// (cold-starting one first if none exists), discarding the eta file and
-  /// any accumulated drift. Returns false if the basis was singular under
-  /// both factorization paths (the solver then cold-starts). The exit
-  /// audit uses this to recompute the claimed dual bound on fresh factors.
+  /// (cold-starting one first if none exists), discarding the pending
+  /// Forrest–Tomlin updates and any accumulated drift. Returns false if
+  /// the basis was singular under both factorization paths (the solver
+  /// then cold-starts). The exit audit uses this to recompute the claimed
+  /// dual bound on fresh factors.
   bool refresh_factorization();
 
   // --- testing/diagnostic hooks (tests/lp/factorization_diff_test.cpp) ---
   /// Test-suite alias for refresh_factorization().
   bool refactorize_for_testing() { return refresh_factorization(); }
-  /// Solves B w = rhs with the current factorization + eta file. `rhs` is
-  /// indexed by original row; the result by basis position.
+  /// Solves B w = rhs with the current factors and their pending updates.
+  /// `rhs` is indexed by original row; the result by basis position.
   [[nodiscard]] std::vector<double> ftran_for_testing(
       std::vector<double> rhs) const;
   /// Solves y' B = cb'. `cb` is indexed by basis position; the result by
@@ -389,6 +413,18 @@ class SimplexSolver {
   [[nodiscard]] std::vector<double> dense_basis_for_testing() const;
   [[nodiscard]] int num_rows() const { return m_; }
   [[nodiscard]] const std::vector<int>& basis() const { return basis_; }
+  /// Exchanges basis position `basis_pos` for nonbasic column `col`
+  /// (structural index, or n + row for a slack) through one Forrest–Tomlin
+  /// update; no refactorization, no primal step (the next solve recomputes
+  /// the basic values). Refuses — returns false, basis unchanged — a pivot
+  /// element below a tenth of the FTRANed column's largest entry, so test
+  /// and bench chains stay well conditioned, a leaving variable with no
+  /// finite bound to rest on, and an update failing its stability check.
+  bool pivot_for_testing(int basis_pos, int col);
+  /// Forrest–Tomlin updates applied since the last refactorization.
+  [[nodiscard]] int updates_since_refactor() const {
+    return pivots_since_refactor_;
+  }
 
   /// Testing hook: max |incrementally maintained dual_d_ - freshly
   /// recomputed reduced cost| over the nonbasic non-fixed columns.
@@ -403,7 +439,10 @@ class SimplexSolver {
   enum Status : std::int8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 
   void cold_start();
-  void clear_etas();
+  /// Common tail of every fresh factor set (refactorization, cold start):
+  /// builds U's row copy from its columns, resets the pivot order to the
+  /// factorization order and drops the row etas and the update counters.
+  void reset_updates();
   void compute_basic_values();
   /// Rebuilds the LU factors from basis_: Markowitz first (when enabled),
   /// dense sweep as the singularity fallback; false if both flag the basis
@@ -413,12 +452,13 @@ class SimplexSolver {
   bool refactorize_dense();      // dense partial-pivot sweep; false if singular
 
   /// Numerical-recovery escalation ladder, called on a troubled iteration
-  /// (rc == 3: rejected pivots, residual drift). Fresh incidents — at
-  /// least one pivot since the last trouble — restart at rung 0; repeated
-  /// trouble with no progress climbs: refactorize -> tighten markowitz_tol
-  /// -> force the dense LU -> cold primal restart. Returns false when even
-  /// the top rung was already spent (the caller abandons the solve:
-  /// kIterLimit on the primal path, primal fallback on the dual path).
+  /// (rc == 3: rejected pivots, residual drift, an LU update failing its
+  /// stability check). Fresh incidents — at least one pivot since the last
+  /// trouble — restart at rung 0; repeated trouble with no progress climbs:
+  /// refactorize -> tighten markowitz_tol -> force the dense LU -> cold
+  /// primal restart. Returns false when even the top rung was already spent
+  /// (the caller abandons the solve: kIterLimit on the primal path, primal
+  /// fallback on the dual path).
   /// Leaves basic values recomputed on success.
   bool escalate_recovery();
 
@@ -430,12 +470,18 @@ class SimplexSolver {
   }
 
   /// In-place B^{-1} v for a dense vector indexed by original row; the
-  /// result is indexed by basis position.
-  void ftran_vec(std::vector<double>& v) const;
-  /// w = B^{-1} a_col for a (structural or slack) column.
-  void ftran(int col, std::vector<double>& w) const;
+  /// result is indexed by basis position. With `spike` non-null the
+  /// intermediate after the L and row-eta stages is copied there.
+  void ftran_vec(std::vector<double>& v,
+                 std::vector<double>* spike = nullptr) const;
+  /// w = B^{-1} a_col for a (structural or slack) column; saves the spike
+  /// that the pivot on `col` feeds to the Forrest–Tomlin update.
+  void ftran(int col, std::vector<double>& w);
   /// y' = cb' B^{-1}: cb is indexed by basis position, y by original row.
   void btran(const std::vector<double>& cb, std::vector<double>& y) const;
+  /// The U' and reversed row-eta stages of BTRAN, in place on a vector
+  /// indexed by factor slot (shared by btran and the add_rows border).
+  void btran_upper(std::vector<double>& q) const;
 
   [[nodiscard]] double reduced_cost(int col, const std::vector<double>& y,
                                     const std::vector<double>& cost) const;
@@ -459,17 +505,25 @@ class SimplexSolver {
   /// 2 = unbounded (phase 2 only), 3 = numerical trouble (refactor & retry).
   int iterate(bool phase1, bool bland);
 
-  void pivot(int entering, int leaving_row, double t, int entering_dir,
+  /// Forrest–Tomlin update plus basis exchange (or a bound flip when
+  /// leaving_row < 0). Returns false when the update failed its stability
+  /// check: the pivot is not made — basis, values and factors unchanged —
+  /// and the caller reports numerical trouble to the recovery ladder.
+  bool pivot(int entering, int leaving_row, double t, int entering_dir,
              const std::vector<double>& w, Status leaving_status);
+  /// Forrest–Tomlin update for the pivot that replaced basis position
+  /// `leaving_row`, using the spike saved by ftran(); `alpha` is the pivot
+  /// element. Returns false, factors untouched, when the stability check
+  /// fails (see pivot()).
+  bool update_factors(int leaving_row, double alpha);
 
   // --- dual simplex internals (solve_dual) ---
   /// The primal phase-1/phase-2 loop shared by solve() and the dual
   /// fallback; assumes counters were reset by the public entry point.
   LpResult run_primal();
-  /// True when the eta file should be compacted: the pivot-count budget or
-  /// the fill budget (long FTRAN/BTRAN chains cost more than the
-  /// refactorization they avoid) is exhausted.
-  [[nodiscard]] bool needs_compaction() const;
+  /// True when the loops must refactorize before the next pivot: the
+  /// update cap or U's growth budget is spent. Counts the cause in stats_.
+  bool refactor_due();
   /// Fills the per-solve iteration split of `result` and folds it into the
   /// cumulative stats. Must run exactly once per public solve entry.
   void finalize_result(LpResult& result, LpStatus status);
@@ -537,28 +591,59 @@ class SimplexSolver {
 
   // --- basis factorization ---
   // Both refactorization paths (sparse Markowitz elimination; dense
-  // column-major sweep as fallback) emit the same compressed sparse-column
-  // factors of P B Q = L U: the bases seen here are slack-heavy and the
-  // factors stay close to the identity, so FTRAN / BTRAN over the
-  // compressed columns cost O(nnz(L)+nnz(U)) instead of O(m^2) dense
-  // triangular solves. perm_ is the row pivot order P, cperm_ the column
-  // pivot order Q (identity for the dense sweep, which pivots columns in
-  // basis order).
-  std::vector<int> perm_;   // row permutation: lu row i <- original row perm_[i]
-  std::vector<int> cperm_;  // col permutation: lu col k <- basis position cperm_[k]
+  // column-major sweep as fallback) emit the same sparse factors of
+  // P B Q = L U: the bases seen here are slack-heavy and the factors stay
+  // close to the identity, so FTRAN / BTRAN cost O(m + nnz(L) + nnz(U))
+  // instead of O(m^2) dense triangular solves. Factor "slots" are the pivot
+  // steps of the last refactorization: L is unit lower triangular in slot
+  // order and never changes between refactorizations (add_rows only
+  // appends border rows); U is upper triangular in the pivot order
+  // u_order_, which Forrest–Tomlin updates permute. perm_ is the row pivot
+  // order P, cperm_ the column pivot order Q (identity for the dense sweep,
+  // which pivots columns in basis order); neither changes on an update.
+  std::vector<int> perm_;   // row permutation: slot i <- row perm_[i]
+  std::vector<int> cperm_;  // col permutation: slot k <- basis pos cperm_[k]
   std::vector<int> l_start_, l_idx_;  // unit-L off-diagonal columns (i > k)
   std::vector<double> l_val_;
-  std::vector<int> u_start_, u_idx_;  // U strictly-above-diagonal columns
-  std::vector<double> u_val_;
-  std::vector<double> u_diag_;        // U diagonal, size m_
 
-  // Eta file as a flat arena (no per-pivot allocation): eta k covers
-  // entries eta_start_[k] .. eta_start_[k+1] of eta_idx_/eta_val_.
-  std::vector<int> eta_row_;
-  std::vector<double> eta_diag_;
-  std::vector<int> eta_start_;  // size num_etas+1
-  std::vector<int> eta_idx_;
-  std::vector<double> eta_val_;
+  /// Sparse lists packed in one arena: list s holds len[s] (index, value)
+  /// entries from start[s], with room for cap[s]. An update rewrites a
+  /// handful of lists; a list that outgrows its block moves to the arena
+  /// end, and the dead space is reclaimed by the next refactorization.
+  struct PackedLists {
+    std::vector<int> start, len, cap, idx;
+    std::vector<double> val;
+    /// `n` empty lists over an empty arena (capacity kept).
+    void reset(int n);
+    /// Drops list s's entries and gives it `room` fresh slots at the end.
+    void renew(int s, int room);
+    /// Appends (i, v) to list s; a full list grows in place at the arena
+    /// end and moves there from anywhere else.
+    void push(int s, int i, double v);
+    /// Removes the entry with index i from list s (must be present).
+    void erase(int s, int i);
+  };
+  // U off the diagonal, by column (entries: row slot, value) and by row
+  // (entries: column slot, value); FTRAN walks the columns, BTRAN and the
+  // update's row elimination walk the rows.
+  PackedLists ucol_, urow_;
+  std::vector<double> u_diag_;  // U diagonal by slot, size m_
+  std::vector<int> u_order_;    // U's pivot order: slots, first to last
+  long long u_nnz_ = 0;         // live off-diagonal U entries
+  long long u_nnz_factor_ = 0;  // ... right after the last refactorization
+
+  // Forrest–Tomlin row etas, oldest first: row eta e subtracts
+  // sum_p ft_val_[p] * v[ft_idx_[p]] (p in ft_start_[e] .. ft_start_[e+1])
+  // from v[ft_slot_[e]].
+  std::vector<int> ft_slot_;
+  std::vector<int> ft_start_;  // size num_row_etas + 1
+  std::vector<int> ft_idx_;
+  std::vector<double> ft_val_;
+  // The spike saved by ftran(col) for the pivot on column spike_col_
+  // (slot-indexed), and the update's zero-between-calls row scatter.
+  std::vector<double> spike_;
+  int spike_col_ = -1;
+  std::vector<double> ft_row_;
 
   // --- partial pricing state ---
   std::vector<int> candidates_;  // surviving candidate columns

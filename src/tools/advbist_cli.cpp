@@ -27,7 +27,7 @@
 //   --nodes N      node limit (default unlimited)
 //
 // LP knobs:
-//   --refactor N   pivots between basis refactorizations (default 50)
+//   --refactor N   cap on LU updates between refactorizations (default 100)
 //   --mtol X       Markowitz threshold-pivoting tolerance in (0,1]
 //                  (default 0.1; larger = more stable, more fill)
 //   --row-age N    delete a cut row after its slack stayed basic for N
@@ -549,6 +549,15 @@ int main(int argc, char** argv) {
             st.lp_refactorizations,
             st.lp_sparse_refactorizations, st.lp_sparse_fallbacks,
             st.lp_fill_ratio, st.lp_pivot_rejections, st.threads);
+      if (st.lp_refactorizations > 0)
+        std::printf(
+            "     refactor causes: %lld update cap, %lld U growth, %lld "
+            "stability, %lld row deletions, %lld infeasibility "
+            "certifications, %lld dual rays, %lld audit refreshes\n",
+            st.lp_refactor_update_cap, st.lp_refactor_u_growth,
+            st.lp_refactor_stability, st.lp_refactor_delete_rows,
+            st.lp_refactor_certify, st.lp_refactor_dual_ray,
+            st.lp_refactor_refresh);
       if (st.lp_dual_solves > 0)
         std::printf(
             "     dual: %lld re-solves (%lld fell back to primal), %lld "

@@ -1,9 +1,9 @@
 // Fault-injection and solve-lifecycle hardening tests.
 //
-// A deterministic FaultInjector schedule forces factorization failures, eta
-// perturbations, refused node/cut allocations and spontaneous cancellations
-// into real solves of the paper's fig1/tseng formulations. Under EVERY
-// schedule the contract is the same:
+// A deterministic FaultInjector schedule forces factorization failures,
+// perturbed LU-update diagonals, refused node/cut allocations and
+// spontaneous cancellations into real solves of the paper's fig1/tseng
+// formulations. Under EVERY schedule the contract is the same:
 //   * no crash (the CI fault job additionally runs this file under
 //     ASan/UBSan),
 //   * any returned incumbent is feasible for the ORIGINAL model and never
@@ -117,7 +117,7 @@ TEST(FaultInjection, EveryScheduleKeepsTheSolveContractOnFig1) {
       {util::FaultSite::kFactorSingular, 3, 0.0},
       {util::FaultSite::kFactorSingular, 7, 0.0},
       {util::FaultSite::kEtaPerturb, 5, 0.0},
-      // Perturbing every other eta is a torture schedule: the solver spends
+      // Perturbing every other update is a torture schedule: the solver spends
       // its time re-certifying conclusions and cold-restarting genuinely
       // singular bases, so completing the proof is not the point — staying
       // honest under sustained corruption within a bounded run is.
@@ -139,6 +139,11 @@ TEST(FaultInjection, EveryScheduleKeepsTheSolveContractOnFig1) {
                    " period " + std::to_string(sched.period) + " seed " +
                    std::to_string(seed));
       expect_contract(inst, s, optimum);
+      // A perturbed update diagonal fails the Forrest–Tomlin stability
+      // check, and the recovery ladder refactorizes the basis.
+      if (sched.site == util::FaultSite::kEtaPerturb &&
+          fi.fired(sched.site) > 0)
+        EXPECT_GT(s.stats.lp_recovery_refactorize, 0);
       if (sched.site == util::FaultSite::kCancel && fi.fired(sched.site) > 0)
         EXPECT_TRUE(s.status == SolveStatus::kCancelled ||
                     s.status == SolveStatus::kOptimal);

@@ -15,6 +15,10 @@
 //  3. Degenerate (duplicated rows, fixed variables) and near-singular
 //     (nearly parallel rows) instances must not crash either path and must
 //     agree wherever both claim optimality.
+//  4. Mid-update: after 1, 5, 20 and (cap - 1) Forrest–Tomlin updates with
+//     no refactorization in between — and with add_rows/delete_rows landing
+//     between updates — FTRAN/BTRAN still match the dense-inverse reference
+//     and the residuals.
 //
 // Every case is seeded through util::Rng, so any failure reproduces by
 // rerunning the named gtest case.
@@ -27,6 +31,7 @@
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "update_chain.hpp"
 #include "util/rng.hpp"
 
 namespace advbist::lp {
@@ -36,7 +41,7 @@ SimplexOptions options_for(bool sparse) {
   SimplexOptions o;
   o.sparse_factorization = sparse;
   // A tiny interval forces many refactorizations per solve so every case
-  // actually exercises the factorization under test, not just the eta file.
+  // actually exercises the factorization under test, not just its updates.
   o.refactor_every = 3;
   return o;
 }
@@ -198,7 +203,7 @@ class FactorizationDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 // 1. Sparse-LU FTRAN/BTRAN vs the dense-inverse reference, on the optimal
 //    basis the solve ends in (plus a forced refactorization so the factors
-//    under test are fresh, not an eta-file product).
+//    under test are fresh, not an update product).
 TEST_P(FactorizationDiff, FtranBtranMatchDenseReference) {
   const std::uint64_t seed = GetParam();
   SCOPED_TRACE("seed " + std::to_string(seed));
@@ -291,7 +296,76 @@ TEST_P(FactorizationDiff, DegenerateAndNearSingularAgree) {
   if (sparse.refactorize_for_testing()) check_factorization(sparse, seed, 1e-5);
 }
 
-// 75 seeds x 4 differential properties = 300 seeded cases.
+// 5. Forrest–Tomlin updates: FTRAN/BTRAN after 1, 5, 20 and (cap - 1)
+//    updates with no refactorization, against the dense-inverse reference
+//    and the residuals, on both factorization paths.
+TEST_P(FactorizationDiff, MidUpdateSolvesMatchDenseReference) {
+  const std::uint64_t seed = GetParam() * 15485863ULL + 41;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const Model m = random_lp(seed, /*degenerate=*/false);
+  const int cap = SimplexOptions{}.refactor_every;
+  for (const bool sparse : {true, false}) {
+    SimplexOptions o;
+    o.sparse_factorization = sparse;
+    SimplexSolver s(m, o);
+    ASSERT_NE(s.solve().status, LpStatus::kIterLimit);
+    ASSERT_TRUE(s.refactorize_for_testing());
+    const long long refactorizations = s.stats().refactorizations;
+    int done = 0;
+    for (const int target : {1, 5, 20, cap - 1}) {
+      done += apply_updates(s, m.num_variables(), target - done, seed + done);
+      ASSERT_EQ(done, target) << "too few admissible exchanges";
+      ASSERT_EQ(s.updates_since_refactor(), target);
+      SCOPED_TRACE("updates " + std::to_string(target));
+      check_factorization(s, seed + target, 1e-8);
+    }
+    EXPECT_EQ(s.stats().refactorizations, refactorizations);
+  }
+}
+
+// 6. Rows appended and deleted between updates: add_rows borders the
+//    updated factors in place (no refactorization), delete_rows rebuilds
+//    them, and updates continue on both.
+TEST_P(FactorizationDiff, MidUpdateAddAndDeleteRows) {
+  const std::uint64_t seed = GetParam() * 32452843ULL + 7;
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const Model m = random_lp(seed, /*degenerate=*/false);
+  const int n = m.num_variables();
+  SimplexSolver s(m, SimplexOptions{});
+  ASSERT_NE(s.solve().status, LpStatus::kIterLimit);
+  ASSERT_TRUE(s.refactorize_for_testing());
+  ASSERT_EQ(apply_updates(s, n, 5, seed), 5);
+  check_factorization(s, seed, 1e-8);
+
+  util::Rng rng(seed ^ 0xc0ffeeULL);
+  std::vector<ConstraintDef> cuts(2);
+  for (ConstraintDef& c : cuts) {
+    for (int v = 0; v < n; ++v)
+      if (rng.next_bool(0.5)) c.terms.push_back({v, 1.0 + rng.next_int(0, 2)});
+    if (c.terms.empty()) c.terms.push_back({0, 1.0});
+    c.rhs = 100.0;
+  }
+  const long long refactorizations = s.stats().refactorizations;
+  s.add_rows(cuts);
+  EXPECT_EQ(s.stats().refactorizations, refactorizations);
+  EXPECT_EQ(s.updates_since_refactor(), 5);
+  check_factorization(s, seed + 1, 1e-8);
+  ASSERT_EQ(apply_updates(s, n, 5, seed + 1), 5);
+  check_factorization(s, seed + 2, 1e-8);
+
+  const int first_cut = m.num_constraints();
+  std::vector<int> aged;
+  for (int c = 0; c < 2; ++c)
+    if (s.added_row_slack_basic(c)) aged.push_back(first_cut + c);
+  if (aged.empty()) return;
+  s.delete_rows(aged);
+  EXPECT_EQ(s.stats().refactor_delete_rows, 1);
+  check_factorization(s, seed + 3, 1e-8);
+  ASSERT_EQ(apply_updates(s, n, 5, seed + 3), 5);
+  check_factorization(s, seed + 4, 1e-8);
+}
+
+// 75 seeds x 6 differential properties = 450 seeded cases.
 INSTANTIATE_TEST_SUITE_P(Seeds, FactorizationDiff,
                          ::testing::Range<std::uint64_t>(1, 76));
 

@@ -11,9 +11,12 @@
 //   * on the optimal basis of seeded random LPs,
 //   * after add_rows (bordered factor extension) and delete_rows (aged
 //     cut rows),
-//   * after a forced refactorization (fresh factors, empty eta file), and
+//   * after a forced refactorization (fresh factors, no updates), and
 //   * with power-of-two scaling active (the internal row, unscaled with
 //     the model's scale factors, must match the original-unit reference).
+// The FactorizationDiffTableauRow suite reruns every case with Forrest–
+// Tomlin updates pending: before each check the basis is moved a few
+// seeded exchanges away without refactorizing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +27,7 @@
 #include "lp/model.hpp"
 #include "lp/scaling.hpp"
 #include "lp/simplex.hpp"
+#include "update_chain.hpp"
 #include "util/rng.hpp"
 
 namespace advbist::lp {
@@ -159,22 +163,24 @@ void check_all_pivot_rows(const SimplexSolver& s,
   }
 }
 
-class TableauRow : public ::testing::TestWithParam<std::uint64_t> {};
+/// Forrest–Tomlin updates applied before each check (0: the factors the
+/// solve or refactorization left).
+constexpr int kPendingUpdates = 7;
 
 // 1. Optimal bases of seeded random LPs match the dense reference.
-TEST_P(TableauRow, MatchesDenseReferenceOnSeededBases) {
-  const std::uint64_t seed = GetParam();
+void matches_dense_reference(std::uint64_t seed, int updates) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Model m = random_lp(seed);
   SimplexSolver s(m, SimplexOptions{});
   if (s.solve().status != LpStatus::kOptimal) return;
+  apply_updates(s, m.num_variables(), updates, seed);
   check_all_pivot_rows(s, lp_rows(m, {}), m.num_variables(), nullptr, 1e-7);
 }
 
 // 2. The identity survives add_rows (slack-basic cut rows), a dual
 //    re-solve, delete_rows of an aged row, and a forced refactorization.
-TEST_P(TableauRow, SurvivesAddDeleteAndRefactorization) {
-  const std::uint64_t seed = GetParam() * 9176ULL + 5;
+void survives_add_delete_and_refactorization(std::uint64_t seed,
+                                              int updates) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Model m = random_lp(seed);
   SimplexSolver s(m, SimplexOptions{});
@@ -196,9 +202,11 @@ TEST_P(TableauRow, SurvivesAddDeleteAndRefactorization) {
     def.rhs = slack_room;  // satisfied by every point in the box
     cuts.push_back(std::move(def));
   }
-  s.add_rows(cuts);
   const int n = m.num_variables();
+  apply_updates(s, n, updates, seed);
+  s.add_rows(cuts);
   if (s.solve_dual().status != LpStatus::kOptimal) return;
+  apply_updates(s, n, updates, seed + 1);
   check_all_pivot_rows(s, lp_rows(m, cuts), n, nullptr, 1e-7);
 
   // Loose rows keep their slack basic, so they are deletable; the tableau
@@ -206,19 +214,21 @@ TEST_P(TableauRow, SurvivesAddDeleteAndRefactorization) {
   if (s.added_row_slack_basic(0)) {
     s.delete_rows({m.num_constraints()});
     cuts.erase(cuts.begin());
-    if (s.solve_dual().status == LpStatus::kOptimal)
+    if (s.solve_dual().status == LpStatus::kOptimal) {
+      apply_updates(s, n, updates, seed + 2);
       check_all_pivot_rows(s, lp_rows(m, cuts), n, nullptr, 1e-7);
+    }
   }
 
   ASSERT_TRUE(s.refactorize_for_testing());
+  apply_updates(s, n, updates, seed + 3);
   check_all_pivot_rows(s, lp_rows(m, cuts), n, nullptr, 1e-7);
 }
 
 // 3. With power-of-two scaling active on an ill-conditioned model, the
 //    rows BTRANed off the scaled factors, unscaled with the model's scale
 //    factors, must match the ORIGINAL-unit reference.
-TEST_P(TableauRow, ScaledModelReportsOriginalUnits) {
-  const std::uint64_t seed = GetParam() * 7331ULL + 11;
+void scaled_model_reports_original_units(std::uint64_t seed, int updates) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   util::Rng rng(seed);
   Model m;
@@ -249,10 +259,40 @@ TEST_P(TableauRow, ScaledModelReportsOriginalUnits) {
   EXPECT_TRUE(s.scaling_active()) << "spread model should trigger scaling";
   const ScalingFactors sf = compute_scaling(m);
   ASSERT_FALSE(sf.trivial);
+  apply_updates(s, n, updates, seed);
   check_all_pivot_rows(s, lp_rows(m, {}), n, &sf, 1e-7);
 }
 
+class TableauRow : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TableauRow, MatchesDenseReferenceOnSeededBases) {
+  matches_dense_reference(GetParam(), 0);
+}
+TEST_P(TableauRow, SurvivesAddDeleteAndRefactorization) {
+  survives_add_delete_and_refactorization(GetParam() * 9176ULL + 5, 0);
+}
+TEST_P(TableauRow, ScaledModelReportsOriginalUnits) {
+  scaled_model_reports_original_units(GetParam() * 7331ULL + 11, 0);
+}
+
+class FactorizationDiffTableauRow
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FactorizationDiffTableauRow, MatchesDenseReferenceWithUpdatesPending) {
+  matches_dense_reference(GetParam(), kPendingUpdates);
+}
+TEST_P(FactorizationDiffTableauRow, SurvivesAddDeleteWithUpdatesPending) {
+  survives_add_delete_and_refactorization(GetParam() * 9176ULL + 5,
+                                          kPendingUpdates);
+}
+TEST_P(FactorizationDiffTableauRow, ScaledModelWithUpdatesPending) {
+  scaled_model_reports_original_units(GetParam() * 7331ULL + 11,
+                                      kPendingUpdates);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, TableauRow,
+                         ::testing::Range<std::uint64_t>(1, 41));
+INSTANTIATE_TEST_SUITE_P(Seeds, FactorizationDiffTableauRow,
                          ::testing::Range<std::uint64_t>(1, 41));
 
 }  // namespace
