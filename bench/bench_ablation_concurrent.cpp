@@ -28,8 +28,7 @@ int main() {
     fo.k = k;
     fo.fix_registers = &ref.design.registers;
     const core::Formulation seq_form(b.dfg, b.modules, fo);
-    ilp::Options so;
-    so.time_limit_seconds = bench::time_limit_seconds();
+    ilp::Options so = bench::solver_options();
     so.branch_priority = seq_form.branch_priorities();
     const ilp::Solution seq_sol = ilp::Solver(so).solve(seq_form.model());
     if (!seq_sol.has_solution()) {
@@ -58,6 +57,6 @@ int main() {
       "within ITS restricted space first. With proven-optimal concurrent\n"
       "solves the penalty is never negative (asserted in\n"
       "Synthesizer.SequentialFlowNeverBeatsConcurrent); raise\n"
-      "ADVBIST_TIME_LIMIT to see it.\n");
+      "the time limit (ADVBIST_BENCH_OPTS=time=S) to see it.\n");
   return 0;
 }

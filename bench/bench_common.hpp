@@ -1,31 +1,65 @@
-// Shared plumbing for the bench harnesses: environment-tunable solve
-// budgets and result-row formatting. Every bench binary regenerates one of
+// Shared plumbing for the bench harnesses: environment-tunable solver
+// options and result-row formatting. Every bench binary regenerates one of
 // the paper's tables or figures (see DESIGN.md section 5).
 //
 // Environment knobs:
-//   ADVBIST_TIME_LIMIT   seconds per ILP solve (default 20; the paper used
-//                        a 24 CPU-hour cap — entries that hit the limit are
-//                        marked with "*" exactly like Table 2's dct4 row)
+//   ADVBIST_BENCH_OPTS   solver options as "key=value ..." tokens, with the
+//                        keys and ranges of advbist's solver flags
+//                        (ilp::set_option), applied over each bench's own
+//                        defaults; a bad token exits 2. The paper-table
+//                        benches default to time=20 threads=1 (the paper
+//                        used a 24 CPU-hour cap — entries that hit the
+//                        limit are marked with "*" exactly like Table 2's
+//                        dct4 row)
 //   ADVBIST_CIRCUITS     comma-separated circuit filter (default: all six)
-//   ADVBIST_THREADS      branch & bound worker threads per solve (default 1;
-//                        0 = one per hardware thread)
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/synthesizer.hpp"
 #include "hls/benchmarks.hpp"
+#include "ilp/solver.hpp"
 #include "util/table.hpp"
 
 namespace advbist::bench {
 
-inline double time_limit_seconds() {
-  if (const char* env = std::getenv("ADVBIST_TIME_LIMIT"))
-    return std::atof(env) > 0 ? std::atof(env) : 20.0;
-  return 20.0;
+/// ilp::set_option, exiting 2 with the reason when it refuses the value.
+inline void set_or_exit(ilp::Options& opt, std::string_view key,
+                        std::string_view value) {
+  const std::string error = ilp::set_option(opt, key, value);
+  if (error.empty()) return;
+  std::fprintf(stderr, "bench: %s\n", error.c_str());
+  std::exit(2);
+}
+
+/// `defaults` with the ADVBIST_BENCH_OPTS tokens applied over them.
+inline ilp::Options with_bench_opts(ilp::Options defaults) {
+  const char* env = std::getenv("ADVBIST_BENCH_OPTS");
+  std::istringstream tokens(env != nullptr ? env : "");
+  for (std::string token; tokens >> token;) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos) {
+      std::fprintf(stderr, "bench: ADVBIST_BENCH_OPTS token '%s' is not "
+                   "key=value\n", token.c_str());
+      std::exit(2);
+    }
+    set_or_exit(defaults, token.substr(0, eq), token.substr(eq + 1));
+  }
+  return defaults;
+}
+
+/// The paper-table benches' solver options: 20 s per solve, serial, then
+/// ADVBIST_BENCH_OPTS.
+inline ilp::Options solver_options() {
+  ilp::Options o;
+  o.time_limit_seconds = 20.0;
+  o.num_threads = 1;
+  return with_bench_opts(o);
 }
 
 /// Splits a comma-separated env value (`fallback` when unset/empty).
@@ -54,21 +88,9 @@ inline std::vector<hls::Benchmark> selected_benchmarks() {
   return picked;
 }
 
-/// Worker threads per solve. Only a literal "0" selects auto (one per
-/// hardware thread); typos and negative values fall back to serial so a
-/// baseline bench run can never silently go wide.
-inline int num_threads() {
-  const char* env = std::getenv("ADVBIST_THREADS");
-  if (env == nullptr) return 1;
-  if (std::strcmp(env, "0") == 0) return 0;
-  const int n = std::atoi(env);
-  return n > 0 ? n : 1;
-}
-
 inline core::SynthesizerOptions default_synth_options() {
   core::SynthesizerOptions o;
-  o.solver.time_limit_seconds = time_limit_seconds();
-  o.solver.num_threads = num_threads();
+  o.solver = solver_options();
   return o;
 }
 

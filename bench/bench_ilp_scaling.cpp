@@ -4,18 +4,27 @@
 // CMake `bench` target.
 //
 // Environment knobs:
+//   ADVBIST_BENCH_OPTS     solver options as "key=value ..." tokens (the
+//                          keys of ilp::set_option, the same as advbist's
+//                          solver flags), applied over the bench defaults
+//                          nodes=1000 time=120 for every run; a bad token
+//                          exits 2. ckpt-interval=S also gives each run a
+//                          snapshot file, so the checkpoint_seconds /
+//                          checkpoints columns record the writer overhead.
 //   ADVBIST_BENCH_MODELS   comma-separated circuits (default fig1,tseng,paulin)
-//   ADVBIST_BENCH_THREADS  comma-separated thread counts (default 1,2,4).
-//                          Counts above hardware_concurrency are skipped —
-//                          on an undersized container they would record
-//                          queueing overhead, not scaling — unless
+//   ADVBIST_BENCH_THREADS  comma-separated thread counts (default 1,2,4; each
+//                          is a `threads` value). Counts above
+//                          hardware_concurrency are skipped — on an
+//                          undersized container they would record queueing
+//                          overhead, not scaling — unless
 //                          ADVBIST_BENCH_OVERSUBSCRIBE=1 keeps them
 //                          (annotated "oversubscribed": true in the JSON).
-//   ADVBIST_BENCH_NODES    node budget per solve (default 1000)
 //   ADVBIST_BENCH_CUTS     0|1: run only the cuts-off or cuts-on config.
 //                          Unset: run BOTH per model x thread combination,
 //                          so the JSON carries an A/B pair ("cuts": bool)
 //                          and the cut win stays visible in the trajectory.
+//                          The cuts-off config forces cuts, probing and rc
+//                          fixing off whatever ADVBIST_BENCH_OPTS says.
 //   ADVBIST_BENCH_RELIABILITY  0|1: pin in-tree reliability probing off or
 //                          on (solver default: on, budget 64) for every
 //                          run. Unset: the cuts-on configuration records an
@@ -23,34 +32,13 @@
 //                          rel_probes, rel_fixed, rel_tightened) so the
 //                          probe win in node counts stays visible per
 //                          circuit.
-//   ADVBIST_BENCH_STRONG_BRANCH  root strong-branching candidate count
-//                          (0 disables the probing + pseudocost seeding)
-//   ADVBIST_BENCH_PC_REL   pseudocost reliability threshold (observations
-//                          per variable+direction before its own average
-//                          is trusted alone)
-//   ADVBIST_BENCH_ROW_AGE  LP cut-row age limit (consecutive slack-basic
-//                          re-solves before deletion; 0 = never delete)
-//   ADVBIST_BENCH_CUT_ROUNDS    root separation rounds (default: solver)
-//   ADVBIST_BENCH_CUT_INTERVAL  in-tree separation interval (default: solver)
-//   ADVBIST_BENCH_MAX_CUTS      cuts per separation round (default: solver)
-//   ADVBIST_BENCH_PROBING=0     disable binary probing in the cuts-on config
-//   ADVBIST_BENCH_RCFIX=0       disable reduced-cost fixing in cuts-on
-//   ADVBIST_BENCH_REFACTOR cap on LU updates between refactorizations
-//                          (default: solver default)
-//   ADVBIST_BENCH_AUDIT=0  disable the exit audit (A/B for its overhead;
-//                          default on, and the recorded audit_seconds
-//                          column keeps the cost visible per run)
-//   ADVBIST_BENCH_CKPT_INTERVAL  periodic-checkpoint interval in seconds
-//                          for every run (default 0 = checkpointing off).
-//                          The recorded checkpoint_seconds / checkpoints
-//                          columns keep the snapshot overhead visible; the
-//                          default-off baseline records them as zero.
 //   ADVBIST_BENCH_SERVE=1  append a warm-vs-cold serve throughput pair: a
 //                          k-sweep batch is solved cold through the serve
 //                          spool, then re-submitted under new job ids so
 //                          every job is answered from the result cache.
 //                          Lands as a "serve" object in the JSON
 //                          (cold/warm seconds, cache hits, sheds).
+//   ADVBIST_BENCH_GEN      generated-corpus row count (default 6, 0 = none)
 //   ADVBIST_BENCH_OUT      output directory for BENCH_solver.json (default .)
 //   ADVBIST_GIT_COMMIT     commit hash recorded in the JSON (default unknown)
 #include <cmath>
@@ -128,27 +116,6 @@ struct Row {
   std::string sanitizer = "clean"; // pre-solve gate verdict
 };
 
-int env_int(const char* name, int fallback) {
-  if (const char* env = std::getenv(name))
-    if (std::atoi(env) > 0) return std::atoi(env);
-  return fallback;
-}
-
-/// env_int that also honors an explicit "0" (a meaningful disable for the
-/// cut-rounds / cut-interval knobs, matching the CLI's --cut-* flags).
-int env_int_or_zero(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    if (env[0] == '0' && env[1] == '\0') return 0;
-    if (std::atoi(env) > 0) return std::atoi(env);
-  }
-  return fallback;
-}
-
-bool env_disabled(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && *env == '0';
-}
-
 }  // namespace
 
 int main() {
@@ -156,11 +123,10 @@ int main() {
       split_csv(std::getenv("ADVBIST_BENCH_MODELS"), "fig1,tseng,paulin");
   const std::vector<std::string> thread_list =
       split_csv(std::getenv("ADVBIST_BENCH_THREADS"), "1,2,4");
-  long long node_budget = 1000;
-  if (const char* env = std::getenv("ADVBIST_BENCH_NODES"))
-    if (std::atoll(env) > 0) node_budget = std::atoll(env);
-  const int refactor_every = env_int("ADVBIST_BENCH_REFACTOR", 0);
-  const bool audit = !env_disabled("ADVBIST_BENCH_AUDIT");
+  ilp::Options defaults;
+  defaults.node_limit = 1000;
+  defaults.time_limit_seconds = 120.0;
+  const ilp::Options base = bench::with_bench_opts(defaults);
   const char* over_env = std::getenv("ADVBIST_BENCH_OVERSUBSCRIBE");
   const bool keep_oversubscribed = over_env != nullptr && *over_env == '1';
   const char* out_env = std::getenv("ADVBIST_BENCH_OUT");
@@ -201,15 +167,8 @@ int main() {
                    env);
     }
   }
-  double ckpt_interval = 0.0;
-  if (const char* env = std::getenv("ADVBIST_BENCH_CKPT_INTERVAL"))
-    if (std::atof(env) > 0) ckpt_interval = std::atof(env);
   const char* serve_env = std::getenv("ADVBIST_BENCH_SERVE");
   const bool bench_serve = serve_env != nullptr && *serve_env == '1';
-  const int row_age = env_int_or_zero("ADVBIST_BENCH_ROW_AGE", -1);
-  const int strong_branch =
-      env_int_or_zero("ADVBIST_BENCH_STRONG_BRANCH", -1);
-  const int pc_rel = env_int("ADVBIST_BENCH_PC_REL", -1);
 
   std::vector<Row> rows;
   for (const std::string& name : circuits) {
@@ -229,29 +188,10 @@ int main() {
           rel_configs = {true};  // solver default (budget 64)
         bool skipped_oversubscribed = false;
         for (const bool with_rel : rel_configs) {
-          ilp::Options opt;
-          // Mirror bench::num_threads(): only a literal "0" selects auto;
-          // typos fall back to serial so the recorded baseline stays serial.
-          const int n = std::atoi(t.c_str());
-          opt.num_threads = (n > 0 || t == "0") ? n : 1;
-          opt.node_limit = node_budget;
-          opt.time_limit_seconds = 120.0;
-          if (refactor_every > 0) opt.lp_refactor_every = refactor_every;
-          opt.exit_audit = audit;
-          if (strong_branch >= 0) opt.strong_branch_vars = strong_branch;
-          if (pc_rel > 0) opt.pseudocost_reliability = pc_rel;
-          if (row_age >= 0) opt.lp_row_age_limit = row_age;
+          ilp::Options opt = base;
+          bench::set_or_exit(opt, "threads", t);
           if (!with_rel) opt.reliability_probe_budget = 0;
-          if (with_cuts) {
-            opt.cut_rounds =
-                env_int_or_zero("ADVBIST_BENCH_CUT_ROUNDS", opt.cut_rounds);
-            opt.cut_node_interval = env_int_or_zero(
-                "ADVBIST_BENCH_CUT_INTERVAL", opt.cut_node_interval);
-            opt.max_cuts_per_round =
-                env_int("ADVBIST_BENCH_MAX_CUTS", opt.max_cuts_per_round);
-            opt.use_probing = !env_disabled("ADVBIST_BENCH_PROBING");
-            opt.use_rc_fixing = !env_disabled("ADVBIST_BENCH_RCFIX");
-          } else {
+          if (!with_cuts) {
             opt.cut_rounds = 0;
             opt.cut_node_interval = 0;
             opt.use_clique_cuts = false;
@@ -270,11 +210,10 @@ int main() {
             skipped_oversubscribed = true;
             break;  // same for every rel config
           }
-          if (ckpt_interval > 0) {
+          if (opt.checkpoint_interval_seconds > 0) {
             // One snapshot path per run, removed afterwards: the overhead
             // lands in checkpoint_seconds, never in a later run's resume.
             opt.checkpoint_path = out_dir + "/bench_ckpt.tmp";
-            opt.checkpoint_interval_seconds = ckpt_interval;
           }
           const ilp::Solution s = ilp::Solver(opt).solve(f.model());
           if (!opt.checkpoint_path.empty())
@@ -382,11 +321,10 @@ int main() {
                    rr.error.to_string().c_str());
       return 1;  // a broken round-trip must fail the bench, not skip a row
     }
-    ilp::Options opt;
-    opt.num_threads = 1;
-    opt.node_limit = node_budget;
-    opt.time_limit_seconds = 60.0;
-    opt.exit_audit = audit;
+    ilp::Options gen_defaults;
+    gen_defaults.node_limit = 1000;
+    gen_defaults.time_limit_seconds = 60.0;
+    const ilp::Options opt = bench::with_bench_opts(gen_defaults);
     const ilp::Solution s = ilp::Solver(opt).solve(rr.model);
     Row row;
     row.model = gname;
@@ -457,7 +395,9 @@ int main() {
     std::filesystem::remove_all(spool);
     core::ServeOptions so;
     so.dir = spool;
-    so.default_time_limit = 120.0;
+    ilp::Options serve_defaults;
+    serve_defaults.time_limit_seconds = 120.0;
+    so.solver = bench::with_bench_opts(serve_defaults);
     const auto submit_batch = [&](const std::string& suffix) {
       int n = 0;
       for (const std::string& name : circuits)
@@ -494,7 +434,7 @@ int main() {
   json << "  \"commit\": \"" << commit << "\",\n";
   json << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
        << ",\n";
-  json << "  \"node_budget\": " << node_budget << ",\n";
+  json << "  \"node_budget\": " << base.node_limit << ",\n";
   json << "  \"runs\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];

@@ -14,11 +14,10 @@
 
 int main() {
   using namespace advbist;
-  const double budget = bench::time_limit_seconds();
   std::printf("Table 2: Performance of the proposed method ADVBIST\n");
   std::printf("(solve budget %.0fs per ILP; '*' = budget hit, incumbent "
-              "reported; set ADVBIST_TIME_LIMIT to change)\n\n",
-              budget);
+              "reported; set ADVBIST_BENCH_OPTS=time=S to change)\n\n",
+              bench::solver_options().time_limit_seconds);
 
   util::TextTable table;
   table.add_row({"Ckt", "", "k=1", "k=2", "k=3", "k=4"});

@@ -16,7 +16,7 @@ int main() {
   std::printf("Table 3: Performance of various high level BIST synthesis "
               "systems (k = max sessions)\n");
   std::printf("(solve budget %.0fs per ILP; '*' = budget hit)\n\n",
-              bench::time_limit_seconds());
+              bench::solver_options().time_limit_seconds);
 
   util::TextTable table;
   table.add_row({"Ckt", "Method", "R", "T", "S", "B", "C", "M", "Area",

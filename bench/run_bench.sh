@@ -29,16 +29,14 @@
 #
 # Crash-safety columns: every run records checkpoint_seconds / checkpoints
 # (snapshot-writer overhead; zero in the default checkpointing-off baseline,
-# measurable via ADVBIST_BENCH_CKPT_INTERVAL) and resume_count /
+# measurable via ADVBIST_BENCH_OPTS=ckpt-interval=S) and resume_count /
 # restored_nodes. A warm-vs-cold serve throughput pair (the same k-sweep
 # batch solved cold through the spool, then re-answered from the result
 # cache) lands as the "serve" object; ADVBIST_BENCH_SERVE=0 skips it.
 #
-# Factorization knob: ADVBIST_BENCH_REFACTOR (cap on LU updates between
-# refactorizations).
-# Cut knobs: ADVBIST_BENCH_CUT_ROUNDS, ADVBIST_BENCH_CUT_INTERVAL,
-# ADVBIST_BENCH_MAX_CUTS, ADVBIST_BENCH_PROBING=0, ADVBIST_BENCH_RCFIX=0.
-# Branching knobs: ADVBIST_BENCH_STRONG_BRANCH, ADVBIST_BENCH_PC_REL.
+# Solver knobs: ADVBIST_BENCH_OPTS="key=value ...", with the keys of
+# advbist's solver flags (e.g. "nodes=300 refactor=50 cut-rounds=4"),
+# applied to every run over the bench defaults nodes=1000 time=120.
 # The full reference: docs/solver.md.
 #
 # Thread counts above hardware_concurrency are skipped — a 1-CPU container

@@ -200,7 +200,7 @@ std::vector<std::string> scan_pending(const std::string& jobs_dir) {
 template <typename Finish, typename Quarantine>
 bool run_model_job(const ServeOptions& options, const JobSpec& spec,
                    ServeStats& stats, util::BoundedJobQueue& queue,
-                   const fs::path& ckpt_dir, const fs::path& cache_dir,
+                   const fs::path& cache_dir,
                    const Finish& finish, const Quarantine& quarantine) {
   const lp::ReadResult rr = lp::read_model_file(spec.circuit);
   if (!rr.ok) {
@@ -272,19 +272,7 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
       break;
     }
     ++attempt;
-    ilp::Options sopt = options.solver;
-    sopt.time_limit_seconds =
-        spec.time_limit > 0 ? spec.time_limit : options.default_time_limit;
-    sopt.num_threads =
-        spec.threads > 0 ? spec.threads : options.default_threads;
-    if (spec.node_limit > 0) sopt.node_limit = spec.node_limit;
-    const std::string ck = (ckpt_dir / (spec.id + ".ck")).string();
-    sopt.checkpoint_path = ck;
-    sopt.resume_path = ck;
-    sopt.checkpoint_interval_seconds = options.checkpoint_interval_seconds;
-    sopt.cancel_flag = options.drain;
-
-    const ilp::Solver solver(sopt);
+    const ilp::Solver solver(job_solver_options(options, spec));
     const ilp::Solution r = solver.solve(san.model);
     const ilp::Stats& st = r.stats;
     stats.checkpoints_written += st.checkpoints_written;
@@ -347,9 +335,11 @@ bool submit_job(const std::string& dir, const JobSpec& spec) {
   std::ostringstream out;
   out << "circuit=" << spec.circuit << "\n"
       << "k=" << spec.k << "\n";
-  if (spec.time_limit > 0) out << "time=" << spec.time_limit << "\n";
-  if (spec.threads > 0) out << "threads=" << spec.threads << "\n";
-  if (spec.node_limit > 0) out << "nodes=" << spec.node_limit << "\n";
+  ilp::Options check;
+  for (const auto& [key, value] : spec.options) {
+    if (!ilp::set_option(check, key, value).empty()) return false;
+    out << key << "=" << value << "\n";
+  }
   return write_text_atomic((fs::path(dir) / "jobs" / (spec.id + ".job")).string(),
                            out.str());
 }
@@ -360,6 +350,7 @@ std::optional<JobSpec> parse_job_file(const std::string& path,
   if (!in) return std::nullopt;
   JobSpec spec;
   spec.id = id;
+  ilp::Options check;
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -367,30 +358,34 @@ std::optional<JobSpec> parse_job_file(const std::string& path,
     if (eq == std::string::npos) return std::nullopt;
     const std::string key = line.substr(0, eq);
     const std::string val = line.substr(eq + 1);
-    char* end = nullptr;
     if (key == "circuit") {
       spec.circuit = val;
     } else if (key == "k") {
+      char* end = nullptr;
       spec.k = static_cast<int>(std::strtol(val.c_str(), &end, 10));
       if (end == nullptr || *end != '\0' || spec.k < 1) return std::nullopt;
-    } else if (key == "time") {
-      spec.time_limit = std::strtod(val.c_str(), &end);
-      if (end == nullptr || *end != '\0' || spec.time_limit <= 0)
-        return std::nullopt;
-    } else if (key == "threads") {
-      spec.threads = static_cast<int>(std::strtol(val.c_str(), &end, 10));
-      if (end == nullptr || *end != '\0' || spec.threads < 0)
-        return std::nullopt;
-    } else if (key == "nodes") {
-      spec.node_limit = std::strtoll(val.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || spec.node_limit < 0)
-        return std::nullopt;
+    } else if (ilp::set_option(check, key, val).empty()) {
+      spec.options.emplace_back(key, val);
     } else {
       return std::nullopt;  // unknown keys are malformed, not ignored
     }
   }
   if (spec.circuit.empty()) return std::nullopt;
   return spec;
+}
+
+ilp::Options job_solver_options(const ServeOptions& options,
+                                const JobSpec& spec) {
+  ilp::Options o = options.solver;
+  // parse_job_file accepted every override, so none can fail here.
+  for (const auto& [key, value] : spec.options)
+    static_cast<void>(ilp::set_option(o, key, value));
+  const std::string ck =
+      (fs::path(options.dir) / "ckpt" / (spec.id + ".ck")).string();
+  o.checkpoint_path = ck;
+  o.resume_path = ck;
+  o.cancel_flag = options.drain;
+  return o;
 }
 
 std::optional<JobOutcome> read_result_file(const std::string& path) {
@@ -508,8 +503,8 @@ ServeStats serve(const ServeOptions& options) {
     const JobSpec& spec = *parsed;
 
     if (is_model_job(spec.circuit)) {
-      if (run_model_job(options, spec, stats, queue, ckpt_dir, cache_dir,
-                        finish, quarantine))
+      if (run_model_job(options, spec, stats, queue, cache_dir, finish,
+                        quarantine))
         continue;
       stats.drained = true;  // drain raised mid-attempt; job stays pending
       break;
@@ -554,18 +549,7 @@ ServeStats serve(const ServeOptions& options) {
       }
       ++attempt;
       SynthesizerOptions sopt;
-      sopt.solver = options.solver;
-      sopt.solver.time_limit_seconds =
-          spec.time_limit > 0 ? spec.time_limit : options.default_time_limit;
-      sopt.solver.num_threads =
-          spec.threads > 0 ? spec.threads : options.default_threads;
-      if (spec.node_limit > 0) sopt.solver.node_limit = spec.node_limit;
-      const std::string ck = (ckpt_dir / (spec.id + ".ck")).string();
-      sopt.solver.checkpoint_path = ck;
-      sopt.solver.resume_path = ck;
-      sopt.solver.checkpoint_interval_seconds =
-          options.checkpoint_interval_seconds;
-      sopt.solver.cancel_flag = options.drain;
+      sopt.solver = job_solver_options(options, spec);
 
       const Synthesizer synth(design.dfg, design.modules, sopt);
       const SynthesisResult r = synth.synthesize_bist(spec.k);

@@ -3,7 +3,7 @@
 // Jobs live as plain-text spec files in a spool directory — submitting is
 // an atomic file drop, so producers never need the daemon alive:
 //
-//   <dir>/jobs/<id>.job      pending specs (circuit=, k=, time=, ...)
+//   <dir>/jobs/<id>.job      pending specs (circuit=, k=, option overrides)
 //   <dir>/ckpt/<id>.ck       the job's latest solve checkpoint
 //   <dir>/done/<id>.result   completed jobs (text key=value report)
 //   <dir>/failed/<id>.result jobs that exhausted their retries
@@ -31,6 +31,7 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ilp/solver.hpp"
@@ -48,9 +49,10 @@ struct JobSpec {
   /// diagnostics) written next to the preserved spec in failed/.
   std::string circuit;
   int k = 1;             ///< BIST test sessions
-  double time_limit = 0.0;   ///< per-attempt deadline; 0 = serve default
-  int threads = 0;           ///< solver threads; 0 = serve default
-  long long node_limit = 0;  ///< 0 = unlimited
+  /// Solver option overrides, applied in order over ServeOptions::solver:
+  /// every spec-file line other than circuit= and k=, with the keys and
+  /// ranges of ilp::set_option (time, threads, nodes, cuts, ...).
+  std::vector<std::pair<std::string, std::string>> options;
 };
 
 /// One line of the serve outcome ledger (also what the result files hold).
@@ -92,25 +94,34 @@ struct ServeOptions {
   int queue_capacity = 8;
   int max_retries = 3;       ///< retries after the first attempt
   util::BackoffPolicy backoff;
-  double default_time_limit = 10.0;
-  int default_threads = 1;
-  double checkpoint_interval_seconds = 0.0;  ///< in-solve periodic snapshots
   bool watch = false;        ///< keep polling after the spool drains
   double poll_seconds = 0.2; ///< watch-mode scan interval
   std::atomic<bool>* drain = nullptr;  ///< cooperative drain (SIGTERM)
-  /// Base solver knobs for every job (cuts, pricing, memory budget, ...);
-  /// per-job spec fields override time/threads/nodes.
-  ilp::Options solver;
+  /// Solver options of every job, before the job's own overrides.
+  ilp::Options solver = [] {
+    ilp::Options o;
+    o.time_limit_seconds = 10.0;
+    return o;
+  }();
 };
 
 /// Writes `spec` to <dir>/jobs/<id>.job atomically (temp + rename).
-/// Returns false on an invalid id or an I/O failure.
+/// Returns false on an invalid id, an option override ilp::set_option
+/// rejects, or an I/O failure.
 bool submit_job(const std::string& dir, const JobSpec& spec);
 
 /// Parses a spool spec file. Returns nullopt when the file is missing a
-/// circuit, has an out-of-range field, or is otherwise malformed.
+/// circuit, has a bad k, an option override ilp::set_option rejects, or is
+/// otherwise malformed.
 [[nodiscard]] std::optional<JobSpec> parse_job_file(const std::string& path,
                                                    const std::string& id);
+
+/// The solver options of one attempt at `spec`: ServeOptions::solver, then
+/// the job's overrides, then the job's checkpoint file <dir>/ckpt/<id>.ck
+/// (written on an early stop, resumed from by the next attempt) and the
+/// drain flag as the cancel flag.
+[[nodiscard]] ilp::Options job_solver_options(const ServeOptions& options,
+                                              const JobSpec& spec);
 
 /// Reads a done/failed/cache result file back into an outcome.
 [[nodiscard]] std::optional<JobOutcome> read_result_file(

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <condition_variable>
 #include <exception>
@@ -69,6 +68,19 @@ std::string to_string(SolveStatus status) {
 
 namespace {
 
+/// Cut-pool capacity; least-active unapplied cuts are evicted beyond it.
+constexpr int kMaxPoolCuts = 1024;
+/// Simplex iteration cap per strong-branching or reliability probe
+/// re-solve (a probe that runs out is simply not recorded).
+constexpr int kProbeLpIters = 200;
+/// Observations (across ALL workers; the store is shared) a
+/// variable+direction needs before its own pseudocost average is trusted
+/// alone; below it the estimate is blended towards the global average, so
+/// one worker's early outlier cannot steer every other worker's branching.
+/// Strong-branch seeds count as this many observations, so probed
+/// variables are reliable from node one.
+constexpr int kPseudocostReliability = 2;
+
 struct BoundChange {
   int var;
   double lower;
@@ -103,7 +115,7 @@ struct Fixing {
 /// Picks the branching variable: among fractional integers, the highest
 /// priority; ties broken by most-fractional part.
 int pick_branching_variable(const Model& model, const std::vector<double>& x,
-                            const std::vector<int>& priority, double int_tol) {
+                            const std::vector<int>& priority) {
   int best = -1;
   int best_prio = std::numeric_limits<int>::min();
   double best_frac_score = -1.0;
@@ -111,7 +123,7 @@ int pick_branching_variable(const Model& model, const std::vector<double>& x,
     if (model.variable(v).type != VarType::kInteger) continue;
     const double frac = x[v] - std::floor(x[v]);
     const double dist = std::min(frac, 1.0 - frac);
-    if (dist <= int_tol) continue;
+    if (dist <= kIntEps) continue;
     const int prio = priority.empty() ? 0 : priority[v];
     const double score = dist;  // closeness to 0.5
     if (prio > best_prio || (prio == best_prio && score > best_frac_score)) {
@@ -615,16 +627,16 @@ class Worker {
   /// degradations (up x down). The estimates come from the SHARED store —
   /// every worker's observed branchings plus the root strong-branching
   /// seed — with a reliability blend towards the global average until a
-  /// variable+direction has pseudocost_reliability observations of its
+  /// variable+direction has kPseudocostReliability observations of its
   /// own. Degenerate 0/1 relaxations carry many alternative optima, so
   /// "closest to 0.5" alone is nearly a coin flip — steering by observed
   /// bound movement is what keeps the proven bound climbing.
-  int pick_branch(const std::vector<double>& x, double int_tol) {
+  int pick_branch(const std::vector<double>& x) {
     const Model& model = *ctx_.model;
     const std::vector<int>& priority = ctx_.options->branch_priority;
     const int n = model.num_variables();
     const PseudocostStore& pc = *ctx_.pseudocosts;
-    const int rel = std::max(1, ctx_.options->pseudocost_reliability);
+    const int rel = kPseudocostReliability;
     // The global averages are an O(n) scan over shared atomics; refreshing
     // them every few picks (instead of every pick) keeps the branching
     // hot path off the cross-worker cache lines record() keeps dirtying.
@@ -643,7 +655,7 @@ class Worker {
       if (model.variable(v).type != VarType::kInteger) continue;
       const double frac = x[v] - std::floor(x[v]);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= int_tol) continue;
+      if (dist <= kIntEps) continue;
       const int prio = priority.empty() ? 0 : priority[v];
       const double est_up = pc.estimate(v, true, rel, avg_up);
       const double est_down = pc.estimate(v, false, rel, avg_down);
@@ -688,10 +700,9 @@ class Worker {
   /// reflect any tightening-driven re-solve.
   ProbeOutcome probe_reliability(Node& node, LpResult& lp, double& bound,
                                  int& branch_var) {
-    const Options& opt = *ctx_.options;
     PseudocostStore& pc = *ctx_.pseudocosts;
     const Model& model = *ctx_.model;
-    const int rel = std::max(1, opt.pseudocost_reliability);
+    const int rel = kPseudocostReliability;
     int allowance = reliability_probe_allowance(
         ctx_.reliability_budget.load(std::memory_order_relaxed), node.depth);
     if (allowance <= 0) return ProbeOutcome::kContinue;
@@ -708,7 +719,7 @@ class Worker {
       if (model.variable(v).type != VarType::kInteger) continue;
       const double frac = lp.x[v] - std::floor(lp.x[v]);
       const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= opt.integrality_tol) continue;
+      if (dist <= kIntEps) continue;
       if (pc.count(v, true) >= rel && pc.count(v, false) >= rel) continue;
       cands.push_back(Cand{v, dist});
     }
@@ -723,7 +734,7 @@ class Worker {
     // snapshotting, exactly as the root pass does (folded back in ~Worker).
     const long long pre_solves = simplex_.stats().dual_solves;
     const long long pre_fallbacks = simplex_.stats().dual_fallbacks;
-    simplex_.set_max_iterations(std::max(1, opt.strong_branch_lp_iters));
+    simplex_.set_max_iterations(kProbeLpIters);
     bool infeasible_node = false;
     bool tightened_node = false;
     for (const Cand& c : cands) {
@@ -826,7 +837,7 @@ class Worker {
     if (lp.status != LpStatus::kOptimal) return ProbeOutcome::kDrop;
     bound = ctx_.node_bound(lp.objective);
     if (ctx_.prunable(bound)) return ProbeOutcome::kPrune;
-    branch_var = pick_branch(lp.x, opt.integrality_tol);
+    branch_var = pick_branch(lp.x);
     return ProbeOutcome::kContinue;
   }
 
@@ -851,7 +862,6 @@ class Worker {
     for (int v = 0; v < n; ++v)
       dive_lp_->set_variable_bounds(v, simplex_.variable_lower(v),
                                     simplex_.variable_upper(v));
-    const bool debug = std::getenv("ADVBIST_DIVE_DEBUG") != nullptr;
     std::vector<double> x = start.x;
     int repairs = 0;
     for (int step = 0; step < 4 * n; ++step) {
@@ -867,7 +877,7 @@ class Worker {
         if (dive_lp_->variable_lower(v) >= dive_lp_->variable_upper(v))
           continue;
         const double dist = std::abs(x[v] - std::round(x[v]));
-        if (dist <= opt.integrality_tol) continue;
+        if (dist <= kIntEps) continue;
         if (dist < pick_dist) {
           pick_dist = dist;
           pick = v;
@@ -881,9 +891,6 @@ class Worker {
             rounded[v] = std::round(rounded[v]);
         if (model.max_violation(rounded, true) <= kActivityEps) {
           const double obj = model.objective_value(rounded);
-          if (debug)
-            std::fprintf(stderr, "dive: integral obj=%.1f after %d steps\n",
-                         obj, step);
           offer_incumbent(obj, std::move(rounded));
         }
         return;
@@ -905,12 +912,7 @@ class Worker {
         // integer once (one-hot rows make this a common rescue).
         const double t2 =
             std::clamp(t + (x[pick] > t ? 1.0 : -1.0), lo, hi);
-        if (attempt > 0 || ++repairs > 16 || t2 == t) {
-          if (debug)
-            std::fprintf(stderr, "dive: stuck at step %d (%s)\n", step,
-                         lp.status == LpStatus::kOptimal ? "cutoff" : "lp");
-          return;
-        }
+        if (attempt > 0 || ++repairs > 16 || t2 == t) return;
         t = t2;
       }
     }
@@ -945,10 +947,6 @@ class Worker {
       ctx_.incumbent = std::move(values);
       if (ctx_.options->use_rc_fixing)
         ctx_.rc_fixed_incumbent += ctx_.rc_fix_against(objective);
-      if (ctx_.options->verbose)
-        util::log_info() << "incumbent " << objective << " at node "
-                         << ctx_.nodes.load() << " (" << ctx_.watch.seconds()
-                         << "s)";
     }
   }
 
@@ -1031,7 +1029,7 @@ class Worker {
     }
 
     // Branching target; in-tree separation may tighten the LP and retry.
-    int branch_var = pick_branch(lp.x, opt.integrality_tol);
+    int branch_var = pick_branch(lp.x);
     const bool cuts_on = opt.cut_node_interval > 0 && ctx_.cut_pool != nullptr &&
                          (opt.use_clique_cuts || opt.use_cover_cuts) &&
                          !ctx_.shed_cuts.load(std::memory_order_relaxed);
@@ -1055,7 +1053,7 @@ class Worker {
         }
         bound = ctx_.node_bound(lp.objective);
         if (ctx_.prunable(bound)) return;
-        branch_var = pick_branch(lp.x, opt.integrality_tol);
+        branch_var = pick_branch(lp.x);
       }
     }
 
@@ -1064,7 +1062,7 @@ class Worker {
     // allowance left, spend bounded dual probes before trusting the pick.
     if (branch_var >= 0 && opt.reliability_probe_budget > 0 &&
         ctx_.reliability_budget.load(std::memory_order_relaxed) > 0) {
-      const int rel = std::max(1, opt.pseudocost_reliability);
+      const int rel = kPseudocostReliability;
       if (ctx_.pseudocosts->count(branch_var, true) < rel ||
           ctx_.pseudocosts->count(branch_var, false) < rel) {
         switch (probe_reliability(node, lp, bound, branch_var)) {
@@ -1512,7 +1510,7 @@ Solution Solver::solve_impl(const Model& input,
   // root LP (rows appended in place on the factorized basis), a rounding
   // incumbent per round, and reduced-cost fixing off the final root basis.
   // ---------------------------------------------------------------------
-  CutPool pool(std::max(options_.max_pool_cuts,
+  CutPool pool(std::max(kMaxPoolCuts,
                         options_.max_cuts_per_round));
   const bool cuts_enabled =
       options_.use_clique_cuts || options_.use_cover_cuts;
@@ -1571,8 +1569,7 @@ Solution Solver::solve_impl(const Model& input,
           // them INSIDE a long re-solve, so no single round can overshoot.
           if (controller.check() != util::StopReason::kNone) break;
           const std::vector<double>& x = rlp.x;
-          if (pick_branching_variable(model, x, options_.branch_priority,
-                                      options_.integrality_tol) < 0)
+          if (pick_branching_variable(model, x, options_.branch_priority) < 0)
             break;  // integral root: the search concludes immediately
           if (options_.use_clique_cuts) {
             const auto cliques = graph.separate_cliques(
@@ -1713,7 +1710,7 @@ Solution Solver::solve_impl(const Model& input,
       for (int v = 0; v < n; ++v) {
         if (model.variable(v).type != VarType::kInteger) continue;
         const double frac = base.x[v] - std::floor(base.x[v]);
-        if (std::min(frac, 1.0 - frac) <= options_.integrality_tol) continue;
+        if (std::min(frac, 1.0 - frac) <= kIntEps) continue;
         cands.push_back(Cand{v, frac,
                              options_.branch_priority.empty()
                                  ? 0
@@ -1731,14 +1728,14 @@ Solution Solver::solve_impl(const Model& input,
       // Every probe from here on is a BOUNDED dual re-solve: a probe that
       // runs out of its iteration budget returns kIterLimit and records
       // nothing, so strong branching cannot blow the root time up.
-      sb.set_max_iterations(std::max(1, options_.strong_branch_lp_iters));
+      sb.set_max_iterations(kProbeLpIters);
       for (const Cand& c : cands) {
         if (controller.check() != util::StopReason::kNone) break;
         // Re-derive fractionality from the CURRENT base (a fixing may have
         // re-solved it since the candidates were ranked).
         const double xv = base.x[c.v];
         const double fl = std::floor(xv);
-        if (std::min(xv - fl, fl + 1.0 - xv) <= options_.integrality_tol)
+        if (std::min(xv - fl, fl + 1.0 - xv) <= kIntEps)
           continue;
         bool fixed_here = false;
         for (const bool up : {false, true}) {
@@ -1756,7 +1753,7 @@ Solution Solver::solve_impl(const Model& input,
             pcstore.record(c.v, up,
                            std::max(0.0, probe.objective - base.objective) /
                                std::max(dist, 1e-9),
-                           std::max(1, options_.pseudocost_reliability));
+                           kPseudocostReliability);
           } else if (probe.status == LpStatus::kInfeasible) {
             // No LP point in the branch, hence no integer point: the
             // complement bound is globally valid.
@@ -1790,7 +1787,7 @@ Solution Solver::solve_impl(const Model& input,
           sb.set_max_iterations(lp::SimplexOptions{}.max_iterations);
           const LpResult rebase = sb.solve_dual();
           ctx.lp_iterations.fetch_add(rebase.iterations);
-          sb.set_max_iterations(std::max(1, options_.strong_branch_lp_iters));
+          sb.set_max_iterations(kProbeLpIters);
           if (rebase.status == LpStatus::kInfeasible) {
             sb_infeasible = true;
             break;

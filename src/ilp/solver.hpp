@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -70,7 +71,6 @@ enum class SolveStatus {
 struct Options {
   double time_limit_seconds = 60.0;
   long long node_limit = -1;  ///< <0: unlimited
-  double integrality_tol = 1e-6;
   bool use_presolve = true;
   bool use_rounding_heuristic = true;
   // --- cut-and-bound knobs ---
@@ -88,8 +88,6 @@ struct Options {
   bool use_rc_fixing = true;
   /// In-tree separation every N nodes per worker (0 disables).
   int cut_node_interval = 16;
-  /// Cut-pool capacity; least-active unapplied cuts are evicted beyond it.
-  int max_pool_cuts = 1024;
   /// Optional per-variable branching priority (larger = branch earlier).
   /// Empty means uniform.
   std::vector<int> branch_priority;
@@ -132,20 +130,10 @@ struct Options {
   /// and a direction whose probe proves LP-infeasible fixes the variable
   /// the other way globally.
   int strong_branch_vars = 12;
-  /// Simplex iteration cap per strong-branching probe re-solve (a probe
-  /// that runs out is simply not recorded).
-  int strong_branch_lp_iters = 200;
-  /// Observations (across ALL workers; the store is shared) a
-  /// variable+direction needs before its own pseudocost average is trusted
-  /// alone; below the threshold the estimate is blended towards the global
-  /// average, so one worker's early outlier cannot steer every other
-  /// worker's branching. Strong-branch seeds count as `pseudocost_reliability`
-  /// observations, so probed variables are reliable from node one.
-  int pseudocost_reliability = 2;
   /// Global budget of in-tree reliability probes (`--rel-probes N`, 0
   /// disables). At a node whose branching candidates still have fewer than
-  /// `pseudocost_reliability` observations, workers run iteration-capped
-  /// dual-simplex probes on the node's warm basis — the same bounded
+  /// 2 pseudocost observations, workers run iteration-capped dual-simplex
+  /// probes on the node's warm basis — the same bounded
   /// probes as root strong branching, recorded at full reliability weight
   /// — drawing from this shared budget. The per-node allowance decays
   /// with depth (see reliability_probe_allowance): probes near the root
@@ -190,8 +178,34 @@ struct Options {
   /// pre-presolve model). A snapshot failing ANY check degrades to a cold
   /// start with Stats::resume_rejected counted — never a wrong proof.
   std::string resume_path;
-  bool verbose = false;
 };
+
+/// One settable `ilp::Options` key: the `--key value` flag of every solving
+/// CLI command, a `key=value` line of a serve job file, a token of the
+/// benches' ADVBIST_BENCH_OPTS. An integer key has `set_int` and accepts a
+/// whole decimal integer in [min, max]; a real key has `set_real` and
+/// accepts a finite decimal number in [lo, hi].
+struct OptionKey {
+  const char* key;
+  const char* arg;   ///< value placeholder in usage text: N, S, X, MB, 0|1
+  const char* help;  ///< one line, default included
+  void (*set_int)(Options&, long long) = nullptr;
+  long long min = 0;
+  long long max = 0;
+  void (*set_real)(Options&, double) = nullptr;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// The option table, in usage() order. docs/solver.md §1 documents exactly
+/// these keys (tests/ilp/options_test.cpp checks it).
+[[nodiscard]] const std::vector<OptionKey>& option_keys();
+
+/// Sets `key` to `value` in `options`. Returns "" when the table accepts
+/// the value; otherwise says what the key wants (or that it is unknown)
+/// and leaves `options` untouched.
+[[nodiscard]] std::string set_option(Options& options, std::string_view key,
+                                     std::string_view value);
 
 struct Stats {
   long long nodes = 0;

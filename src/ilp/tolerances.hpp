@@ -11,9 +11,10 @@
 
 namespace advbist::ilp {
 
-/// Guard for rounding real bounds to integer bounds: ceil(lo - kIntEps),
-/// floor(hi + kIntEps). Matches the solver's default integrality tolerance
-/// so presolve never fixes a variable the search would still branch on.
+/// Integrality tolerance: a value within kIntEps of an integer counts as
+/// integral. Also the guard for rounding real bounds to integer bounds,
+/// ceil(lo - kIntEps) and floor(hi + kIntEps), so presolve never fixes a
+/// variable the search would still branch on.
 inline constexpr double kIntEps = 1e-6;
 
 /// Bound-comparison tolerance: lo > hi + kBoundEps means crossed (empty

@@ -1,90 +1,15 @@
-// advbist — command-line front end.
+// advbist — command-line front end: Table-2 synthesis of built-in
+// circuits and .dfg files (synth, sweep, compare, print), direct solves of
+// MPS / CPLEX-LP files (solve), and the spool-dir job queue (submit,
+// serve). usage() lists the commands and every solver flag; the solver
+// flags come from the option table in src/ilp/options.cpp, and
+// docs/solver.md documents each of them.
 //
-//   advbist synth   <circuit|file.dfg> [--k N] [--verilog out.v] [solver flags]
-//   advbist sweep   <circuit|file.dfg> [solver flags]  # all k
-//   advbist compare <circuit|file.dfg> [solver flags]  # vs heuristics
-//   advbist print   <circuit>                          # dump .dfg text
-//   advbist solve   <file.mps|file.lp> [solver flags]
-//                   # solve an untrusted MPS / CPLEX-LP instance directly:
-//                   # defensive reader -> sanitizer gate -> branch & cut.
-//                   # A malformed file is a typed parse error with its
-//                   # line:column; non-finite data is an honest "invalid
-//                   # model" — never a crash, never a wrong proof.
-//   advbist submit  <dir> <circuit|file.dfg|file.mps|file.lp> [--job ID]
-//                                      [--k N] [--time S]
-//                                      [--threads N] [--nodes N]
-//   advbist serve   <dir> [--queue N] [--retries N] [--time S] [--threads N]
-//                         [--ckpt-interval S] [--watch] [--poll S]
-//                         [--mem-limit MB] [--seed X]
-//
-// Solver flags are shared by every command that solves (synth, sweep,
-// compare, solve) and parsed by one parser: every value is validated, and a
-// bad or missing one exits 2 with usage before any solve starts.
-//
-//   --time S       wall-clock limit in seconds (default 20)
-//   --threads N    branch & bound worker threads (default 1, 0 = one per
-//                  hardware thread); parallel solves prove the same optimum
-//   --nodes N      node limit (default unlimited)
-//
-// LP knobs:
-//   --refactor N   cap on LU updates between refactorizations (default 100)
-//   --mtol X       Markowitz threshold-pivoting tolerance in (0,1]
-//                  (default 0.1; larger = more stable, more fill)
-//   --row-age N    delete a cut row after its slack stayed basic for N
-//                  consecutive re-solves (default 40, 0 = never delete)
-//   --scale 0|1    geometric-mean + equilibration scaling of the worker LPs
-//                  (default 1). Factors are powers of two, so unscaling is
-//                  bit-exact and well-scaled models (all nonzeros within
-//                  [2^-6, 2^6]) skip the transform entirely — the built-in
-//                  benchmarks solve bit-identically either way.
-//
-// Cut-and-bound knobs:
-//   --cuts 0|1       master cut switch (default 1); 0 silences both
-//                    separator classes (clique, cover)
-//   --cut-rounds N   root separation rounds (default 8)
-//   --cut-interval N in-tree separation every N nodes, 0 = off (default 16)
-//   --max-cuts N     cuts applied per separation round (default 64)
-//   --probing 0|1    binary probing presolve (default 1)
-//   --rcfix 0|1      reduced-cost fixing (default 1)
-//
-// Branching knobs:
-//   --strong-branch N  fractional root variables probed by strong branching
-//                      to seed the shared pseudocosts (default 12, 0 = off)
-//   --rel-probes N     global budget of in-tree reliability probes: bounded
-//                      dual-simplex strong branching at nodes whose pick is
-//                      still below the pseudocost reliability threshold,
-//                      allowance decaying with depth (default 64, 0 = off)
-//
-// Solve-lifecycle knobs:
-//   --mem-limit MB   cooperative memory budget for the node + cut pools;
-//                    soft pressure sheds cuts/diving, the hard limit stops
-//                    the solve with an honest "memory limit" status (0 = off)
-//   --no-audit       skip the exit audit (incumbent re-verification against
-//                    the original model + fresh-factorization bound
-//                    recertification; ON by default)
-//
-// Checkpoint/resume knobs:
-//   --checkpoint F     write a crash-safe solve snapshot to F on any early
-//                      stop (deadline, ^C/SIGTERM, memory/node limit); a
-//                      natural completion removes F instead
-//   --resume F         resume a solve from snapshot F; an invalid or stale
-//                      snapshot degrades to a cold start (counted), never
-//                      a wrong proof
-//   --ckpt-interval S  with --checkpoint: also snapshot every S seconds
-//                      from a dedicated writer thread
-//
-// SIGINT (Ctrl-C) and SIGTERM cancel the solve cooperatively: the search
-// stops at the next controller poll and reports the best incumbent + bound
-// found so far with status "cancelled" instead of dying mid-proof (with
-// --checkpoint the frontier is snapshotted on the way out). In serve mode
-// SIGTERM/SIGINT drains: the in-flight job checkpoints, queued jobs stay
-// pending on disk, and a restarted serve resumes all of them.
-//
-// The full knob/stat reference lives in docs/solver.md.
-//
-// <circuit> is a built-in benchmark name (fig1, tseng, paulin, fir6, iir3,
-// dct4, wavelet6); anything containing '.' is read as a .dfg text file.
-#include <algorithm>
+// SIGINT and SIGTERM cancel a solve cooperatively: it reports the best
+// incumbent and bound found so far with status "cancelled" (snapshotted
+// with --checkpoint). In serve mode they drain: the running job
+// checkpoints, queued jobs stay pending on disk, and a restarted serve
+// resumes all of them.
 #include <atomic>
 #include <cerrno>
 #include <climits>
@@ -92,11 +17,10 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "baselines/baselines.hpp"
 #include "bist/verilog.hpp"
@@ -133,22 +57,19 @@ hls::ParsedDesign load_design(const std::string& spec) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: advbist <synth|sweep|compare|print> "
-               "<circuit|file.dfg> [--k N] [--verilog out.v] [solver flags]\n"
-               "       advbist solve <file.mps|file.lp> [solver flags]\n"
+               "usage: advbist <synth|sweep|compare|print> <circuit|file.dfg> "
+               "[--k N] [--verilog out.v] [--checkpoint F] [--resume F] "
+               "[solver flags]\n"
+               "       advbist solve <file.mps|file.lp> [--checkpoint F] "
+               "[--resume F] [solver flags]\n"
                "       advbist submit <dir> <circuit|file.dfg|file.mps"
-               "|file.lp> [--job ID] "
-               "[--k N] [--time S] [--threads N] [--nodes N]\n"
+               "|file.lp> [--job ID] [--k N] [solver flags]\n"
                "       advbist serve <dir> [--queue N] [--retries N] "
-               "[--time S] [--threads N] [--ckpt-interval S] [--watch] "
-               "[--poll S] [--mem-limit MB] [--seed X]\n"
-               "solver flags: [--time S] [--threads N] [--nodes N] "
-               "[--refactor N] [--mtol X] [--row-age N] [--scale 0|1] "
-               "[--cuts 0|1] [--cut-rounds N] [--cut-interval N] "
-               "[--max-cuts N] [--probing 0|1] [--rcfix 0|1] "
-               "[--strong-branch N] [--rel-probes N] [--mem-limit MB] "
-               "[--no-audit] [--checkpoint F] [--resume F] "
-               "[--ckpt-interval S]\n");
+               "[--watch] [--poll S] [--seed X] [solver flags]\n"
+               "solver flags (a serve job file takes them as key=value "
+               "lines):\n");
+  for (const ilp::OptionKey& k : ilp::option_keys())
+    std::fprintf(stderr, "  --%-13s %-3s  %s\n", k.key, k.arg, k.help);
   return 2;
 }
 
@@ -163,134 +84,53 @@ bool parse_int(const char* text, long long lo, long long hi, long long& out) {
   return true;
 }
 
-/// Parses a whole finite decimal number.
-bool parse_real(const char* text, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v)) return false;
-  out = v;
+/// Hands each `--key value` pair of argv[first..] to `take(key, value)`,
+/// which returns "" when it accepts the pair and otherwise says why not.
+/// `switch_key` names the one key that takes no value (serve's --watch).
+/// Prints the first complaint and returns false.
+template <typename Take>
+bool parse_flags(int argc, char** argv, int first, const Take& take,
+                 std::string_view switch_key = {}) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    std::string error;
+    if (arg.size() < 3 || arg.substr(0, 2) != "--") {
+      error = "unexpected argument '" + std::string(arg) + "'";
+    } else if (arg.substr(2) == switch_key) {
+      error = take(switch_key, "");
+    } else if (i + 1 >= argc) {
+      error = std::string(arg) + " wants a value";
+    } else {
+      error = take(arg.substr(2), argv[++i]);
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "advbist: %s\n", error.c_str());
+      return false;
+    }
+  }
   return true;
 }
 
-enum class FlagParse { kNotSolverFlag, kTaken, kBad };
-
-/// Offers argv[i] to the solver-flag parser shared by synth, sweep, compare
-/// and solve. kTaken leaves `i` on the last argument consumed; kBad has
-/// already said what the flag wants.
-FlagParse parse_solver_flag(int argc, char** argv, int& i, ilp::Options& opt) {
-  const std::string flag = argv[i];
-  if (flag == "--no-audit") {
-    opt.exit_audit = false;
-    return FlagParse::kTaken;
-  }
-  using IntSetter = void (*)(ilp::Options&, long long);
-  static const struct {
-    const char* name;
-    long long min;
-    long long max;
-    IntSetter set;
-  } kIntFlags[] = {
-      {"--threads", 0, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.num_threads = static_cast<int>(v);
-       }},
-      {"--nodes", 0, LLONG_MAX,
-       [](ilp::Options& o, long long v) { o.node_limit = v; }},
-      {"--refactor", 1, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.lp_refactor_every = static_cast<int>(v);
-       }},
-      {"--row-age", 0, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.lp_row_age_limit = static_cast<int>(v);
-       }},
-      {"--strong-branch", 0, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.strong_branch_vars = static_cast<int>(v);
-       }},
-      {"--rel-probes", 0, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.reliability_probe_budget = static_cast<int>(v);
-       }},
-      {"--cut-rounds", 0, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.cut_rounds = static_cast<int>(v);
-       }},
-      {"--cut-interval", 0, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.cut_node_interval = static_cast<int>(v);
-       }},
-      {"--max-cuts", 1, INT_MAX,
-       [](ilp::Options& o, long long v) {
-         o.max_cuts_per_round = static_cast<int>(v);
-       }},
-      {"--mem-limit", 0, 1LL << 30,  // MB
-       [](ilp::Options& o, long long v) {
-         o.memory_limit_bytes = static_cast<std::size_t>(v) * 1024 * 1024;
-       }},
-      // 0|1 switches. --cuts 0 turns off both separator classes, which
-      // also idles the root cut loop and in-tree separation.
-      {"--cuts", 0, 1,
-       [](ilp::Options& o, long long v) {
-         o.use_clique_cuts = v == 1;
-         o.use_cover_cuts = v == 1;
-       }},
-      {"--probing", 0, 1,
-       [](ilp::Options& o, long long v) { o.use_probing = v == 1; }},
-      {"--rcfix", 0, 1,
-       [](ilp::Options& o, long long v) { o.use_rc_fixing = v == 1; }},
-      {"--scale", 0, 1,
-       [](ilp::Options& o, long long v) { o.lp_scaling = v == 1; }},
-  };
-  const bool is_string = flag == "--checkpoint" || flag == "--resume";
-  const bool is_real =
-      flag == "--time" || flag == "--mtol" || flag == "--ckpt-interval";
-  const auto* int_flag = std::find_if(
-      std::begin(kIntFlags), std::end(kIntFlags),
-      [&](const auto& f) { return flag == f.name; });
-  const bool is_int = int_flag != std::end(kIntFlags);
-  if (!is_string && !is_real && !is_int) return FlagParse::kNotSolverFlag;
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "advbist: %s wants a value\n", flag.c_str());
-    return FlagParse::kBad;
-  }
-  const char* value = argv[++i];
-  if (is_string) {
-    (flag == "--checkpoint" ? opt.checkpoint_path : opt.resume_path) = value;
-    return FlagParse::kTaken;
-  }
-  if (is_int) {
-    long long v = 0;
-    if (!parse_int(value, int_flag->min, int_flag->max, v)) {
-      std::fprintf(stderr, "advbist: %s wants an integer in [%lld, %lld]\n",
-                   flag.c_str(), int_flag->min, int_flag->max);
-      return FlagParse::kBad;
-    }
-    int_flag->set(opt, v);
-    return FlagParse::kTaken;
-  }
-  double v = 0.0;
-  const bool parsed = parse_real(value, v);
-  if (flag == "--time") {
-    if (!parsed || v <= 0.0) {
-      std::fprintf(stderr, "advbist: --time wants seconds > 0\n");
-      return FlagParse::kBad;
-    }
-    opt.time_limit_seconds = v;
-  } else if (flag == "--mtol") {
-    if (!parsed || v <= 0.0 || v > 1.0) {
-      std::fprintf(stderr, "advbist: --mtol wants a value in (0, 1]\n");
-      return FlagParse::kBad;
-    }
-    opt.lp_markowitz_tol = v;
+/// --checkpoint and --resume of the single-solve commands. Paths stay out
+/// of the option table, so a serve job file can never name a file.
+std::string take_solver_flag(ilp::Options& opt, std::string_view key,
+                             const char* value) {
+  if (key == "checkpoint") {
+    opt.checkpoint_path = value;
+  } else if (key == "resume") {
+    opt.resume_path = value;
   } else {
-    if (!parsed || v < 0.0) {
-      std::fprintf(stderr, "advbist: --ckpt-interval wants seconds >= 0\n");
-      return FlagParse::kBad;
-    }
-    opt.checkpoint_interval_seconds = v;
+    return ilp::set_option(opt, key, value);
   }
-  return FlagParse::kTaken;
+  return "";
+}
+
+/// --k: BIST test sessions.
+std::string take_sessions(const char* value, int& k) {
+  long long v = 0;
+  if (!parse_int(value, 1, INT_MAX, v)) return "k wants an integer >= 1";
+  k = static_cast<int>(v);
+  return "";
 }
 
 int cmd_submit(int argc, char** argv) {
@@ -298,28 +138,19 @@ int cmd_submit(int argc, char** argv) {
   if (argc < 4) return usage();
   core::JobSpec spec;
   spec.circuit = argv[3];
-  for (int i = 4; i < argc; ++i) {
-    if (i + 1 >= argc) return usage();
-    const char* value = argv[i + 1];
-    long long n = 0;
-    if (std::strcmp(argv[i], "--job") == 0) {
+  ilp::Options check;
+  const auto take = [&](std::string_view key,
+                        const char* value) -> std::string {
+    if (key == "job") {
       spec.id = value;
-    } else if (std::strcmp(argv[i], "--k") == 0) {
-      if (!parse_int(value, 1, INT_MAX, n)) return usage();
-      spec.k = static_cast<int>(n);
-    } else if (std::strcmp(argv[i], "--time") == 0) {
-      if (!parse_real(value, spec.time_limit) || spec.time_limit <= 0)
-        return usage();
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!parse_int(value, 0, INT_MAX, n)) return usage();
-      spec.threads = static_cast<int>(n);
-    } else if (std::strcmp(argv[i], "--nodes") == 0) {
-      if (!parse_int(value, 0, LLONG_MAX, spec.node_limit)) return usage();
-    } else {
-      return usage();
+      return "";
     }
-    ++i;
-  }
+    if (key == "k") return take_sessions(value, spec.k);
+    std::string error = ilp::set_option(check, key, value);
+    if (error.empty()) spec.options.emplace_back(key, value);
+    return error;
+  };
+  if (!parse_flags(argc, argv, 4, take)) return usage();
   if (spec.id.empty()) {
     // Default id: circuit + session count, with path characters flattened.
     spec.id = spec.circuit + "-k" + std::to_string(spec.k);
@@ -338,46 +169,35 @@ int cmd_submit(int argc, char** argv) {
 int cmd_serve(int argc, char** argv) {
   core::ServeOptions so;
   so.dir = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--watch") == 0) {
-      so.watch = true;
-      continue;
-    }
-    if (i + 1 >= argc) return usage();
-    const char* value = argv[i + 1];
+  const auto take = [&](std::string_view key,
+                        const char* value) -> std::string {
     long long n = 0;
-    if (std::strcmp(argv[i], "--queue") == 0) {
-      if (!parse_int(value, 1, INT_MAX, n)) return usage();
+    if (key == "watch") {
+      so.watch = true;
+    } else if (key == "queue") {
+      if (!parse_int(value, 1, INT_MAX, n))
+        return "queue wants an integer >= 1";
       so.queue_capacity = static_cast<int>(n);
-    } else if (std::strcmp(argv[i], "--retries") == 0) {
-      if (!parse_int(value, 0, INT_MAX, n)) return usage();
+    } else if (key == "retries") {
+      if (!parse_int(value, 0, INT_MAX, n))
+        return "retries wants an integer >= 0";
       so.max_retries = static_cast<int>(n);
-    } else if (std::strcmp(argv[i], "--time") == 0) {
-      if (!parse_real(value, so.default_time_limit) ||
-          so.default_time_limit <= 0)
-        return usage();
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!parse_int(value, 0, INT_MAX, n)) return usage();
-      so.default_threads = static_cast<int>(n);
-    } else if (std::strcmp(argv[i], "--ckpt-interval") == 0) {
-      if (!parse_real(value, so.checkpoint_interval_seconds) ||
-          so.checkpoint_interval_seconds < 0)
-        return usage();
-    } else if (std::strcmp(argv[i], "--poll") == 0) {
-      if (!parse_real(value, so.poll_seconds) || so.poll_seconds <= 0)
-        return usage();
-    } else if (std::strcmp(argv[i], "--mem-limit") == 0) {
-      if (!parse_int(value, 0, 1LL << 30, n)) return usage();
-      so.solver.memory_limit_bytes = static_cast<std::size_t>(n) * 1024 * 1024;
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
+    } else if (key == "poll") {
+      char* end = nullptr;
+      so.poll_seconds = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !(so.poll_seconds > 0) ||
+          !std::isfinite(so.poll_seconds))
+        return "poll wants seconds > 0";
+    } else if (key == "seed") {
       char* end = nullptr;
       so.backoff.seed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0') return usage();
+      if (end == value || *end != '\0') return "seed wants an integer";
     } else {
-      return usage();
+      return ilp::set_option(so.solver, key, value);
     }
-    ++i;
-  }
+    return "";
+  };
+  if (!parse_flags(argc, argv, 3, take, "watch")) return usage();
   so.drain = &g_cancel;
   std::signal(SIGINT, handle_cancel_signal);
   std::signal(SIGTERM, handle_cancel_signal);
@@ -407,9 +227,10 @@ int cmd_solve(int argc, char** argv) {
   const std::string path = argv[2];
   ilp::Options opt;
   opt.time_limit_seconds = 20.0;
-  for (int i = 3; i < argc; ++i)
-    if (parse_solver_flag(argc, argv, i, opt) != FlagParse::kTaken)
-      return usage();
+  const auto take = [&](std::string_view key, const char* value) {
+    return take_solver_flag(opt, key, value);
+  };
+  if (!parse_flags(argc, argv, 3, take)) return usage();
 
   const lp::ReadResult rr = lp::read_model_file(path);
   if (!rr.ok) {
@@ -492,24 +313,16 @@ int main(int argc, char** argv) {
   options.solver.time_limit_seconds = 20.0;
   int k = 1;
   std::string verilog_path;
-  for (int i = 3; i < argc; ++i) {
-    const FlagParse p = parse_solver_flag(argc, argv, i, options.solver);
-    if (p == FlagParse::kTaken) continue;
-    if (p == FlagParse::kBad || i + 1 >= argc) return usage();
-    if (std::strcmp(argv[i], "--k") == 0) {
-      long long v = 0;
-      if (!parse_int(argv[i + 1], 1, INT_MAX, v)) {
-        std::fprintf(stderr, "advbist: --k wants an integer >= 1\n");
-        return usage();
-      }
-      k = static_cast<int>(v);
-    } else if (std::strcmp(argv[i], "--verilog") == 0) {
-      verilog_path = argv[i + 1];
-    } else {
-      return usage();
+  const auto take = [&](std::string_view key,
+                        const char* value) -> std::string {
+    if (key == "k") return take_sessions(value, k);
+    if (key == "verilog") {
+      verilog_path = value;
+      return "";
     }
-    ++i;
-  }
+    return take_solver_flag(options.solver, key, value);
+  };
+  if (!parse_flags(argc, argv, 3, take)) return usage();
 
   try {
     const hls::ParsedDesign design = load_design(spec);

@@ -40,7 +40,7 @@ std::string make_spool(const char* name) {
 ServeOptions base_options(const std::string& dir) {
   ServeOptions so;
   so.dir = dir;
-  so.default_time_limit = 30.0;
+  so.solver.time_limit_seconds = 30.0;
   so.backoff.base_seconds = 0.01;  // tests should not sleep for real
   so.backoff.max_seconds = 0.05;
   return so;
@@ -52,22 +52,62 @@ TEST(Serve, SubmitParseRoundTrip) {
   spec.id = "my-job_1";
   spec.circuit = "fig1";
   spec.k = 2;
-  spec.time_limit = 1.5;
-  spec.threads = 2;
-  spec.node_limit = 77;
+  spec.options = {{"time", "1.5"}, {"threads", "2"}, {"nodes", "77"},
+                  {"cuts", "0"}};
   ASSERT_TRUE(submit_job(dir, spec));
   const auto back =
       parse_job_file(dir + "/jobs/my-job_1.job", "my-job_1");
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->circuit, "fig1");
   EXPECT_EQ(back->k, 2);
-  EXPECT_EQ(back->time_limit, 1.5);
-  EXPECT_EQ(back->threads, 2);
-  EXPECT_EQ(back->node_limit, 77);
+  EXPECT_EQ(back->options, spec.options);
+
+  // The overrides apply over the serve defaults, in order.
+  ServeOptions so = base_options(dir);
+  so.solver.lp_refactor_every = 7;
+  const ilp::Options opt = job_solver_options(so, *back);
+  EXPECT_EQ(opt.time_limit_seconds, 1.5);
+  EXPECT_EQ(opt.num_threads, 2);
+  EXPECT_EQ(opt.node_limit, 77);
+  EXPECT_FALSE(opt.use_clique_cuts);
+  EXPECT_FALSE(opt.use_cover_cuts);
+  EXPECT_EQ(opt.lp_refactor_every, 7);
+  EXPECT_EQ(opt.checkpoint_path, opt.resume_path);
+  EXPECT_NE(opt.checkpoint_path.find("my-job_1.ck"), std::string::npos);
 
   JobSpec bad = spec;
   bad.id = "evil/../path";
   EXPECT_FALSE(submit_job(dir, bad));
+  bad.id = "bad-option";
+  bad.options = {{"refactor", "0"}};
+  EXPECT_FALSE(submit_job(dir, bad));
+
+  // A value the option table refuses, or a key it does not know, makes the
+  // spec malformed: serve quarantines the job instead of guessing.
+  for (const char* line : {"refactor=0", "bogus=1"}) {
+    const std::string path = dir + "/jobs/hand.job";
+    {
+      std::ofstream out(path);
+      out << "circuit=fig1\nk=1\n" << line << "\n";
+    }
+    EXPECT_FALSE(parse_job_file(path, "hand").has_value()) << line;
+  }
+}
+
+TEST(Serve, EarlierSpoolFilesParseUnchanged) {
+  const std::string dir = make_spool("legacy");
+  fs::create_directories(dir + "/jobs");
+  const std::string path = dir + "/jobs/old.job";
+  {
+    std::ofstream out(path);
+    out << "circuit=tseng\nk=2\ntime=1e+06\nthreads=2\nnodes=500\n";
+  }
+  const auto spec = parse_job_file(path, "old");
+  ASSERT_TRUE(spec.has_value());
+  const ilp::Options opt = job_solver_options(base_options(dir), *spec);
+  EXPECT_EQ(opt.time_limit_seconds, 1e6);
+  EXPECT_EQ(opt.num_threads, 2);
+  EXPECT_EQ(opt.node_limit, 500);
 }
 
 TEST(Serve, BatchCompletesVerifiedAndCachesOptima) {
@@ -117,7 +157,7 @@ TEST(Serve, RetriesResumeFromCheckpointsUntilTheProofCompletes) {
   spec.id = "tseng-k2";
   spec.circuit = "tseng";
   spec.k = 2;
-  spec.node_limit = 60;  // far below the full proof: forces retries
+  spec.options = {{"nodes", "60"}};  // far below the full proof: forces retries
   ASSERT_TRUE(submit_job(dir, spec));
   ServeOptions so = base_options(dir);
   so.max_retries = 100;
@@ -226,7 +266,7 @@ TEST(Serve, ExhaustedRetriesMoveTheJobToFailedWithItsBestEffort) {
   spec.id = "tseng-hopeless";
   spec.circuit = "tseng";
   spec.k = 2;
-  spec.node_limit = 2;  // can never finish in one attempt
+  spec.options = {{"nodes", "2"}};  // can never finish in one attempt
   ASSERT_TRUE(submit_job(dir, spec));
   ServeOptions so = base_options(dir);
   so.max_retries = 1;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end crash-safety smoke for `advbist serve`:
 #
-#   1. submit a mixed k-sweep batch into a fresh spool,
+#   1. submit a mixed k-sweep batch into a fresh spool (one job with a
+#      solver-option override),
 #   2. start a serve and SIGTERM it mid-flight (drain),
 #   3. assert nothing was lost (every job is either done or still pending),
 #   4. restart the serve and assert every job finishes audit-verified,
@@ -21,7 +22,7 @@ trap 'rm -rf "$SPOOL"' EXIT
 
 echo "== submit batch =="
 "$BIN" submit "$SPOOL" fig1 --k 1
-"$BIN" submit "$SPOOL" fig1 --k 2
+"$BIN" submit "$SPOOL" fig1 --k 2 --cuts 0
 "$BIN" submit "$SPOOL" tseng --k 1
 "$BIN" submit "$SPOOL" tseng --k 2 --threads 2
 "$BIN" submit "$SPOOL" paulin --k 2 --threads 2
