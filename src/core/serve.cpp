@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/synthesizer.hpp"
-#include "hls/benchmarks.hpp"
 #include "hls/dfg_parser.hpp"
 #include "lp/mps_reader.hpp"
 #include "lp/sanitizer.hpp"
@@ -120,18 +119,6 @@ std::string reason_json(const std::string& id, const std::string& kind,
   }
   out << "\n}\n";
   return out.str();
-}
-
-hls::ParsedDesign load_design(const std::string& spec) {
-  if (spec.find('.') == std::string::npos) {
-    const hls::Benchmark b = hls::benchmark_by_name(spec);
-    return hls::ParsedDesign{b.dfg, b.modules};
-  }
-  std::ifstream in(spec);
-  if (!in) throw std::invalid_argument("cannot open " + spec);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return hls::parse_dfg_text(text.str());
 }
 
 /// Cache key: hash of the canonical .dfg text plus the session count — the
@@ -512,7 +499,7 @@ ServeStats serve(const ServeOptions& options) {
 
     hls::ParsedDesign design;
     try {
-      design = load_design(spec.circuit);
+      design = hls::load_design(spec.circuit);
     } catch (const std::exception& e) {
       util::log_warn() << "serve: job " << spec.id << ": " << e.what();
       JobOutcome bad;

@@ -108,27 +108,26 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
   return result;  // unreachable
 }
 
-SynthesisResult Synthesizer::synthesize_reference() const {
+FormulationOptions Synthesizer::formulation_options() const {
   FormulationOptions fo;
-  fo.include_bist = false;
   fo.num_registers = opt_.num_registers;
   fo.symmetry_reduction = opt_.symmetry_reduction;
   fo.commutative_swaps = opt_.commutative_swaps;
   fo.cost = opt_.cost;
-  const Formulation formulation(dfg_, alloc_, fo);
-  return run(formulation, /*k_for_seed=*/0);
+  return fo;
+}
+
+SynthesisResult Synthesizer::synthesize_reference() const {
+  FormulationOptions fo = formulation_options();
+  fo.include_bist = false;
+  return run(Formulation(dfg_, alloc_, fo), /*k_for_seed=*/0);
 }
 
 SynthesisResult Synthesizer::synthesize_bist(int k) const {
-  FormulationOptions fo;
+  FormulationOptions fo = formulation_options();
   fo.include_bist = true;
   fo.k = k;
-  fo.num_registers = opt_.num_registers;
-  fo.symmetry_reduction = opt_.symmetry_reduction;
-  fo.commutative_swaps = opt_.commutative_swaps;
-  fo.cost = opt_.cost;
-  const Formulation formulation(dfg_, alloc_, fo);
-  return run(formulation, k);
+  return run(Formulation(dfg_, alloc_, fo), k);
 }
 
 std::vector<SynthesisResult> Synthesizer::synthesize_all_sessions() const {

@@ -59,6 +59,9 @@ class Synthesizer {
   [[nodiscard]] std::vector<SynthesisResult> synthesize_all_sessions() const;
 
  private:
+  /// The formulation options both entry points share; the caller sets
+  /// include_bist and k.
+  [[nodiscard]] FormulationOptions formulation_options() const;
   [[nodiscard]] SynthesisResult run(const Formulation& formulation,
                                     int k_for_seed) const;
 

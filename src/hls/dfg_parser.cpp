@@ -1,9 +1,12 @@
 #include "hls/dfg_parser.hpp"
 
+#include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
+#include "hls/benchmarks.hpp"
 #include "util/check.hpp"
 
 namespace advbist::hls {
@@ -226,6 +229,18 @@ std::string to_dfg_text(const Dfg& dfg, const ModuleAllocation& modules) {
     os << '\n';
   }
   return os.str();
+}
+
+ParsedDesign load_design(const std::string& spec) {
+  if (spec.find('.') == std::string::npos) {
+    const Benchmark b = benchmark_by_name(spec);
+    return ParsedDesign{b.dfg, b.modules};
+  }
+  std::ifstream in(spec);
+  if (!in) throw std::invalid_argument("cannot open " + spec);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse_dfg_text(text.str());
 }
 
 }  // namespace advbist::hls

@@ -43,4 +43,11 @@ ParsedDesign parse_dfg_text(const std::string& text);
 /// parse_dfg_text).
 std::string to_dfg_text(const Dfg& dfg, const ModuleAllocation& modules);
 
+/// A design named on a command line or in a serve job: a spec without a
+/// '.' is a built-in benchmark name (benchmark_by_name), anything else a
+/// path to a .dfg file parsed with parse_dfg_text. Throws
+/// std::invalid_argument for an unknown name, an unreadable file or
+/// malformed text.
+ParsedDesign load_design(const std::string& spec);
+
 }  // namespace advbist::hls

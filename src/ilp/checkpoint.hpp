@@ -36,8 +36,10 @@
 
 namespace advbist::ilp {
 
-/// One open node of the frontier, exactly as the search pool holds it.
+/// One open node of the frontier: the type the search pool holds, so a
+/// checkpoint copies the pool as it is.
 struct CheckpointNode {
+  /// Bounds [lower, upper] on variable `var`.
   struct Change {
     int var = -1;
     double lower = 0.0;
@@ -46,10 +48,13 @@ struct CheckpointNode {
   std::vector<Change> changes;  ///< bound deltas relative to root bounds
   double parent_bound = 0.0;    ///< LP bound inherited from the parent
   int depth = 0;
-  int branch_var = -1;
-  bool branch_up = false;
-  double branch_dist = 0.0;
-  double parent_obj = 0.0;
+  // Pseudocost bookkeeping: the branching that created this node. When its
+  // LP is solved, the observed objective degradation per unit of bound
+  // movement feeds the branching-variable statistics.
+  int branch_var = -1;       ///< variable branched on (-1: root)
+  bool branch_up = false;    ///< true: the x >= ceil child
+  double branch_dist = 0.0;  ///< |bound movement| of the branching
+  double parent_obj = 0.0;   ///< parent's raw LP objective
 };
 
 /// One applied cut row (globally valid <=-row).

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "ilp/checkpoint.hpp"
 #include "ilp/conflict_graph.hpp"
@@ -81,58 +82,47 @@ constexpr int kProbeLpIters = 200;
 /// variables are reliable from node one.
 constexpr int kPseudocostReliability = 2;
 
-struct BoundChange {
-  int var;
-  double lower;
-  double upper;
+/// The search pool holds frontier nodes exactly as a checkpoint stores
+/// them, so a snapshot copies the pool and a resume copies it back.
+using Node = CheckpointNode;
+/// A bound restriction: a node's bound change relative to the root box, or
+/// a globally valid tightening (reduced-cost, probing) broadcast to workers
+/// after the search started — the latter only ever tightens.
+using Change = CheckpointNode::Change;
+
+/// A fractional integer variable of an LP point and its distance to the
+/// nearest integer.
+struct Candidate {
+  int v;
+  double dist;
 };
 
-struct Node {
-  std::vector<BoundChange> changes;  ///< relative to root bounds
-  double parent_bound;               ///< LP bound inherited from parent
-  int depth = 0;
-  // Pseudocost bookkeeping: the branching that created this node. When its
-  // LP is solved, the observed objective degradation per unit of bound
-  // movement feeds the branching-variable statistics.
-  int branch_var = -1;       ///< variable branched on (-1: root)
-  bool branch_up = false;    ///< true: the x >= ceil child
-  double branch_dist = 0.0;  ///< |bound movement| of the branching
-  double parent_obj = 0.0;   ///< parent's raw LP objective
-};
-
-/// A reduced-cost (or probing) domain restriction broadcast to workers
-/// after the search started. Only ever tightens.
-struct Fixing {
-  int var;
-  double lower;
-  double upper;
-};
-
-/// PseudocostStore now lives in ilp/pseudocost.hpp (shared with the
-/// branching tests); the store is still instantiated once per solve and
-/// shared lock-free across workers.
-
-/// Picks the branching variable: among fractional integers, the highest
-/// priority; ties broken by most-fractional part.
-int pick_branching_variable(const Model& model, const std::vector<double>& x,
-                            const std::vector<int>& priority) {
-  int best = -1;
-  int best_prio = std::numeric_limits<int>::min();
-  double best_frac_score = -1.0;
+/// The fractional integer variables of `x`, in index order. Empty means
+/// the point is integral: the search concludes at it.
+std::vector<Candidate> fractional_candidates(const Model& model,
+                                             const std::vector<double>& x) {
+  std::vector<Candidate> cands;
   for (int v = 0; v < model.num_variables(); ++v) {
     if (model.variable(v).type != VarType::kInteger) continue;
     const double frac = x[v] - std::floor(x[v]);
     const double dist = std::min(frac, 1.0 - frac);
     if (dist <= kIntEps) continue;
-    const int prio = priority.empty() ? 0 : priority[v];
-    const double score = dist;  // closeness to 0.5
-    if (prio > best_prio || (prio == best_prio && score > best_frac_score)) {
-      best = v;
-      best_prio = prio;
-      best_frac_score = score;
-    }
+    cands.push_back(Candidate{v, dist});
   }
-  return best;
+  return cands;
+}
+
+/// Bounds of the branch x_v <= fl (down) or x_v >= fl + 1 (up) inside
+/// [lo, hi]; empty when first > second. When a branch holds no LP point,
+/// the other one, branch_bounds(!up, ...), is a valid bound for v.
+std::pair<double, double> branch_bounds(bool up, double fl, double lo,
+                                        double hi) {
+  return up ? std::pair{fl + 1.0, hi} : std::pair{lo, fl};
+}
+
+void round_integers(const Model& model, std::vector<double>& x) {
+  for (int v = 0; v < model.num_variables(); ++v)
+    if (model.variable(v).type == VarType::kInteger) x[v] = std::round(x[v]);
 }
 
 /// Folds one simplex's factorization counters into a running total (used
@@ -175,7 +165,7 @@ void accumulate(lp::SimplexSolver::Stats& into,
 /// Approximate heap footprint of one pooled node, for the controller's
 /// cooperative memory accounting.
 std::size_t node_bytes(const Node& node) {
-  return sizeof(Node) + node.changes.capacity() * sizeof(BoundChange);
+  return sizeof(Node) + node.changes.capacity() * sizeof(Change);
 }
 
 int resolve_num_threads(int requested) {
@@ -236,6 +226,10 @@ struct SearchContext {
   std::atomic<long long> reliability_probed{0};
   std::atomic<int> reliability_fixed{0};
   std::atomic<int> reliability_tightened{0};
+  // Dual solves and fallbacks of probe passes (root strong branching and
+  // reliability probes alike), kept out of the warm-start diagnostic.
+  std::atomic<long long> probe_dual_solves{0};
+  std::atomic<long long> probe_dual_fallbacks{0};
 
   // --- incumbent ---
   std::atomic<double> cutoff{lp::kInfinity};
@@ -249,7 +243,7 @@ struct SearchContext {
   // Current globally tightened bounds + broadcast log (guarded by mutex;
   // num_fixings is the lock-free "anything new?" hint).
   std::vector<double> rc_lb, rc_ub;
-  std::vector<Fixing> fixings;
+  std::vector<Change> fixings;
   std::atomic<std::size_t> num_fixings{0};
   int rc_fixed_incumbent = 0;  // guarded
 
@@ -330,7 +324,7 @@ struct SearchContext {
       if (lo > rc_lb[v] + kBoundEps || hi < rc_ub[v] - kBoundEps) {
         rc_lb[v] = lo;
         rc_ub[v] = hi;
-        fixings.push_back(Fixing{v, lo, hi});
+        fixings.push_back(Change{v, lo, hi});
         ++tightened;
       }
     }
@@ -338,6 +332,114 @@ struct SearchContext {
       num_fixings.store(fixings.size(), std::memory_order_release);
     return tightened;
   }
+
+  /// Installs a candidate incumbent (single writer section; the atomic
+  /// cutoff mirror keeps lock-free pruning reads consistent). An improved
+  /// cutoff re-runs reduced-cost fixing against the root certificate, which
+  /// is a no-op while the root stage has not produced one yet.
+  void offer_incumbent(double objective, std::vector<double> values) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (objective < cutoff.load(std::memory_order_relaxed) - kObjImproveEps) {
+      cutoff.store(objective, std::memory_order_relaxed);
+      incumbent = std::move(values);
+      if (options->use_rc_fixing)
+        rc_fixed_incumbent += rc_fix_against(objective);
+    }
+  }
+
+  /// Rounding heuristic: rounds the integer variables of the LP point `x`
+  /// and offers the result when it satisfies the model. One rounding and
+  /// feasibility check is O(nnz), noise next to an LP solve, so the root
+  /// runs it every cut round and the tree at every node.
+  void try_round(const std::vector<double>& x) {
+    if (!options->use_rounding_heuristic) return;
+    std::vector<double> rounded = x;
+    round_integers(*model, rounded);
+    if (model->max_violation(rounded, true) <= kActivityEps) {
+      const double obj = model->objective_value(rounded);
+      offer_incumbent(obj, std::move(rounded));
+    }
+  }
+
+  /// Clique cuts from the conflict graph, then cover cuts from the LP
+  /// model, violated at the fractional point `x`. Counts what each
+  /// separator found; the caller adds the cuts to the pool.
+  std::vector<Cut> separate(const std::vector<double>& x) {
+    std::vector<Cut> found;
+    if (options->use_clique_cuts && graph != nullptr) {
+      const auto cliques = graph->separate_cliques(
+          x, kCutViolationEps, options->max_cuts_per_round);
+      clique_separated.fetch_add(static_cast<long long>(cliques.size()));
+      for (const auto& lits : cliques)
+        found.push_back(clique_cut_from_literals(lits));
+    }
+    if (options->use_cover_cuts && cut_model != nullptr) {
+      std::vector<Cut> covers =
+          separate_cover_cuts(*cut_model, {}, x, kCutViolationEps,
+                              options->max_cuts_per_round);
+      cover_separated.fetch_add(static_cast<long long>(covers.size()));
+      for (Cut& c : covers) found.push_back(std::move(c));
+    }
+    return found;
+  }
+
+  /// One direction of a bounded strong-branching probe on the warm optimal
+  /// basis of `lp`, whose LP optimum is `base`: bounds v to the branch
+  /// (branch_bounds inside [lo, hi]), re-solves with the dual simplex under
+  /// the caller's ProbePass iteration cap, and restores [lo, hi]. An
+  /// optimal probe records the exact per-unit degradation in the shared
+  /// store at full reliability weight (a probe is an exact LP degradation,
+  /// not a noisy estimate). On kInfeasible the branch holds no integer
+  /// point, so the caller may tighten v to the other branch.
+  LpStatus probe(SimplexSolver& lp, const LpResult& base, int v, bool up,
+                 double lo, double hi) {
+    const double xv = base.x[v];
+    const double fl = std::floor(xv);
+    const auto [plo, phi] = branch_bounds(up, fl, lo, hi);
+    lp.set_variable_bounds(v, plo, phi);
+    const LpResult result = lp.solve_dual();
+    lp_iterations.fetch_add(result.iterations);
+    lp.set_variable_bounds(v, lo, hi);
+    if (result.status == LpStatus::kOptimal) {
+      const double dist = up ? fl + 1.0 - xv : xv - fl;
+      pseudocosts->record(v, up,
+                          std::max(0.0, result.objective - base.objective) /
+                              std::max(dist, 1e-9),
+                          kPseudocostReliability);
+    }
+    return result.status;
+  }
+};
+
+/// One probe pass on `lp`: its re-solves are capped at kProbeLpIters, and
+/// the pass's dual solves and fallbacks are booked as probe work. Capped
+/// probes routinely "fall back" by running out of budget, which says
+/// nothing about the warm-start quality of NODE re-solves, so the reduce
+/// stage keeps them out of the dual_solves / dual_fallbacks diagnostic.
+/// Their iterations stay counted: they are real LP work.
+class ProbePass {
+ public:
+  ProbePass(SearchContext& ctx, SimplexSolver& lp)
+      : ctx_(ctx),
+        lp_(lp),
+        dual_solves_(lp.stats().dual_solves),
+        dual_fallbacks_(lp.stats().dual_fallbacks) {
+    lp_.set_max_iterations(kProbeLpIters);
+  }
+  ~ProbePass() {
+    lp_.set_max_iterations(lp::SimplexOptions{}.max_iterations);
+    ctx_.probe_dual_solves.fetch_add(lp_.stats().dual_solves - dual_solves_);
+    ctx_.probe_dual_fallbacks.fetch_add(lp_.stats().dual_fallbacks -
+                                        dual_fallbacks_);
+  }
+  ProbePass(const ProbePass&) = delete;
+  ProbePass& operator=(const ProbePass&) = delete;
+
+ private:
+  SearchContext& ctx_;
+  SimplexSolver& lp_;
+  const long long dual_solves_;
+  const long long dual_fallbacks_;
 };
 
 /// One search worker: a private warm-starting SimplexSolver plus the node it
@@ -370,11 +472,6 @@ class Worker {
     std::lock_guard<std::mutex> lock(ctx_.mutex);
     accumulate(ctx_.lp_stats, simplex_.stats());
     if (dive_lp_) accumulate(ctx_.lp_stats, dive_lp_->stats());
-    // Reliability probes are iteration-capped like the root pass's and get
-    // the same treatment: their dual solves/fallbacks stay out of the
-    // warm-start health diagnostic (their iterations remain counted).
-    ctx_.lp_stats.dual_solves -= probe_dual_solves_;
-    ctx_.lp_stats.dual_fallbacks -= probe_dual_fallbacks_;
     ctx_.lp_scaling_active |= simplex_.scaling_active();
   }
 
@@ -476,11 +573,11 @@ class Worker {
                             ctx_.fixings.end());
       fixings_consumed_ = ctx_.fixings.size();
     }
-    for (const Fixing& f : fresh_fixings_) {
+    for (const Change& f : fresh_fixings_) {
       root_lb_[f.var] = std::max(root_lb_[f.var], f.lower);
       root_ub_[f.var] = std::min(root_ub_[f.var], f.upper);
       bool overridden = false;
-      for (const BoundChange& bc : applied_)
+      for (const Change& bc : applied_)
         if (bc.var == f.var) {
           overridden = true;  // next apply_node intersects for us
           break;
@@ -524,22 +621,7 @@ class Worker {
   /// pool and appends every newly applied pool cut to the own LP. Returns
   /// the number of cuts the pool applied for this point.
   int separate_at(const std::vector<double>& x) {
-    const Options& opt = *ctx_.options;
-    std::vector<Cut> found;
-    if (opt.use_clique_cuts && ctx_.graph != nullptr) {
-      const auto cliques = ctx_.graph->separate_cliques(
-          x, kCutViolationEps, opt.max_cuts_per_round);
-      ctx_.clique_separated.fetch_add(static_cast<long long>(cliques.size()));
-      for (const auto& lits : cliques)
-        found.push_back(clique_cut_from_literals(lits));
-    }
-    if (opt.use_cover_cuts && ctx_.cut_model != nullptr) {
-      auto covers = separate_cover_cuts(*ctx_.cut_model, {}, x,
-                                        kCutViolationEps,
-                                        opt.max_cuts_per_round);
-      ctx_.cover_separated.fetch_add(static_cast<long long>(covers.size()));
-      for (Cut& c : covers) found.push_back(std::move(c));
-    }
+    std::vector<Cut> found = ctx_.separate(x);
     int applied = 0;
     {
       std::lock_guard<std::mutex> lock(ctx_.mutex);
@@ -552,7 +634,8 @@ class Worker {
       }
       applied = static_cast<int>(
           ctx_.cut_pool
-              ->take_violated(x, kCutViolationEps, opt.max_cuts_per_round)
+              ->take_violated(x, kCutViolationEps,
+                              ctx_.options->max_cuts_per_round)
               .size());
       ctx_.pool_applied.store(ctx_.cut_pool->applied().size(),
                               std::memory_order_release);
@@ -686,10 +769,10 @@ class Worker {
 
   /// In-tree reliability branching: bounded dual-simplex probes on THIS
   /// worker's warm node basis, for fractional candidates still below the
-  /// pseudocost reliability threshold. Each probe is the root
-  /// strong-branching pattern verbatim — bound one side, capped re-solve,
-  /// restore — and an optimal probe feeds the EXACT degradation into the
-  /// shared store at full reliability weight. An infeasible probe tightens:
+  /// pseudocost reliability threshold. Each probe is SearchContext::probe,
+  /// the root strong-branching probe: an optimal one feeds the EXACT
+  /// degradation into the shared store at full reliability weight. An
+  /// infeasible probe tightens:
   /// globally (broadcast through the fixing log, like rc fixing) when the
   /// node still sits on the root box, node-locally otherwise — an empty
   /// branch below a branched node proves nothing outside its subtree. The
@@ -701,7 +784,6 @@ class Worker {
   ProbeOutcome probe_reliability(Node& node, LpResult& lp, double& bound,
                                  int& branch_var) {
     PseudocostStore& pc = *ctx_.pseudocosts;
-    const Model& model = *ctx_.model;
     const int rel = kPseudocostReliability;
     int allowance = reliability_probe_allowance(
         ctx_.reliability_budget.load(std::memory_order_relaxed), node.depth);
@@ -710,122 +792,96 @@ class Worker {
     // Unreliable fractional candidates, most fractional first (the root
     // strong-branching order): they are both the likeliest branch picks
     // and the ones a probe teaches the most about.
-    struct Cand {
-      int v;
-      double dist;
-    };
-    std::vector<Cand> cands;
-    for (int v = 0; v < model.num_variables(); ++v) {
-      if (model.variable(v).type != VarType::kInteger) continue;
-      const double frac = lp.x[v] - std::floor(lp.x[v]);
-      const double dist = std::min(frac, 1.0 - frac);
-      if (dist <= kIntEps) continue;
-      if (pc.count(v, true) >= rel && pc.count(v, false) >= rel) continue;
-      cands.push_back(Cand{v, dist});
-    }
-    if (cands.empty()) return ProbeOutcome::kContinue;
-    std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-      if (a.dist != b.dist) return a.dist > b.dist;
-      return a.v < b.v;
+    std::vector<Candidate> cands = fractional_candidates(*ctx_.model, lp.x);
+    std::erase_if(cands, [&](const Candidate& c) {
+      return pc.count(c.v, true) >= rel && pc.count(c.v, false) >= rel;
     });
+    if (cands.empty()) return ProbeOutcome::kContinue;
+    std::sort(cands.begin(), cands.end(),
+              [](const Candidate& a, const Candidate& b) {
+                if (a.dist != b.dist) return a.dist > b.dist;
+                return a.v < b.v;
+              });
 
-    // Probe solves are iteration-capped and routinely hit the cap; keep
-    // them out of the dual_solves/dual_fallbacks warm-start diagnostic by
-    // snapshotting, exactly as the root pass does (folded back in ~Worker).
-    const long long pre_solves = simplex_.stats().dual_solves;
-    const long long pre_fallbacks = simplex_.stats().dual_fallbacks;
-    simplex_.set_max_iterations(kProbeLpIters);
     bool infeasible_node = false;
     bool tightened_node = false;
-    for (const Cand& c : cands) {
-      if (allowance <= 0 || infeasible_node || tightened_node) break;
-      const double xv = lp.x[c.v];
-      const double fl = std::floor(xv);
-      const double lo = simplex_.variable_lower(c.v);
-      const double hi = simplex_.variable_upper(c.v);
-      for (const bool up : {false, true}) {
-        if (allowance <= 0) break;
-        if (pc.count(c.v, up) >= rel) continue;
-        const double plo = up ? fl + 1.0 : lo;
-        const double phi = up ? hi : fl;
-        if (plo > phi) continue;
-        // One unit of the GLOBAL budget per probe solve. The decrement
-        // races benignly across workers: a brief overshoot costs a couple
-        // of capped LP solves, never correctness.
-        if (ctx_.reliability_budget.fetch_sub(
-                1, std::memory_order_relaxed) <= 0) {
-          ctx_.reliability_budget.fetch_add(1, std::memory_order_relaxed);
-          allowance = 0;
-          break;
-        }
-        --allowance;
-        simplex_.set_variable_bounds(c.v, plo, phi);
-        const LpResult probe = simplex_.solve_dual();
-        ctx_.lp_iterations.fetch_add(probe.iterations);
-        ctx_.reliability_probed.fetch_add(1, std::memory_order_relaxed);
-        simplex_.set_variable_bounds(c.v, lo, hi);
-        if (probe.status == LpStatus::kOptimal) {
-          const double dist = up ? fl + 1.0 - xv : xv - fl;
-          pc.record(c.v, up,
-                    std::max(0.0, probe.objective - lp.objective) /
-                        std::max(dist, 1e-9),
-                    rel);
-        } else if (probe.status == LpStatus::kInfeasible) {
-          const double nlo = up ? lo : fl + 1.0;
-          const double nhi = up ? fl : hi;
-          if (nlo > nhi) {  // both directions empty: so is the node region
-            infeasible_node = true;
+    {
+      const ProbePass pass(ctx_, simplex_);
+      for (const Candidate& c : cands) {
+        if (allowance <= 0 || infeasible_node || tightened_node) break;
+        const double fl = std::floor(lp.x[c.v]);
+        const double lo = simplex_.variable_lower(c.v);
+        const double hi = simplex_.variable_upper(c.v);
+        for (const bool up : {false, true}) {
+          if (allowance <= 0) break;
+          if (pc.count(c.v, up) >= rel) continue;
+          const auto [plo, phi] = branch_bounds(up, fl, lo, hi);
+          if (plo > phi) continue;
+          // One unit of the GLOBAL budget per probe solve. The decrement
+          // races benignly across workers: a brief overshoot costs a couple
+          // of capped LP solves, never correctness.
+          if (ctx_.reliability_budget.fetch_sub(
+                  1, std::memory_order_relaxed) <= 0) {
+            ctx_.reliability_budget.fetch_add(1, std::memory_order_relaxed);
+            allowance = 0;
             break;
           }
-          if (applied_.empty()) {
-            // The node still sits on the (rc-tightened) root box, so the
-            // empty branch is empty under the same improving-solution
-            // standard as rc fixing: broadcast the complement bound
-            // globally, exactly like the root strong-branching pass, and
-            // purge the fixed variable's pseudocost history.
-            std::lock_guard<std::mutex> lock(ctx_.mutex);
-            const double glo = std::max(ctx_.rc_lb[c.v], nlo);
-            const double ghi = std::min(ctx_.rc_ub[c.v], nhi);
-            if (glo <= ghi && (glo > ctx_.rc_lb[c.v] + kBoundEps ||
-                               ghi < ctx_.rc_ub[c.v] - kBoundEps)) {
-              ctx_.rc_lb[c.v] = glo;
-              ctx_.rc_ub[c.v] = ghi;
-              ctx_.fixings.push_back(Fixing{c.v, glo, ghi});
-              ctx_.num_fixings.store(ctx_.fixings.size(),
-                                     std::memory_order_release);
-              ctx_.reliability_fixed.fetch_add(1, std::memory_order_relaxed);
-              pc.purge(c.v);
+          --allowance;
+          const LpStatus status = ctx_.probe(simplex_, lp, c.v, up, lo, hi);
+          ctx_.reliability_probed.fetch_add(1, std::memory_order_relaxed);
+          if (status == LpStatus::kInfeasible) {
+            const auto [nlo, nhi] = branch_bounds(!up, fl, lo, hi);
+            if (nlo > nhi) {  // both directions empty: so is the node region
+              infeasible_node = true;
+              break;
             }
-          } else {
-            ctx_.reliability_tightened.fetch_add(1,
-                                                 std::memory_order_relaxed);
+            if (applied_.empty()) {
+              // The node still sits on the (rc-tightened) root box, so the
+              // empty branch is empty under the same improving-solution
+              // standard as rc fixing: broadcast the complement bound
+              // globally, exactly like the root strong-branching pass, and
+              // purge the fixed variable's pseudocost history.
+              std::lock_guard<std::mutex> lock(ctx_.mutex);
+              const double glo = std::max(ctx_.rc_lb[c.v], nlo);
+              const double ghi = std::min(ctx_.rc_ub[c.v], nhi);
+              if (glo <= ghi && (glo > ctx_.rc_lb[c.v] + kBoundEps ||
+                                 ghi < ctx_.rc_ub[c.v] - kBoundEps)) {
+                ctx_.rc_lb[c.v] = glo;
+                ctx_.rc_ub[c.v] = ghi;
+                ctx_.fixings.push_back(Change{c.v, glo, ghi});
+                ctx_.num_fixings.store(ctx_.fixings.size(),
+                                       std::memory_order_release);
+                ctx_.reliability_fixed.fetch_add(1, std::memory_order_relaxed);
+                pc.purge(c.v);
+              }
+            } else {
+              ctx_.reliability_tightened.fetch_add(1,
+                                                   std::memory_order_relaxed);
+            }
+            // Either way the tightening holds on THIS node's region: fold it
+            // into the node's own bound changes so both children inherit it.
+            bool had_change = false;
+            for (Change& bc : node.changes)
+              if (bc.var == c.v) {
+                bc.lower = std::max(bc.lower, nlo);
+                bc.upper = std::min(bc.upper, nhi);
+                had_change = true;
+              }
+            if (!had_change) node.changes.push_back(Change{c.v, nlo, nhi});
+            applied_ = node.changes;
+            simplex_.set_variable_bounds(c.v, std::max(nlo, root_lb_[c.v]),
+                                         std::min(nhi, root_ub_[c.v]));
+            tightened_node = true;
+            break;  // the relaxation moved; probing stale fractions is noise
           }
-          // Either way the tightening holds on THIS node's region: fold it
-          // into the node's own bound changes so both children inherit it.
-          bool had_change = false;
-          for (BoundChange& bc : node.changes)
-            if (bc.var == c.v) {
-              bc.lower = std::max(bc.lower, nlo);
-              bc.upper = std::min(bc.upper, nhi);
-              had_change = true;
-            }
-          if (!had_change)
-            node.changes.push_back(BoundChange{c.v, nlo, nhi});
-          applied_ = node.changes;
-          simplex_.set_variable_bounds(c.v, std::max(nlo, root_lb_[c.v]),
-                                       std::min(nhi, root_ub_[c.v]));
-          tightened_node = true;
-          break;  // the relaxation moved; probing stale fractions is noise
-        } else if (probe.status != LpStatus::kIterLimit) {
-          // Aborted mid-probe (controller latch): stop probing quietly;
-          // the caller's normal controller checks handle the real stop.
-          allowance = 0;
+          if (status != LpStatus::kOptimal && status != LpStatus::kIterLimit) {
+            // Aborted mid-probe (controller latch): stop probing quietly;
+            // the caller's normal controller checks handle the real stop.
+            allowance = 0;
+          }
         }
       }
     }
-    simplex_.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-    probe_dual_solves_ += simplex_.stats().dual_solves - pre_solves;
-    probe_dual_fallbacks_ += simplex_.stats().dual_fallbacks - pre_fallbacks;
     if (infeasible_node) return ProbeOutcome::kPrune;
     if (!tightened_node) return ProbeOutcome::kContinue;
     // A tightening moved the relaxation: re-solve (uncapped) so branching
@@ -885,14 +941,7 @@ class Worker {
       }
       if (pick < 0) {
         // Integral relaxation: a feasible point of the original model.
-        std::vector<double> rounded = std::move(x);
-        for (int v = 0; v < n; ++v)
-          if (model.variable(v).type == VarType::kInteger)
-            rounded[v] = std::round(rounded[v]);
-        if (model.max_violation(rounded, true) <= kActivityEps) {
-          const double obj = model.objective_value(rounded);
-          offer_incumbent(obj, std::move(rounded));
-        }
+        ctx_.try_round(x);
         return;
       }
       const double lo = dive_lp_->variable_lower(pick);
@@ -923,31 +972,17 @@ class Worker {
   /// the node region then contains no solution better than the incumbent
   /// and is pruned.
   bool apply_node(const Node& node) {
-    for (const BoundChange& bc : applied_)
+    for (const Change& bc : applied_)
       simplex_.set_variable_bounds(bc.var, root_lb_[bc.var],
                                    root_ub_[bc.var]);
     applied_ = node.changes;
-    for (const BoundChange& bc : applied_) {
+    for (const Change& bc : applied_) {
       const double lo = std::max(bc.lower, root_lb_[bc.var]);
       const double hi = std::min(bc.upper, root_ub_[bc.var]);
       if (lo > hi) return false;  // reset on the next apply_node
       simplex_.set_variable_bounds(bc.var, lo, hi);
     }
     return true;
-  }
-
-  /// Installs a candidate incumbent (single writer section; the atomic
-  /// cutoff mirror keeps lock-free pruning reads consistent). An improved
-  /// cutoff re-runs reduced-cost fixing against the root certificate.
-  void offer_incumbent(double objective, std::vector<double> values) {
-    std::lock_guard<std::mutex> lock(ctx_.mutex);
-    if (objective <
-        ctx_.cutoff.load(std::memory_order_relaxed) - kObjImproveEps) {
-      ctx_.cutoff.store(objective, std::memory_order_relaxed);
-      ctx_.incumbent = std::move(values);
-      if (ctx_.options->use_rc_fixing)
-        ctx_.rc_fixed_incumbent += ctx_.rc_fix_against(objective);
-    }
   }
 
   void process(Node node) {
@@ -1005,28 +1040,13 @@ class Worker {
       return;
     }
 
-    const Model& model = *ctx_.model;
-    const int n = model.num_variables();
-
     record_pseudocost(node, lp.objective);
     double bound = ctx_.node_bound(lp.objective);
     if (ctx_.prunable(bound)) return;
 
-    // Rounding heuristic: cheap incumbent to seed pruning. One rounding +
-    // feasibility check is O(nnz), noise next to the node's LP re-solve, so
-    // it runs at every node — incumbents surface long before the tree
+    // Rounding at every node: incumbents surface long before the tree
     // search reaches an integral leaf by branching alone.
-    if (opt.use_rounding_heuristic) {
-      std::vector<double> rounded = lp.x;
-      for (int v = 0; v < n; ++v)
-        if (model.variable(v).type == VarType::kInteger)
-          rounded[v] = std::round(rounded[v]);
-      if (model.max_violation(rounded, true) <= kActivityEps) {
-        const double obj = model.objective_value(rounded);
-        if (obj < ctx_.cutoff.load(std::memory_order_relaxed) - kObjImproveEps)
-          offer_incumbent(obj, std::move(rounded));
-      }
-    }
+    ctx_.try_round(lp.x);
 
     // Branching target; in-tree separation may tighten the LP and retry.
     int branch_var = pick_branch(lp.x);
@@ -1094,10 +1114,8 @@ class Worker {
     if (branch_var < 0) {
       // Integral LP optimum: new incumbent.
       std::vector<double> values = std::move(lp.x);
-      for (int v = 0; v < n; ++v)
-        if (model.variable(v).type == VarType::kInteger)
-          values[v] = std::round(values[v]);
-      offer_incumbent(lp.objective, std::move(values));
+      round_integers(*ctx_.model, values);
+      ctx_.offer_incumbent(lp.objective, std::move(values));
       return;
     }
 
@@ -1108,18 +1126,18 @@ class Worker {
     // for any idle worker to steal.
     Node down{node.changes, bound, node.depth + 1};
     double cur_lo = root_lb_[branch_var], cur_hi = root_ub_[branch_var];
-    for (const BoundChange& bc : node.changes)
+    for (const Change& bc : node.changes)
       if (bc.var == branch_var) {
         cur_lo = bc.lower;
         cur_hi = bc.upper;
       }
-    down.changes.push_back(BoundChange{branch_var, cur_lo, floor_v});
+    down.changes.push_back(Change{branch_var, cur_lo, floor_v});
     down.branch_var = branch_var;
     down.branch_up = false;
     down.branch_dist = xv - floor_v;
     down.parent_obj = lp.objective;
     Node up{std::move(node.changes), bound, node.depth + 1};
-    up.changes.push_back(BoundChange{branch_var, floor_v + 1.0, cur_hi});
+    up.changes.push_back(Change{branch_var, floor_v + 1.0, cur_hi});
     up.branch_var = branch_var;
     up.branch_up = true;
     up.branch_dist = floor_v + 1.0 - xv;
@@ -1162,22 +1180,19 @@ class Worker {
   const int id_;  ///< slot index into ctx_.current_nodes (checkpoint capture)
   std::unique_ptr<SimplexSolver> dive_lp_;  ///< lazily built dive solver
   std::vector<double> root_lb_, root_ub_;  ///< local rc-tightened root bounds
-  std::vector<BoundChange> applied_;  ///< changes currently applied
+  std::vector<Change> applied_;       ///< changes currently applied
   std::optional<Node> local_;         ///< child being plunged on
   std::size_t pool_consumed_ = 0;     ///< pool.applied() rows already in LP
   std::size_t fixings_consumed_ = 0;  ///< ctx.fixings entries already applied
   int nodes_since_separation_ = 0;
   int nodes_since_dive_ = 0;
-  // Probe dual-solve accounting, subtracted from the shared warm-start
-  // diagnostic when the worker retires (see ~Worker).
-  long long probe_dual_solves_ = 0, probe_dual_fallbacks_ = 0;
   // Cached pseudocost global averages (refreshed every few picks; see
   // pick_branch). Start expired so the first pick reads fresh values.
   double pc_avg_up_ = 0.0, pc_avg_down_ = 0.0;
   int pc_avg_cooldown_ = 0;
   std::vector<int> row_age_;  ///< consecutive slack-basic re-solves per cut row
   std::vector<std::size_t> lp_row_bytes_;  ///< accounted bytes per cut row
-  std::vector<Fixing> fresh_fixings_;       // scratch
+  std::vector<Change> fresh_fixings_;       // scratch
   std::vector<ConstraintDef> new_rows_;     // scratch
   std::vector<int> doomed_rows_;            // scratch (age_cut_rows)
 };
@@ -1197,58 +1212,53 @@ void run_worker(SearchContext& ctx, const Model& reduced) {
   }
 }
 
-/// Snapshots the search state into a checkpoint. The caller either holds
-/// ctx.mutex (periodic writer) or is the only live thread (post-join): the
-/// incumbent, cutoff, tightened bounds and pool are mutated together under
-/// that mutex, so the copy is a consistent cut of the search. Cheap copies
-/// only — serialization and file I/O happen outside any lock.
-SolveCheckpoint capture_checkpoint(const SearchContext& ctx,
-                                   const PseudocostStore& pcstore,
-                                   std::uint64_t fingerprint, int n) {
+/// Snapshots the search state under the search mutex — the incumbent,
+/// cutoff, tightened bounds and pool are mutated together under it, so the
+/// copy is a consistent cut of the search — and writes it to
+/// Options::checkpoint_path outside the lock, counting the write and its
+/// wall clock. A failed write is logged, never fatal.
+void write_checkpoint(SearchContext& ctx, std::uint64_t fingerprint,
+                      Stats& stats) {
+  const double mark = ctx.watch.seconds();
   SolveCheckpoint ck;
-  ck.model_fingerprint = fingerprint;
-  ck.num_variables = n;
-  ck.cutoff = ctx.cutoff.load(std::memory_order_relaxed);
-  ck.has_incumbent = !ctx.incumbent.empty();
-  if (ck.has_incumbent) {
-    ck.incumbent = ctx.incumbent;
-    ck.incumbent_objective = ck.cutoff;  // offers keep the two in lockstep
-  }
-  ck.dropped_bound = ctx.dropped_bound;
-  ck.nodes_explored = ctx.nodes.load(std::memory_order_relaxed);
-  ck.global_lb = ctx.rc_lb;
-  ck.global_ub = ctx.rc_ub;
-  const auto push_node = [&ck](const Node& node) {
-    CheckpointNode cn;
-    cn.changes.reserve(node.changes.size());
-    for (const BoundChange& bc : node.changes)
-      cn.changes.push_back(CheckpointNode::Change{bc.var, bc.lower, bc.upper});
-    cn.parent_bound = node.parent_bound;
-    cn.depth = node.depth;
-    cn.branch_var = node.branch_var;
-    cn.branch_up = node.branch_up;
-    cn.branch_dist = node.branch_dist;
-    cn.parent_obj = node.parent_obj;
-    ck.frontier.push_back(std::move(cn));
-  };
-  for (const Node& node : ctx.pool) push_node(node);
-  // Mid-search captures additionally cover each worker's in-flight node
-  // (mirrored by take() under the same mutex). A slot may overlap children
-  // already published to the pool — redundant coverage is sound; a missing
-  // region would not be.
-  for (const std::optional<Node>& slot : ctx.current_nodes)
-    if (slot) push_node(*slot);
-  if (ctx.cut_pool != nullptr) {
-    for (const Cut& c : ctx.cut_pool->applied()) {
-      CheckpointCut cc;
-      cc.terms = c.terms;
-      cc.rhs = c.rhs;
-      cc.cut_class = static_cast<std::uint8_t>(c.cut_class);
-      ck.cuts.push_back(std::move(cc));
+  {
+    std::lock_guard<std::mutex> lock(ctx.mutex);
+    ck.model_fingerprint = fingerprint;
+    ck.num_variables = ctx.model->num_variables();
+    ck.cutoff = ctx.cutoff.load(std::memory_order_relaxed);
+    ck.has_incumbent = !ctx.incumbent.empty();
+    if (ck.has_incumbent) {
+      ck.incumbent = ctx.incumbent;
+      ck.incumbent_objective = ck.cutoff;  // offers keep the two in lockstep
     }
+    ck.dropped_bound = ctx.dropped_bound;
+    ck.nodes_explored = ctx.nodes.load(std::memory_order_relaxed);
+    ck.global_lb = ctx.rc_lb;
+    ck.global_ub = ctx.rc_ub;
+    ck.frontier = ctx.pool;
+    // Mid-search captures additionally cover each worker's in-flight node
+    // (mirrored by take() under the same mutex). A slot may overlap
+    // children already published to the pool — redundant coverage is
+    // sound; a missing region would not be.
+    for (const std::optional<Node>& slot : ctx.current_nodes)
+      if (slot) ck.frontier.push_back(*slot);
+    if (ctx.cut_pool != nullptr) {
+      for (const Cut& c : ctx.cut_pool->applied()) {
+        CheckpointCut cc;
+        cc.terms = c.terms;
+        cc.rhs = c.rhs;
+        cc.cut_class = static_cast<std::uint8_t>(c.cut_class);
+        ck.cuts.push_back(std::move(cc));
+      }
+    }
+    ctx.pseudocosts->capture(ck.pseudocosts);
   }
-  pcstore.capture(ck.pseudocosts);
-  return ck;
+  if (save_checkpoint(ctx.options->checkpoint_path, ck))
+    ++stats.checkpoints_written;
+  else
+    util::log_warn() << "checkpoint: write to " << ctx.options->checkpoint_path
+                     << " failed";
+  stats.checkpoint_seconds += ctx.watch.seconds() - mark;
 }
 
 /// Resume gate: a snapshot is only trusted after every structural and
@@ -1329,6 +1339,717 @@ bool validate_checkpoint(const SolveCheckpoint& ck, const Model& original,
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// The solve's stages, in the order Solver::solve_impl runs them:
+//   sanitize -> presolve_stage + seed_search -> root_stage -> strong_branch
+//   -> restore -> search -> reduce -> audit.
+// A pre-search stage returns an Exit: nullopt hands on to the next stage, a
+// status ends the solve there.
+// ---------------------------------------------------------------------------
+
+using Exit = std::optional<SolveStatus>;
+
+/// The sanitize stage's hand-off.
+struct Input {
+  Model model;  ///< sanitized model: presolve's input, the audit's reference
+  std::uint64_t fingerprint = 0;  ///< set when checkpointing or resuming
+  const SolveCheckpoint* restored = nullptr;  ///< snapshot past the gate
+};
+
+/// Sanitize stage. Every model — built-in, file-sourced or serve job —
+/// passes through lp::sanitize_model before presolve sees it. Rejection
+/// (non-finite data, corrupt indices) is an honest kInvalidModel refusal; a
+/// structurally contradictory model is an honest kInfeasible without a
+/// search; a repaired model replaces the input for the whole solve
+/// (including the exit audit — the repairs are solve-equivalent). Then the
+/// resume gate: a snapshot that fails any check degrades to a cold start
+/// with the rejection counted — never to a wrong proof.
+Exit sanitize(const Options& opt, const Model& input,
+              const SolveCheckpoint* snapshot, Input& in, Stats& stats) {
+  lp::SanitizeResult sanitized = lp::sanitize_model(input);
+  stats.sanitizer_class = lp::to_string(sanitized.diag.cls);
+  stats.sanitizer_duplicates_merged = sanitized.diag.duplicate_terms_merged;
+  stats.sanitizer_zero_coeffs_dropped = sanitized.diag.zero_coeffs_dropped;
+  stats.sanitizer_vacuous_rows_dropped = sanitized.diag.vacuous_rows_dropped;
+  stats.sanitizer_contradictory_rows = sanitized.diag.contradictory_rows;
+  stats.sanitizer_crossed_bounds = sanitized.diag.crossed_bounds;
+  stats.sanitizer_fingerprint = sanitized.diag.fingerprint();
+  if (sanitized.diag.cls == lp::ModelClass::kRejected) {
+    util::log_warn() << "sanitizer: model rejected ("
+                     << sanitized.diag.first_issue << ")";
+    return SolveStatus::kInvalidModel;
+  }
+  if (sanitized.diag.proven_infeasible) {
+    stats.sanitizer_proven_infeasible = true;
+    return SolveStatus::kInfeasible;
+  }
+  in.model = std::move(sanitized.model);
+  if (!opt.checkpoint_path.empty() || snapshot != nullptr)
+    in.fingerprint = model_fingerprint(in.model);
+  if (snapshot == nullptr) return std::nullopt;
+  std::string why;
+  if (validate_checkpoint(*snapshot, in.model, in.fingerprint, why)) {
+    in.restored = snapshot;
+    stats.resumed = true;
+    stats.restored_nodes = static_cast<long long>(snapshot->frontier.size());
+  } else {
+    util::log_warn() << "resume: snapshot rejected (" << why
+                     << "); cold start";
+    stats.resume_rejected = 1;
+  }
+  return std::nullopt;
+}
+
+/// The presolve stage's hand-off.
+struct Presolved {
+  Model model;          ///< presolved working model (branching, rounding)
+  Model reduced;        ///< the LP model; the root stage appends its cuts
+  ConflictGraph graph;  ///< clique-cut source
+};
+
+/// Presolve stage: presolve, then probing — one level of implication depth
+/// on every unfixed binary; fixings land in the model's bounds,
+/// implications in the conflict graph, and a successful pass feeds a second
+/// presolve sweep — then the LP model (redundant rows dropped, fixed
+/// variables substituted out) and the conflict edges readable straight off
+/// its rows (one-hot and clique rows, z <= x style implications).
+Exit presolve_stage(const Options& opt, const Model& original, Presolved& out,
+                    Stats& stats) {
+  Model& model = out.model;
+  model = original;  // working copy: presolve mutates bounds
+  if (!opt.branch_priority.empty())
+    ADVBIST_REQUIRE(static_cast<int>(opt.branch_priority.size()) ==
+                        model.num_variables(),
+                    "branch_priority size mismatch");
+  out.graph = ConflictGraph(model.num_variables());
+  std::vector<bool> row_redundant;
+  if (opt.use_presolve) {
+    PresolveResult pre = presolve(model);
+    if (pre.infeasible) return SolveStatus::kInfeasible;
+    row_redundant = std::move(pre.row_redundant);
+    if (opt.use_probing) {
+      const ProbingResult probe =
+          probe_binaries(model, row_redundant, out.graph);
+      stats.probing_probed = probe.probed;
+      stats.probing_fixed = probe.fixed;
+      stats.probing_implications = probe.implications;
+      if (probe.infeasible) return SolveStatus::kInfeasible;
+      if (probe.fixed > 0 || probe.bounds_tightened > 0) {
+        PresolveResult pre2 = presolve(model);
+        if (pre2.infeasible) return SolveStatus::kInfeasible;
+        row_redundant = std::move(pre2.row_redundant);
+      }
+    }
+    for (int v = 0; v < model.num_variables(); ++v)
+      if (model.variable(v).lower == model.variable(v).upper)
+        ++stats.presolve_fixed;
+    stats.presolve_redundant_rows = static_cast<int>(
+        std::count(row_redundant.begin(), row_redundant.end(), true));
+  }
+  ReducedModelResult reduction = build_reduced_model(model, row_redundant);
+  stats.presolve_dropped_rows = reduction.dropped_rows;
+  stats.presolve_dropped_terms = reduction.dropped_terms;
+  if (reduction.infeasible) return SolveStatus::kInfeasible;
+  out.reduced = std::move(reduction.model);
+  if (opt.use_clique_cuts) out.graph.add_from_rows(out.reduced, {});
+  out.graph.finalize();
+  return std::nullopt;
+}
+
+/// Points the search context at the presolved models and seeds the root
+/// box, the reliability probe budget and the cutoff.
+void seed_search(SearchContext& ctx, const Presolved& pre,
+                 const SolveCheckpoint* restored) {
+  const Options& opt = *ctx.options;
+  const Model& model = pre.model;
+  ctx.model = &model;
+  ctx.cut_model = &pre.reduced;
+  ctx.graph = opt.use_clique_cuts ? &pre.graph : nullptr;
+  ctx.integral_obj = model.objective_is_integral();
+  ctx.reliability_budget.store(std::max(0, opt.reliability_probe_budget),
+                               std::memory_order_relaxed);
+  for (int v = 0; v < model.num_variables(); ++v) {
+    ctx.root_lb.push_back(model.variable(v).lower);
+    ctx.root_ub.push_back(model.variable(v).upper);
+  }
+  if (std::isfinite(opt.initial_cutoff)) {
+    // Seeded bound: keep nodes that can still reach objective ==
+    // initial_cutoff (callers pass a heuristic solution's value).
+    ctx.cutoff = opt.initial_cutoff + (ctx.integral_obj ? 1.0 : kIntEps);
+  }
+  if (restored != nullptr && std::isfinite(restored->cutoff) &&
+      restored->cutoff <= ctx.cutoff.load()) {
+    // The interrupted run's cutoff (and incumbent, re-verified against the
+    // original model by the resume gate) picks up where it left off. A
+    // caller-seeded cutoff tighter than the snapshot's wins instead, and
+    // the snapshot's incumbent — no better than that seed — is dropped
+    // with it.
+    ctx.cutoff.store(restored->cutoff);
+    if (restored->has_incumbent) ctx.incumbent = restored->incumbent;
+  }
+}
+
+/// The root stage's hand-off.
+struct Root {
+  /// The root LP solver. Strong branching probes on its warm optimal basis
+  /// instead of cold-solving the root a second time, and the exit audit
+  /// re-solves it on fresh factors.
+  std::optional<SimplexSolver> solver;
+  LpResult result;  ///< most recent root LP result (kIterLimit until solved)
+  double bound = -lp::kInfinity;  ///< root node bound after the cut loop
+
+  /// Builds the root LP solver over `reduced` and solves it from scratch.
+  void solve(SearchContext& ctx, const Model& reduced) {
+    solver.emplace(reduced, Worker::simplex_options(*ctx.options));
+    solver->set_controller(ctx.controller);
+    result = solver->solve();
+    ctx.lp_iterations.fetch_add(result.iterations);
+  }
+};
+
+/// Root stage, when cuts or rc fixing are on: the root LP, rounds of
+/// clique/cover separation against it (rows appended in place on the
+/// factorized basis), a rounding incumbent per round, and reduced-cost
+/// fixing off the final root basis.
+Exit root_stage(SearchContext& ctx, Model& reduced, CutPool& pool, Root& root,
+                Stats& stats) {
+  const Options& opt = *ctx.options;
+  const bool cut_loop =
+      opt.cut_rounds > 0 && (opt.use_clique_cuts || opt.use_cover_cuts);
+  if (!cut_loop && !opt.use_rc_fixing) return std::nullopt;
+  root.solve(ctx, reduced);
+  LpResult& rlp = root.result;
+  if (rlp.status == LpStatus::kInfeasible) return SolveStatus::kInfeasible;
+  if (rlp.status == LpStatus::kUnbounded) return SolveStatus::kUnbounded;
+  if (rlp.status != LpStatus::kOptimal) return std::nullopt;
+  stats.root_lp_bound = ctx.node_bound(rlp.objective);
+  ctx.try_round(rlp.x);
+
+  double prev_bound = rlp.objective;
+  int stalled = 0;
+  for (int round = 0; cut_loop && round < opt.cut_rounds; ++round) {
+    // The per-round check catches deadline/cancel between LP solves; the
+    // in-LP controller polling (via set_controller above) catches them
+    // INSIDE a long re-solve, so no single round can overshoot.
+    if (ctx.controller->check() != util::StopReason::kNone) break;
+    if (fractional_candidates(*ctx.model, rlp.x).empty())
+      break;  // integral root: the search concludes immediately
+    for (Cut& c : ctx.separate(rlp.x)) pool.add(std::move(c));
+    const std::vector<Cut> taken = pool.take_violated(
+        rlp.x, kCutViolationEps, opt.max_cuts_per_round);
+    if (taken.empty()) break;
+    std::vector<ConstraintDef> rows;
+    rows.reserve(taken.size());
+    for (const Cut& c : taken) {
+      rows.push_back(ConstraintDef{c.terms, Sense::kLessEqual, c.rhs, ""});
+      lp::LinExpr expr;
+      for (const lp::Term& t : c.terms) expr.add(t.var, t.coeff);
+      reduced.add_constraint(std::move(expr), Sense::kLessEqual, c.rhs);
+    }
+    root.solver->add_rows(rows);
+    // The appended rows enter slack-basic, so the dual re-solve path
+    // applies at the root exactly as it does in the tree.
+    rlp = root.solver->solve_dual();
+    ctx.lp_iterations.fetch_add(rlp.iterations);
+    // Valid cuts + feasible LP turned infeasible: no integer point.
+    if (rlp.status == LpStatus::kInfeasible) return SolveStatus::kInfeasible;
+    if (rlp.status != LpStatus::kOptimal) return std::nullopt;
+    ctx.try_round(rlp.x);
+    // Two consecutive stalled rounds end the loop: the pool keeps the
+    // separated-but-idle cuts and ages them out.
+    if (rlp.objective < prev_bound + kIntEps) {
+      if (++stalled >= 2) break;
+    } else {
+      stalled = 0;
+    }
+    prev_bound = rlp.objective;
+  }
+
+  root.bound = ctx.node_bound(rlp.objective);
+  stats.root_cut_bound = root.bound;
+  const double cut = ctx.cutoff.load();
+  if (std::isfinite(cut) && cut - stats.root_lp_bound > kIntEps)
+    stats.root_gap_closed =
+        std::clamp((root.bound - stats.root_lp_bound) /
+                       (cut - stats.root_lp_bound),
+                   0.0, 1.0);
+  if (!opt.use_rc_fixing) return std::nullopt;
+
+  // Root reduced-cost fixing: keep the certificate for incumbent
+  // improvements during the search.
+  ctx.root_rc_valid = true;
+  ctx.root_obj = rlp.objective;
+  ctx.root_x = rlp.x;
+  ctx.root_d = root.solver->reduced_costs();
+  ctx.rc_lb = ctx.root_lb;
+  ctx.rc_ub = ctx.root_ub;
+  if (std::isfinite(cut) && !ctx.prunable(root.bound))
+    stats.rc_fixed_root = ctx.rc_fix_against(cut);
+  // Bake the root fixings into the root bounds and the LP model (workers
+  // copy both at construction).
+  for (int v = 0; v < reduced.num_variables(); ++v) {
+    if (ctx.rc_lb[v] > ctx.root_lb[v] || ctx.rc_ub[v] < ctx.root_ub[v]) {
+      ctx.root_lb[v] = ctx.rc_lb[v];
+      ctx.root_ub[v] = ctx.rc_ub[v];
+      reduced.set_bounds(v, ctx.rc_lb[v], ctx.rc_ub[v]);
+    }
+  }
+  ctx.fixings.clear();  // baked in; workers need no replay
+  ctx.num_fixings.store(0);
+  return std::nullopt;
+}
+
+/// Strong-branching probes from the root optimum `base` on `sb`, most
+/// fractional candidates first within the highest branching priority.
+/// Returns true when the probes prove the model infeasible.
+bool probe_root(SearchContext& ctx, Model& reduced, SimplexSolver& sb,
+                LpResult base, Stats& stats) {
+  const Options& opt = *ctx.options;
+  std::vector<Candidate> cands = fractional_candidates(*ctx.model, base.x);
+  const auto priority = [&opt](int v) {
+    return opt.branch_priority.empty() ? 0 : opt.branch_priority[v];
+  };
+  std::sort(cands.begin(), cands.end(),
+            [&](const Candidate& a, const Candidate& b) {
+              if (priority(a.v) != priority(b.v))
+                return priority(a.v) > priority(b.v);
+              if (a.dist != b.dist) return a.dist > b.dist;
+              return a.v < b.v;
+            });
+  if (static_cast<int>(cands.size()) > opt.strong_branch_vars)
+    cands.resize(opt.strong_branch_vars);
+  const ProbePass pass(ctx, sb);
+  for (const Candidate& c : cands) {
+    if (ctx.controller->check() != util::StopReason::kNone) break;
+    // Re-derive fractionality from the CURRENT base (a fixing may have
+    // re-solved it since the candidates were ranked).
+    const double xv = base.x[c.v];
+    const double fl = std::floor(xv);
+    if (std::min(xv - fl, fl + 1.0 - xv) <= kIntEps) continue;
+    bool fixed_here = false;
+    for (const bool up : {false, true}) {
+      const double lo = ctx.root_lb[c.v], hi = ctx.root_ub[c.v];
+      const auto [plo, phi] = branch_bounds(up, fl, lo, hi);
+      if (plo > phi) continue;  // a prior fixing emptied this branch
+      const LpStatus status = ctx.probe(sb, base, c.v, up, lo, hi);
+      ++stats.strong_branch_probed;
+      if (status != LpStatus::kInfeasible) continue;
+      // No LP point in the branch, hence no integer point: the other
+      // branch is a globally valid bound.
+      const auto [nlo, nhi] = branch_bounds(!up, fl, lo, hi);
+      if (nlo > nhi) return true;  // both directions empty
+      ctx.root_lb[c.v] = nlo;
+      ctx.root_ub[c.v] = nhi;
+      if (ctx.root_rc_valid) {
+        ctx.rc_lb[c.v] = std::max(ctx.rc_lb[c.v], nlo);
+        ctx.rc_ub[c.v] = std::min(ctx.rc_ub[c.v], nhi);
+      }
+      reduced.set_bounds(c.v, nlo, nhi);
+      sb.set_variable_bounds(c.v, nlo, nhi);
+      ++stats.strong_branch_fixed;
+      // A fixed variable is never branched on again: drop its seeded
+      // history so it cannot skew the global pseudocost averages.
+      ctx.pseudocosts->purge(c.v);
+      fixed_here = true;
+      break;  // the base moved; re-solve before probing further
+    }
+    if (!fixed_here) continue;
+    // A fixing moved the root optimum: re-solve (uncapped) so every later
+    // candidate's degradation is measured against the true current base,
+    // then restore the probe budget.
+    sb.set_max_iterations(lp::SimplexOptions{}.max_iterations);
+    LpResult rebase = sb.solve_dual();
+    ctx.lp_iterations.fetch_add(rebase.iterations);
+    sb.set_max_iterations(kProbeLpIters);
+    if (rebase.status == LpStatus::kInfeasible) return true;
+    if (rebase.status != LpStatus::kOptimal) break;  // stop probing
+    base = std::move(rebase);
+  }
+  return false;
+}
+
+/// Strong-branching stage: bounded dual probes on the root candidates seed
+/// the shared pseudocost store, so no worker's first branchings run on
+/// guesswork. The probes run on the root LP's warm optimal basis (each is a
+/// bound change away from it — exactly the dual re-solve pattern). A
+/// direction whose probe proves LP-infeasible fixes the variable the other
+/// way — globally valid, like a reduced-cost fixing — and two infeasible
+/// directions prove the whole model infeasible. A resumed run inherits the
+/// interrupted run's pseudocosts instead of re-paying the probes. The root
+/// LP's counters join the search's here.
+Exit strong_branch(SearchContext& ctx, Model& reduced, Root& root,
+                   const SolveCheckpoint* restored, Stats& stats) {
+  const Options& opt = *ctx.options;
+  bool infeasible = false;
+  if (opt.strong_branch_vars > 0 && restored == nullptr &&
+      ctx.controller->check() == util::StopReason::kNone) {
+    // Cuts and rc fixing disabled: no root solve happened yet.
+    if (!root.solver) root.solve(ctx, reduced);
+    if (root.result.status == LpStatus::kOptimal)
+      infeasible = probe_root(ctx, reduced, *root.solver, root.result, stats);
+  }
+  if (root.solver) {
+    accumulate(ctx.lp_stats, root.solver->stats());
+    ctx.lp_scaling_active |= root.solver->scaling_active();
+  }
+  if (infeasible) return SolveStatus::kInfeasible;
+  return std::nullopt;
+}
+
+/// Restore stage: the search's starting state. A cold start gets the root
+/// node. A resume instead restores the interrupted run's state:
+///  * its globally tightened bounds (probing + strong branching + rc
+///    fixing, all valid given the restored and re-verified incumbent) are
+///    baked into the root box, the way root rc fixings are. A restored
+///    bound conflicting with a freshly derived one would make the box
+///    empty, so that variable is skipped; restored bounds are an
+///    optimization, never required for soundness;
+///  * its applied cuts are replayed through the pool: workers pick them up
+///    via their normal applied-list sync, and cuts the root loop
+///    re-derived this run dedup away structurally;
+///  * its frontier replaces the root node: together with the restored
+///    cutoff it covers every region the interrupted run had not finished
+///    (see ilp/checkpoint.hpp for the monotonicity argument). An empty
+///    frontier means that run had explored the whole tree before its
+///    limit latched — nothing left to search;
+///  * its dropped-node bound and pseudocosts carry over.
+void restore(SearchContext& ctx, Model& reduced, CutPool& pool,
+             const SolveCheckpoint* restored, double root_bound) {
+  const Options& opt = *ctx.options;
+  ctx.cut_pool =
+      opt.use_clique_cuts || opt.use_cover_cuts ? &pool : nullptr;
+  ctx.root_applied_cuts = pool.applied().size();
+  if (restored == nullptr) {
+    Node root{{}, root_bound, 0};
+    ctx.controller->reserve(node_bytes(root));
+    ctx.pool.push_back(std::move(root));
+  } else {
+    for (int v = 0; v < reduced.num_variables(); ++v) {
+      const double lo = std::max(ctx.root_lb[v], restored->global_lb[v]);
+      const double hi = std::min(ctx.root_ub[v], restored->global_ub[v]);
+      if (lo > hi || (lo <= ctx.root_lb[v] && hi >= ctx.root_ub[v])) continue;
+      ctx.root_lb[v] = lo;
+      ctx.root_ub[v] = hi;
+      reduced.set_bounds(v, lo, hi);
+      if (ctx.root_rc_valid) {
+        ctx.rc_lb[v] = std::max(ctx.rc_lb[v], lo);
+        ctx.rc_ub[v] = std::min(ctx.rc_ub[v], hi);
+      }
+    }
+    if (ctx.cut_pool != nullptr) {
+      for (const CheckpointCut& c : restored->cuts) {
+        Cut cut;
+        cut.terms = c.terms;
+        cut.rhs = c.rhs;
+        // validate_checkpoint already capped cut_class at kCover.
+        cut.cut_class = static_cast<CutClass>(c.cut_class);
+        pool.restore_applied(std::move(cut));
+      }
+    }
+    ctx.pool = restored->frontier;
+    for (const Node& node : ctx.pool)
+      ctx.controller->reserve(node_bytes(node));
+    if (std::isfinite(restored->dropped_bound)) {
+      // A forfeited proof stays forfeited: the dropped subtrees' bound
+      // folds back into this run's final reduction.
+      ctx.dropped_bound = restored->dropped_bound;
+      ctx.exhausted = false;
+    }
+    for (const CheckpointPseudocost& p : restored->pseudocosts)
+      ctx.pseudocosts->restore(p);
+  }
+  ctx.pool_applied.store(pool.applied().size());
+  if (ctx.cut_pool != nullptr) ctx.update_cut_pool_bytes(pool.approx_bytes());
+  if (!ctx.root_rc_valid) {
+    ctx.rc_lb = ctx.root_lb;
+    ctx.rc_ub = ctx.root_ub;
+  }
+}
+
+/// Search stage: the workers run until the pool drains or a limit trips.
+/// With periodic checkpointing, a dedicated writer thread snapshots the
+/// live search every checkpoint_interval_seconds alongside them.
+void search(SearchContext& ctx, const Model& reduced,
+            std::uint64_t fingerprint, Stats& stats) {
+  const Options& opt = *ctx.options;
+  const bool periodic =
+      !opt.checkpoint_path.empty() && opt.checkpoint_interval_seconds > 0.0;
+  std::thread writer;
+  std::mutex writer_mutex;
+  std::condition_variable writer_cv;
+  bool writer_stop = false;
+  if (periodic) {
+    ctx.track_current = true;
+    ctx.current_nodes.assign(static_cast<std::size_t>(ctx.num_workers),
+                             std::nullopt);
+    // Until the join below only this thread touches the checkpoint stats.
+    writer = std::thread([&] {
+      std::unique_lock<std::mutex> lock(writer_mutex);
+      const auto interval =
+          std::chrono::duration<double>(opt.checkpoint_interval_seconds);
+      while (!writer_cv.wait_for(lock, interval, [&] { return writer_stop; }))
+        write_checkpoint(ctx, fingerprint, stats);
+    });
+  }
+
+  if (ctx.num_workers == 1) {
+    run_worker(ctx, reduced);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(ctx.num_workers);
+    for (int t = 0; t < ctx.num_workers; ++t)
+      threads.emplace_back([&ctx, &reduced] { run_worker(ctx, reduced); });
+    for (std::thread& t : threads) t.join();
+  }
+  if (periodic) {
+    {
+      std::lock_guard<std::mutex> lock(writer_mutex);
+      writer_stop = true;
+    }
+    writer_cv.notify_all();
+    writer.join();
+  }
+  if (ctx.failure) std::rethrow_exception(ctx.failure);
+}
+
+/// Honest termination statuses: a deadline, cancellation or memory-budget
+/// stop is reported as itself (with or without an incumbent; see
+/// Solution::has_solution). Any other stop keeps `fallback` — a node-limit
+/// stop keeps the legacy kFeasible / kNoSolutionFound mapping plus
+/// stats.hit_node_limit.
+SolveStatus limit_status(util::StopReason reason, SolveStatus fallback) {
+  switch (reason) {
+    case util::StopReason::kTimeLimit: return SolveStatus::kTimeLimit;
+    case util::StopReason::kCancelled: return SolveStatus::kCancelled;
+    case util::StopReason::kMemoryLimit: return SolveStatus::kMemoryLimit;
+    default: return fallback;
+  }
+}
+
+/// Reduce stage, single-threaded on the joined workers' state: folds their
+/// counters into the stats, persists or removes the checkpoint, tears the
+/// memory accounting down and decides the status.
+void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
+            std::uint64_t fingerprint, Solution& sol) {
+  const Options& opt = *ctx.options;
+  Stats& stats = sol.stats;
+  stats.nodes = ctx.nodes.load();
+  stats.lp_iterations = ctx.lp_iterations.load();
+  stats.dropped_nodes = ctx.dropped_nodes.load();
+  stats.termination = ctx.controller->reason();
+  stats.hit_node_limit =
+      stats.termination == util::StopReason::kNodeLimit;
+  stats.shed_cuts = ctx.shed_cuts.load();
+  stats.shed_diving = ctx.shed_diving.load();
+  stats.peak_memory_bytes = ctx.controller->peak_memory();
+  stats.seconds = ctx.watch.seconds();
+  stats.lp_scaling_active = ctx.lp_scaling_active;
+  stats.lp_refactorizations = ctx.lp_stats.refactorizations;
+  stats.lp_sparse_refactorizations = ctx.lp_stats.sparse_refactorizations;
+  stats.lp_sparse_fallbacks = ctx.lp_stats.sparse_fallbacks;
+  stats.lp_pivot_rejections = ctx.lp_stats.pivot_rejections;
+  stats.lp_fill_ratio = ctx.lp_stats.fill_ratio();
+  stats.lp_primal_phase1_iterations =
+      ctx.lp_stats.primal_phase1_iterations;
+  stats.lp_primal_phase2_iterations =
+      ctx.lp_stats.primal_phase2_iterations;
+  stats.lp_dual_iterations = ctx.lp_stats.dual_iterations;
+  stats.lp_dual_solves =
+      ctx.lp_stats.dual_solves - ctx.probe_dual_solves.load();
+  stats.lp_dual_fallbacks =
+      ctx.lp_stats.dual_fallbacks - ctx.probe_dual_fallbacks.load();
+  stats.lp_bound_flips =
+      ctx.lp_stats.bound_flips + ctx.lp_stats.dual_bound_flips;
+  stats.lp_rows_deleted = ctx.lp_stats.rows_deleted;
+  stats.lp_peak_rows = ctx.lp_stats.peak_rows;
+  stats.lp_devex_resets = ctx.lp_stats.devex_resets;
+  stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
+  stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
+  stats.lp_recovery_dense = ctx.lp_stats.recovery_dense;
+  stats.lp_recovery_cold = ctx.lp_stats.recovery_cold;
+  stats.lp_recovery_exhausted = ctx.lp_stats.recovery_exhausted;
+  stats.lp_aborted_solves = ctx.lp_stats.aborted_solves;
+  stats.lp_refactor_update_cap = ctx.lp_stats.refactor_update_cap;
+  stats.lp_refactor_u_growth = ctx.lp_stats.refactor_u_growth;
+  stats.lp_refactor_stability = ctx.lp_stats.refactor_stability;
+  stats.lp_refactor_delete_rows = ctx.lp_stats.refactor_delete_rows;
+  stats.lp_refactor_certify = ctx.lp_stats.refactor_certify;
+  stats.lp_refactor_dual_ray = ctx.lp_stats.refactor_dual_ray;
+  stats.lp_refactor_refresh = ctx.lp_stats.refactor_refresh;
+  stats.cuts_clique_separated = ctx.clique_separated.load();
+  stats.cuts_cover_separated = ctx.cover_separated.load();
+  if (ctx.cut_pool != nullptr) {
+    for (const Cut& c : ctx.cut_pool->applied()) {
+      switch (c.cut_class) {
+        case CutClass::kClique: ++stats.cuts_clique_applied; break;
+        case CutClass::kCover: ++stats.cuts_cover_applied; break;
+      }
+    }
+    stats.cuts_aged_out = ctx.cut_pool->aged_out();
+  }
+  stats.reliability_probed = ctx.reliability_probed.load();
+  stats.reliability_fixed = ctx.reliability_fixed.load();
+  stats.reliability_tightened = ctx.reliability_tightened.load();
+  stats.rc_fixed_incumbent = ctx.rc_fixed_incumbent;
+
+  // Final checkpoint: any early stop persists the complete frontier —
+  // take() returned every worker's local node to the pool before exit, so
+  // the post-join pool IS the set of unexplored regions. A natural
+  // completion instead removes a leftover snapshot: resuming from it would
+  // redo work the finished proof already covers.
+  if (!opt.checkpoint_path.empty() && !ctx.root_unbounded.load()) {
+    if (stats.termination != util::StopReason::kNone)
+      write_checkpoint(ctx, fingerprint, stats);
+    else
+      std::remove(opt.checkpoint_path.c_str());
+  }
+
+  // End-of-solve accounting teardown: release the open nodes and zero the
+  // cut-pool gauge (workers already released their LP cut rows when they
+  // retired). Whatever remains accounted is a reserve/release imbalance —
+  // reported in the stats instead of silently leaked.
+  for (const Node& open : ctx.pool) ctx.controller->release(node_bytes(open));
+  if (ctx.cut_pool != nullptr) ctx.update_cut_pool_bytes(0);
+  stats.memory_unreleased_bytes = ctx.controller->memory_used();
+
+  if (ctx.root_unbounded.load()) {
+    sol.status = SolveStatus::kUnbounded;
+    return;
+  }
+
+  const bool exhausted = ctx.exhausted.load();
+  const double cutoff = ctx.cutoff.load();
+
+  // Final bound: min over open nodes, dropped nodes and, if exhausted, the
+  // incumbent.
+  double best_bound = exhausted ? cutoff : lp::kInfinity;
+  for (const Node& open : ctx.pool)
+    best_bound = std::min(best_bound, open.parent_bound);
+  best_bound = std::min(best_bound, ctx.dropped_bound);
+  if (ctx.pool.empty() && exhausted) best_bound = cutoff;
+  stats.best_bound = best_bound;
+
+  if (!ctx.incumbent.empty()) {
+    sol.values = std::move(ctx.incumbent);
+    sol.objective = cutoff;
+    const bool proven = exhausted ||
+                        (std::isfinite(best_bound) &&
+                         (ctx.integral_obj ? best_bound >= cutoff - 0.5
+                                           : best_bound >= cutoff - kBoundEps));
+    sol.status = proven ? SolveStatus::kOptimal
+                        : limit_status(stats.termination,
+                                       SolveStatus::kFeasible);
+    if (sol.status == SolveStatus::kOptimal) stats.best_bound = cutoff;
+  } else if (exhausted && !std::isfinite(opt.initial_cutoff) &&
+             !(restored != nullptr && std::isfinite(restored->cutoff))) {
+    // A restored finite cutoff without an incumbent means the interrupted
+    // run was itself seeded — regions at or above that seed were pruned,
+    // so "no solution below the seed" is the strongest honest claim.
+    sol.status = SolveStatus::kInfeasible;
+  } else {
+    // Either a limit was hit, or a seeded cutoff pruned everything (the
+    // problem may still be feasible at or above the seed).
+    sol.status =
+        limit_status(stats.termination, SolveStatus::kNoSolutionFound);
+  }
+}
+
+/// Audit stage (ON by default): no proof leaves the solver unbacked.
+///  (a) The incumbent is re-verified against the ORIGINAL pre-presolve
+///      model (presolve/probing/fixing all preserve variable indices, so
+///      the mapping is the identity). A failing incumbent is DROPPED — an
+///      infeasible "solution" is never handed out.
+///  (b) The root dual bound is recomputed on a FRESH factorization of the
+///      final root LP (cuts + globally valid fixings as the search left
+///      them), so LU-update drift cannot survive into the reported
+///      certificate. A recomputed bound that comes in BELOW the recorded
+///      root bound means the root certificate was corrupted: a kOptimal
+///      claim resting on it is downgraded to kFeasible.
+void audit(const SearchContext& ctx, const Model& original,
+           const Model& reduced, Root& root, Solution& sol) {
+  const double audit_start = ctx.watch.seconds();
+  sol.stats.audit_ran = true;
+  bool incumbent_dropped = false;
+  if (!sol.values.empty()) {
+    const double viol = original.max_violation(sol.values, true);
+    const double audit_obj = original.objective_value(sol.values);
+    sol.stats.audit_max_violation = viol;
+    if (viol <= 10 * kActivityEps &&
+        std::abs(audit_obj - sol.objective) <=
+            1e-6 * std::max(1.0, std::abs(audit_obj))) {
+      sol.stats.audit_incumbent_ok = true;
+      sol.objective = audit_obj;  // report the re-verified objective
+    } else {
+      util::log_warn() << "exit audit: incumbent failed re-verification "
+                          "(violation "
+                       << viol << ", objective " << audit_obj << " vs "
+                       << sol.objective << "); solution dropped";
+      sol.values.clear();
+      sol.objective = lp::kInfinity;
+      incumbent_dropped = true;
+      sol.stats.audit_downgraded = true;
+      sol.status =
+          limit_status(sol.stats.termination, SolveStatus::kNoSolutionFound);
+      sol.stats.best_bound = -lp::kInfinity;  // claims rested on the drop
+    }
+  }
+  // (b) Certified root bound. Skipped when the incumbent was dropped:
+  // the reduced model's incumbent-driven rc fixings were conditioned on
+  // it, so its root LP certifies nothing about the original model.
+  if (!incumbent_dropped) {
+    if (!root.solver)
+      root.solver.emplace(reduced, Worker::simplex_options(*ctx.options));
+    SimplexSolver& audit_lp = *root.solver;
+    audit_lp.set_controller(nullptr);  // the audit itself always finishes
+    audit_lp.set_max_iterations(lp::SimplexOptions{}.max_iterations);
+    audit_lp.refresh_factorization();
+    ++sol.stats.lp_refactor_refresh;  // after the worker stats were folded
+    const LpResult alp = audit_lp.solve();
+    sol.stats.audit_lp_iterations = alp.iterations;
+    const double recorded = sol.stats.root_cut_bound;
+    // Integral bounds are ceil'ed integers: any disagreement is a whole
+    // unit. Continuous bounds get a relative drift tolerance.
+    const double drift_tol =
+        ctx.integral_obj ? 0.5
+                         : std::max(1e-6, 1e-9 * std::abs(recorded));
+    if (alp.status == LpStatus::kOptimal) {
+      const double cert = ctx.node_bound(alp.objective);
+      sol.stats.audit_root_bound = cert;
+      if (std::isfinite(recorded) && cert < recorded - drift_tol) {
+        // Fresh factors disagree with the bound the search pruned with.
+        util::log_warn() << "exit audit: recomputed root bound " << cert
+                         << " below recorded " << recorded
+                         << "; optimality proof not certified";
+        if (sol.status == SolveStatus::kOptimal) {
+          sol.status = SolveStatus::kFeasible;
+          sol.stats.audit_downgraded = true;
+        }
+        sol.stats.best_bound = std::min(sol.stats.best_bound, cert);
+      } else {
+        sol.stats.audit_bound_ok = true;
+        // The certified bound can only strengthen a non-proven claim.
+        if (sol.status != SolveStatus::kOptimal) {
+          const double glob =
+              sol.values.empty() ? cert : std::min(sol.objective, cert);
+          sol.stats.best_bound =
+              std::isfinite(sol.stats.best_bound)
+                  ? std::max(sol.stats.best_bound, glob)
+                  : glob;
+        }
+      }
+    } else if (sol.status == SolveStatus::kOptimal) {
+      // The audit could not recompute the bound at all (numerical wall):
+      // the proof is unbacked — downgrade rather than overclaim.
+      util::log_warn() << "exit audit: root LP re-solve failed (status "
+                       << static_cast<int>(alp.status)
+                       << "); optimality claim downgraded";
+      sol.status = SolveStatus::kFeasible;
+      sol.stats.audit_downgraded = true;
+    }
+  }
+  sol.stats.audit_seconds = ctx.watch.seconds() - audit_start;
+  sol.stats.seconds = ctx.watch.seconds();
+}
 }  // namespace
 
 int reliability_probe_allowance(long long remaining, int depth) {
@@ -1345,37 +2066,7 @@ Solution Solver::solve_impl(const Model& input,
                             const SolveCheckpoint* snapshot) const {
   Solution sol;
   SearchContext ctx;
-
-  // Sanitizer gate: every model — built-in, file-sourced or serve job —
-  // passes through lp::sanitize_model before presolve sees it. Rejection
-  // (non-finite data, corrupt indices) is an honest kInvalidModel refusal;
-  // a structurally contradictory model is an honest kInfeasible without a
-  // search; a repaired model replaces the input for the whole solve
-  // (including the exit audit — the repairs are solve-equivalent).
-  lp::SanitizeResult sanitized = lp::sanitize_model(input);
-  sol.stats.sanitizer_class = lp::to_string(sanitized.diag.cls);
-  sol.stats.sanitizer_duplicates_merged = sanitized.diag.duplicate_terms_merged;
-  sol.stats.sanitizer_zero_coeffs_dropped = sanitized.diag.zero_coeffs_dropped;
-  sol.stats.sanitizer_vacuous_rows_dropped =
-      sanitized.diag.vacuous_rows_dropped;
-  sol.stats.sanitizer_contradictory_rows = sanitized.diag.contradictory_rows;
-  sol.stats.sanitizer_crossed_bounds = sanitized.diag.crossed_bounds;
-  sol.stats.sanitizer_fingerprint = sanitized.diag.fingerprint();
-  if (sanitized.diag.cls == lp::ModelClass::kRejected) {
-    util::log_warn() << "sanitizer: model rejected ("
-                     << sanitized.diag.first_issue << ")";
-    sol.status = SolveStatus::kInvalidModel;
-    sol.stats.seconds = ctx.watch.seconds();
-    return sol;
-  }
-  if (sanitized.diag.proven_infeasible) {
-    sol.stats.sanitizer_proven_infeasible = true;
-    sol.status = SolveStatus::kInfeasible;
-    sol.stats.seconds = ctx.watch.seconds();
-    return sol;
-  }
-  const Model& original = sanitized.model;
-
+  ctx.options = &options_;
   // One controller governs every phase of this solve: the deadline, the
   // node budget, the memory budget, and the caller's cancel flag are all
   // checked from the same latch, so the first reason to stop wins and is
@@ -1386,814 +2077,50 @@ Solution Solver::solve_impl(const Model& input,
   controller.set_memory_budget(options_.memory_limit_bytes);
   controller.set_cancel_flag(options_.cancel_flag);
   ctx.controller = &controller;
-
-  // Resume gate. A snapshot that fails any check degrades to a cold start
-  // with the rejection counted — never to a wrong proof.
-  const bool checkpointing = !options_.checkpoint_path.empty();
-  const std::uint64_t fingerprint = (checkpointing || snapshot != nullptr)
-                                        ? model_fingerprint(original)
-                                        : 0;
-  const SolveCheckpoint* restored = nullptr;
-  if (snapshot != nullptr) {
-    std::string why;
-    if (validate_checkpoint(*snapshot, original, fingerprint, why)) {
-      restored = snapshot;
-      sol.stats.resumed = true;
-      sol.stats.restored_nodes =
-          static_cast<long long>(snapshot->frontier.size());
-    } else {
-      util::log_warn() << "resume: snapshot rejected (" << why
-                       << "); cold start";
-      sol.stats.resume_rejected = 1;
-    }
-  }
-
-  Model model = original;  // working copy: presolve mutates bounds
-  if (!options_.branch_priority.empty())
-    ADVBIST_REQUIRE(static_cast<int>(options_.branch_priority.size()) ==
-                        model.num_variables(),
-                    "branch_priority size mismatch");
-
-  const int n = model.num_variables();
-  ConflictGraph graph(n);
-  std::vector<bool> row_redundant;
-  if (options_.use_presolve) {
-    PresolveResult pre = presolve(model);
-    if (pre.infeasible) {
-      sol.status = SolveStatus::kInfeasible;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
-    row_redundant = std::move(pre.row_redundant);
-
-    // Probing: one level of implication depth on every unfixed binary.
-    // Fixings land in the model's bounds; implications in the conflict
-    // graph. A successful probe pass feeds a second presolve sweep.
-    if (options_.use_probing) {
-      const ProbingResult probe =
-          probe_binaries(model, row_redundant, graph);
-      sol.stats.probing_probed = probe.probed;
-      sol.stats.probing_fixed = probe.fixed;
-      sol.stats.probing_implications = probe.implications;
-      if (probe.infeasible) {
-        sol.status = SolveStatus::kInfeasible;
-        sol.stats.seconds = ctx.watch.seconds();
-        return sol;
-      }
-      if (probe.fixed > 0 || probe.bounds_tightened > 0) {
-        PresolveResult pre2 = presolve(model);
-        if (pre2.infeasible) {
-          sol.status = SolveStatus::kInfeasible;
-          sol.stats.seconds = ctx.watch.seconds();
-          return sol;
-        }
-        row_redundant = std::move(pre2.row_redundant);
-      }
-    }
-    PresolveResult recount;  // final fixed/redundant tallies for the stats
-    for (int v = 0; v < n; ++v)
-      if (model.variable(v).lower == model.variable(v).upper)
-        ++recount.variables_fixed;
-    for (const bool r : row_redundant)
-      if (r) ++recount.redundant_rows;
-    sol.stats.presolve_fixed = recount.variables_fixed;
-    sol.stats.presolve_redundant_rows = recount.redundant_rows;
-  }
-
-  // The LP model: redundant rows dropped, fixed variables substituted out.
-  ReducedModelResult reduction = build_reduced_model(model, row_redundant);
-  sol.stats.presolve_dropped_rows = reduction.dropped_rows;
-  sol.stats.presolve_dropped_terms = reduction.dropped_terms;
-  if (reduction.infeasible) {
-    sol.status = SolveStatus::kInfeasible;
+  const auto stop = [&](SolveStatus status) {
+    sol.status = status;
     sol.stats.seconds = ctx.watch.seconds();
     return sol;
-  }
-  Model& reduced = reduction.model;
+  };
+  double mark = 0.0;
+  const auto lap = [&] {  // seconds since the previous stage boundary
+    const double now = ctx.watch.seconds();
+    const double phase = now - mark;
+    mark = now;
+    return phase;
+  };
 
-  // Conflict edges readable straight off the surviving rows (one-hot and
-  // clique rows, z <= x style implications); probing added the deeper ones.
-  if (options_.use_clique_cuts) graph.add_from_rows(reduced, {});
-  graph.finalize();
+  Input in;
+  if (const Exit exit = sanitize(options_, input, snapshot, in, sol.stats))
+    return stop(*exit);
+  Presolved pre;
+  if (const Exit exit = presolve_stage(options_, in.model, pre, sol.stats))
+    return stop(*exit);
+  seed_search(ctx, pre, in.restored);
+  sol.stats.presolve_seconds = lap();
 
-  ctx.model = &model;
-  ctx.options = &options_;
-  ctx.integral_obj = model.objective_is_integral();
-  ctx.reliability_budget.store(
-      std::max(0, options_.reliability_probe_budget),
-      std::memory_order_relaxed);
-  ctx.root_lb.resize(n);
-  ctx.root_ub.resize(n);
-  for (int v = 0; v < n; ++v) {
-    ctx.root_lb[v] = model.variable(v).lower;
-    ctx.root_ub[v] = model.variable(v).upper;
-  }
-  if (std::isfinite(options_.initial_cutoff)) {
-    // Seeded bound: keep nodes that can still reach objective ==
-    // initial_cutoff (callers pass a heuristic solution's value).
-    ctx.cutoff = options_.initial_cutoff + (ctx.integral_obj ? 1.0 : kIntEps);
-  }
-  if (restored != nullptr && std::isfinite(restored->cutoff) &&
-      restored->cutoff <= ctx.cutoff.load()) {
-    // The interrupted run's cutoff (and incumbent, re-verified against the
-    // original model above) picks up where it left off. A caller-seeded
-    // cutoff tighter than the snapshot's wins instead, and the snapshot's
-    // incumbent — no better than that seed — is dropped with it.
-    ctx.cutoff.store(restored->cutoff);
-    if (restored->has_incumbent) ctx.incumbent = restored->incumbent;
-  }
-  sol.stats.presolve_seconds = ctx.watch.seconds();
-  double phase_mark = sol.stats.presolve_seconds;
+  CutPool pool(std::max(kMaxPoolCuts, options_.max_cuts_per_round));
+  Root root;
+  if (const Exit exit = root_stage(ctx, pre.reduced, pool, root, sol.stats))
+    return stop(*exit);
+  sol.stats.root_cut_seconds = lap();
 
-  // ---------------------------------------------------------------------
-  // Root cut-and-fix loop: rounds of clique/cover separation against the
-  // root LP (rows appended in place on the factorized basis), a rounding
-  // incumbent per round, and reduced-cost fixing off the final root basis.
-  // ---------------------------------------------------------------------
-  CutPool pool(std::max(kMaxPoolCuts,
-                        options_.max_cuts_per_round));
-  const bool cuts_enabled =
-      options_.use_clique_cuts || options_.use_cover_cuts;
-  const bool run_root_loop =
-      (options_.cut_rounds > 0 && cuts_enabled) || options_.use_rc_fixing;
-  double root_bound = -lp::kInfinity;
-  int rc_fixed_root = 0;
+  PseudocostStore pseudocosts(pre.model.num_variables());
+  ctx.pseudocosts = &pseudocosts;
+  if (const Exit exit =
+          strong_branch(ctx, pre.reduced, root, in.restored, sol.stats))
+    return stop(*exit);
+  sol.stats.strong_branch_seconds = lap();
 
-  // The root LP solver outlives the cut loop: strong branching below
-  // probes on its warm optimal basis instead of cold-solving the root a
-  // second time. Its factorization counters are folded into the shared
-  // stats once, after both uses.
-  std::optional<SimplexSolver> root_lp;
-  LpResult rlp;  // most recent root LP result (kIterLimit until solved)
-
-  if (run_root_loop) {
-    root_lp.emplace(reduced, Worker::simplex_options(options_));
-    root_lp->set_controller(&controller);
-    rlp = root_lp->solve();
-    ctx.lp_iterations.fetch_add(rlp.iterations);
-    if (rlp.status == LpStatus::kInfeasible) {
-      sol.status = SolveStatus::kInfeasible;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
-    if (rlp.status == LpStatus::kUnbounded) {
-      sol.status = SolveStatus::kUnbounded;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
-    if (rlp.status == LpStatus::kOptimal) {
-      sol.stats.root_lp_bound = ctx.node_bound(rlp.objective);
-
-      auto try_round = [&](const std::vector<double>& x) {
-        if (!options_.use_rounding_heuristic) return;
-        std::vector<double> rounded = x;
-        for (int v = 0; v < n; ++v)
-          if (model.variable(v).type == VarType::kInteger)
-            rounded[v] = std::round(rounded[v]);
-        if (model.max_violation(rounded, true) <= kActivityEps) {
-          const double obj = model.objective_value(rounded);
-          if (obj < ctx.cutoff.load() - kObjImproveEps) {
-            ctx.cutoff.store(obj);
-            ctx.incumbent = std::move(rounded);
-          }
-        }
-      };
-      try_round(rlp.x);
-
-      if (options_.cut_rounds > 0 && cuts_enabled) {
-        double prev_bound = rlp.objective;
-        int stalled = 0;
-        for (int round = 0; round < options_.cut_rounds; ++round) {
-          // The per-round check catches deadline/cancel between LP solves;
-          // the in-LP controller polling (via set_controller above) catches
-          // them INSIDE a long re-solve, so no single round can overshoot.
-          if (controller.check() != util::StopReason::kNone) break;
-          const std::vector<double>& x = rlp.x;
-          if (pick_branching_variable(model, x, options_.branch_priority) < 0)
-            break;  // integral root: the search concludes immediately
-          if (options_.use_clique_cuts) {
-            const auto cliques = graph.separate_cliques(
-                x, kCutViolationEps, options_.max_cuts_per_round);
-            ctx.clique_separated.fetch_add(
-                static_cast<long long>(cliques.size()));
-            for (const auto& lits : cliques)
-              pool.add(clique_cut_from_literals(lits));
-          }
-          if (options_.use_cover_cuts) {
-            auto covers =
-                separate_cover_cuts(reduced, {}, x, kCutViolationEps,
-                                    options_.max_cuts_per_round);
-            ctx.cover_separated.fetch_add(
-                static_cast<long long>(covers.size()));
-            for (Cut& c : covers) pool.add(std::move(c));
-          }
-          const std::vector<Cut> taken = pool.take_violated(
-              x, kCutViolationEps, options_.max_cuts_per_round);
-          if (taken.empty()) break;
-          std::vector<ConstraintDef> rows;
-          rows.reserve(taken.size());
-          for (const Cut& c : taken) {
-            rows.push_back(
-                ConstraintDef{c.terms, Sense::kLessEqual, c.rhs, ""});
-            lp::LinExpr expr;
-            for (const lp::Term& t : c.terms) expr.add(t.var, t.coeff);
-            reduced.add_constraint(std::move(expr), Sense::kLessEqual, c.rhs);
-          }
-          root_lp->add_rows(rows);
-          // The appended rows enter slack-basic, so the dual re-solve path
-          // applies at the root exactly as it does in the tree.
-          rlp = root_lp->solve_dual();
-          ctx.lp_iterations.fetch_add(rlp.iterations);
-          if (rlp.status == LpStatus::kInfeasible) {
-            // Valid cuts + feasible LP turned infeasible: no integer point.
-            sol.status = SolveStatus::kInfeasible;
-            sol.stats.seconds = ctx.watch.seconds();
-            return sol;
-          }
-          if (rlp.status != LpStatus::kOptimal) break;
-          try_round(rlp.x);
-          // Two consecutive stalled rounds end the loop: the pool keeps the
-          // separated-but-idle cuts and ages them out.
-          if (rlp.objective < prev_bound + kIntEps) {
-            if (++stalled >= 2) break;
-          } else {
-            stalled = 0;
-          }
-          prev_bound = rlp.objective;
-        }
-      }
-
-      if (rlp.status == LpStatus::kOptimal) {
-        root_bound = ctx.node_bound(rlp.objective);
-        sol.stats.root_cut_bound = root_bound;
-        const double cut = ctx.cutoff.load();
-        if (std::isfinite(cut) && cut - sol.stats.root_lp_bound > kIntEps)
-          sol.stats.root_gap_closed =
-              std::clamp((root_bound - sol.stats.root_lp_bound) /
-                             (cut - sol.stats.root_lp_bound),
-                         0.0, 1.0);
-
-        // Root reduced-cost fixing: keep the certificate for incumbent
-        // improvements during the search.
-        if (options_.use_rc_fixing) {
-          ctx.root_rc_valid = true;
-          ctx.root_obj = rlp.objective;
-          ctx.root_x = rlp.x;
-          ctx.root_d = root_lp->reduced_costs();
-          ctx.rc_lb = ctx.root_lb;
-          ctx.rc_ub = ctx.root_ub;
-          if (std::isfinite(cut) && !ctx.prunable(root_bound))
-            rc_fixed_root = ctx.rc_fix_against(cut);
-          // Bake the root fixings into the root bounds and the LP model
-          // (workers copy both at construction).
-          for (int v = 0; v < n; ++v) {
-            if (ctx.rc_lb[v] > ctx.root_lb[v] ||
-                ctx.rc_ub[v] < ctx.root_ub[v]) {
-              ctx.root_lb[v] = ctx.rc_lb[v];
-              ctx.root_ub[v] = ctx.rc_ub[v];
-              reduced.set_bounds(v, ctx.rc_lb[v], ctx.rc_ub[v]);
-            }
-          }
-          ctx.fixings.clear();  // baked in; workers need no replay
-          ctx.num_fixings.store(0);
-        }
-      }
-    }
-  }
-
-  // ---------------------------------------------------------------------
-  // Root strong branching: bounded dual probing re-solves on the most
-  // fractional candidates seed the shared pseudocost store, so no worker's
-  // first branchings run on guesswork. The probes run on the root LP
-  // solver's warm optimal basis (each probe is a bound change away from
-  // it — exactly the dual re-solve pattern), so no second cold root solve
-  // happens. A direction whose probe proves LP-infeasible fixes the
-  // variable the other way — globally valid, like a reduced-cost fixing —
-  // and two infeasible directions prove the whole model infeasible.
-  // ---------------------------------------------------------------------
-  sol.stats.root_cut_seconds = ctx.watch.seconds() - phase_mark;
-  phase_mark = ctx.watch.seconds();
-
-  PseudocostStore pcstore(n);
-  ctx.pseudocosts = &pcstore;
-  long long probe_dual_solves = 0, probe_dual_fallbacks = 0;
-  // A resumed run inherits the interrupted run's pseudocosts (restored
-  // below) instead of re-paying the strong-branching probes: the restored
-  // store already reflects real branching history.
-  if (options_.strong_branch_vars > 0 && restored == nullptr &&
-      controller.check() == util::StopReason::kNone) {
-    if (!root_lp) {  // cuts + rc fixing disabled: no root solve happened yet
-      root_lp.emplace(reduced, Worker::simplex_options(options_));
-      root_lp->set_controller(&controller);
-      rlp = root_lp->solve();
-      ctx.lp_iterations.fetch_add(rlp.iterations);
-    }
-    SimplexSolver& sb = *root_lp;
-    // Local copy: an infeasible probe that fixes a variable re-solves the
-    // base, so later candidates measure degradation against the CURRENT
-    // root optimum, not a stale pre-fixing one (their seeds enter the
-    // store at full reliability weight — they must be exact).
-    LpResult base = rlp;
-    // Probe solves are iteration-capped and routinely hit the cap; keep
-    // them out of the dual_solves/dual_fallbacks health diagnostic (which
-    // measures warm-start quality of NODE re-solves) by snapshotting.
-    const long long pre_dual_solves = sb.stats().dual_solves;
-    const long long pre_dual_fallbacks = sb.stats().dual_fallbacks;
-    bool sb_infeasible = false;
-    if (base.status == LpStatus::kOptimal) {
-      struct Cand {
-        int v;
-        double frac;
-        int prio;
-      };
-      std::vector<Cand> cands;
-      for (int v = 0; v < n; ++v) {
-        if (model.variable(v).type != VarType::kInteger) continue;
-        const double frac = base.x[v] - std::floor(base.x[v]);
-        if (std::min(frac, 1.0 - frac) <= kIntEps) continue;
-        cands.push_back(Cand{v, frac,
-                             options_.branch_priority.empty()
-                                 ? 0
-                                 : options_.branch_priority[v]});
-      }
-      std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-        const double da = std::min(a.frac, 1.0 - a.frac);
-        const double db = std::min(b.frac, 1.0 - b.frac);
-        if (a.prio != b.prio) return a.prio > b.prio;
-        if (da != db) return da > db;  // most fractional first
-        return a.v < b.v;
-      });
-      if (static_cast<int>(cands.size()) > options_.strong_branch_vars)
-        cands.resize(options_.strong_branch_vars);
-      // Every probe from here on is a BOUNDED dual re-solve: a probe that
-      // runs out of its iteration budget returns kIterLimit and records
-      // nothing, so strong branching cannot blow the root time up.
-      sb.set_max_iterations(kProbeLpIters);
-      for (const Cand& c : cands) {
-        if (controller.check() != util::StopReason::kNone) break;
-        // Re-derive fractionality from the CURRENT base (a fixing may have
-        // re-solved it since the candidates were ranked).
-        const double xv = base.x[c.v];
-        const double fl = std::floor(xv);
-        if (std::min(xv - fl, fl + 1.0 - xv) <= kIntEps)
-          continue;
-        bool fixed_here = false;
-        for (const bool up : {false, true}) {
-          const double lo = ctx.root_lb[c.v], hi = ctx.root_ub[c.v];
-          const double plo = up ? fl + 1.0 : lo;
-          const double phi = up ? hi : fl;
-          if (plo > phi) continue;  // a prior fixing emptied this branch
-          sb.set_variable_bounds(c.v, plo, phi);
-          const LpResult probe = sb.solve_dual();
-          ctx.lp_iterations.fetch_add(probe.iterations);
-          ++sol.stats.strong_branch_probed;
-          sb.set_variable_bounds(c.v, lo, hi);
-          if (probe.status == LpStatus::kOptimal) {
-            const double dist = up ? fl + 1.0 - xv : xv - fl;
-            pcstore.record(c.v, up,
-                           std::max(0.0, probe.objective - base.objective) /
-                               std::max(dist, 1e-9),
-                           kPseudocostReliability);
-          } else if (probe.status == LpStatus::kInfeasible) {
-            // No LP point in the branch, hence no integer point: the
-            // complement bound is globally valid.
-            const double nlo = up ? lo : fl + 1.0;
-            const double nhi = up ? fl : hi;
-            if (nlo > nhi) {
-              sb_infeasible = true;  // both directions empty
-              break;
-            }
-            ctx.root_lb[c.v] = nlo;
-            ctx.root_ub[c.v] = nhi;
-            if (ctx.root_rc_valid) {
-              ctx.rc_lb[c.v] = std::max(ctx.rc_lb[c.v], nlo);
-              ctx.rc_ub[c.v] = std::min(ctx.rc_ub[c.v], nhi);
-            }
-            reduced.set_bounds(c.v, nlo, nhi);
-            sb.set_variable_bounds(c.v, nlo, nhi);
-            ++sol.stats.strong_branch_fixed;
-            // A fixed variable is never branched on again: drop its seeded
-            // history so it cannot skew the global pseudocost averages.
-            pcstore.purge(c.v);
-            fixed_here = true;
-            break;  // the base moved; re-solve before probing further
-          }
-        }
-        if (sb_infeasible) break;
-        if (fixed_here) {
-          // A fixing moved the root optimum: re-solve (uncapped) so every
-          // later candidate's degradation is measured against the true
-          // current base, then restore the probe budget.
-          sb.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-          const LpResult rebase = sb.solve_dual();
-          ctx.lp_iterations.fetch_add(rebase.iterations);
-          sb.set_max_iterations(kProbeLpIters);
-          if (rebase.status == LpStatus::kInfeasible) {
-            sb_infeasible = true;
-            break;
-          }
-          if (rebase.status != LpStatus::kOptimal) break;  // stop probing
-          base = rebase;
-        }
-      }
-    }
-    probe_dual_solves = sb.stats().dual_solves - pre_dual_solves;
-    probe_dual_fallbacks = sb.stats().dual_fallbacks - pre_dual_fallbacks;
-    if (sb_infeasible) {
-      // Early infeasible return: like the other pre-search returns, only
-      // status/seconds are reported (no lp_* stats reduction happens).
-      sol.status = SolveStatus::kInfeasible;
-      sol.stats.seconds = ctx.watch.seconds();
-      return sol;
-    }
-  }
-  if (root_lp) {
-    accumulate(ctx.lp_stats, root_lp->stats());
-    ctx.lp_scaling_active |= root_lp->scaling_active();
-    // The probes' dual-solve accounting belongs to strong branching
-    // (sol.stats.strong_branch_probed), not to the dual_solves /
-    // dual_fallbacks warm-start health diagnostic: iteration-capped probes
-    // routinely "fall back" by running out of budget, which says nothing
-    // about NODE re-solve quality. Their iterations stay counted — they
-    // are real LP work.
-    ctx.lp_stats.dual_solves -= probe_dual_solves;
-    ctx.lp_stats.dual_fallbacks -= probe_dual_fallbacks;
-  }
-
-  sol.stats.strong_branch_seconds = ctx.watch.seconds() - phase_mark;
-  phase_mark = ctx.watch.seconds();
-
-  if (restored != nullptr) {
-    // Bake the interrupted run's globally tightened bounds (probing +
-    // strong branching + rc fixing, all valid given the restored and
-    // re-verified incumbent) the same way root rc fixings are baked. A
-    // restored bound conflicting with a freshly derived one would make
-    // the box empty — skip that variable; restored bounds are an
-    // optimization, never required for soundness.
-    for (int v = 0; v < n; ++v) {
-      const double lo = std::max(ctx.root_lb[v], restored->global_lb[v]);
-      const double hi = std::min(ctx.root_ub[v], restored->global_ub[v]);
-      if (lo > hi || (lo <= ctx.root_lb[v] && hi >= ctx.root_ub[v])) continue;
-      ctx.root_lb[v] = lo;
-      ctx.root_ub[v] = hi;
-      reduced.set_bounds(v, lo, hi);
-      if (ctx.root_rc_valid) {
-        ctx.rc_lb[v] = std::max(ctx.rc_lb[v], lo);
-        ctx.rc_ub[v] = std::min(ctx.rc_ub[v], hi);
-      }
-    }
-  }
-
-  ctx.cut_model = &reduced;
-  ctx.graph = options_.use_clique_cuts ? &graph : nullptr;
-  ctx.cut_pool = cuts_enabled ? &pool : nullptr;
-  ctx.root_applied_cuts = pool.applied().size();
-  if (restored != nullptr && cuts_enabled) {
-    // Replay the interrupted run's applied cuts through the pool: workers
-    // pick them up via their normal applied-list sync, and cuts the root
-    // loop re-derived this run dedup away structurally.
-    for (const CheckpointCut& c : restored->cuts) {
-      Cut cut;
-      cut.terms = c.terms;
-      cut.rhs = c.rhs;
-      // validate_checkpoint already capped cut_class at kCover.
-      cut.cut_class = static_cast<CutClass>(c.cut_class);
-      pool.restore_applied(std::move(cut));
-    }
-  }
-  ctx.pool_applied.store(pool.applied().size());
-  if (cuts_enabled) ctx.update_cut_pool_bytes(pool.approx_bytes());
-  if (!ctx.root_rc_valid) {
-    ctx.rc_lb = ctx.root_lb;
-    ctx.rc_ub = ctx.root_ub;
-  }
-
-  if (restored == nullptr) {
-    Node root{{}, root_bound, 0};
-    controller.reserve(node_bytes(root));
-    ctx.pool.push_back(std::move(root));
-  } else {
-    // The restored frontier replaces the root node: together with the
-    // restored cutoff it covers every region the interrupted run had not
-    // finished (see ilp/checkpoint.hpp for the monotonicity argument). An
-    // empty frontier means that run had explored the whole tree before its
-    // limit latched — nothing left to search.
-    for (const CheckpointNode& cn : restored->frontier) {
-      Node node;
-      node.changes.reserve(cn.changes.size());
-      for (const CheckpointNode::Change& c : cn.changes)
-        node.changes.push_back(BoundChange{c.var, c.lower, c.upper});
-      node.parent_bound = cn.parent_bound;
-      node.depth = cn.depth;
-      node.branch_var = cn.branch_var;
-      node.branch_up = cn.branch_up;
-      node.branch_dist = cn.branch_dist;
-      node.parent_obj = cn.parent_obj;
-      controller.reserve(node_bytes(node));
-      ctx.pool.push_back(std::move(node));
-    }
-    if (std::isfinite(restored->dropped_bound)) {
-      // A forfeited proof stays forfeited: the dropped subtrees' bound
-      // folds back into this run's final reduction.
-      ctx.dropped_bound = restored->dropped_bound;
-      ctx.exhausted = false;
-    }
-    for (const CheckpointPseudocost& p : restored->pseudocosts)
-      pcstore.restore(p);
-  }
+  restore(ctx, pre.reduced, pool, in.restored, root.bound);
   ctx.num_workers = resolve_num_threads(options_.num_threads);
   sol.stats.threads = ctx.num_workers;
+  search(ctx, pre.reduced, in.fingerprint, sol.stats);
+  sol.stats.search_seconds = lap();
 
-  // Periodic checkpoint writer: a dedicated thread snapshots the live
-  // search every checkpoint_interval_seconds. State is copied under the
-  // search mutex (cheap vector copies — workers block only for the copy);
-  // serialization and the atomic file write happen outside it.
-  std::atomic<int> checkpoints_written{0};
-  std::atomic<double> checkpoint_seconds{0.0};
-  const bool periodic_ck =
-      checkpointing && options_.checkpoint_interval_seconds > 0.0;
-  std::thread ck_writer;
-  std::mutex ck_mutex;
-  std::condition_variable ck_cv;
-  bool ck_stop = false;
-  if (periodic_ck) {
-    ctx.track_current = true;
-    ctx.current_nodes.assign(static_cast<std::size_t>(ctx.num_workers),
-                             std::nullopt);
-    ck_writer = std::thread([&] {
-      std::unique_lock<std::mutex> lock(ck_mutex);
-      const auto interval =
-          std::chrono::duration<double>(options_.checkpoint_interval_seconds);
-      while (!ck_cv.wait_for(lock, interval, [&] { return ck_stop; })) {
-        const double mark = ctx.watch.seconds();
-        SolveCheckpoint ck;
-        {
-          std::lock_guard<std::mutex> search_lock(ctx.mutex);
-          ck = capture_checkpoint(ctx, pcstore, fingerprint, n);
-        }
-        if (save_checkpoint(options_.checkpoint_path, ck))
-          checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-        checkpoint_seconds.fetch_add(ctx.watch.seconds() - mark,
-                                     std::memory_order_relaxed);
-      }
-    });
-  }
-
-  if (ctx.num_workers == 1) {
-    run_worker(ctx, reduced);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(ctx.num_workers);
-    for (int t = 0; t < ctx.num_workers; ++t)
-      threads.emplace_back([&ctx, &reduced] { run_worker(ctx, reduced); });
-    for (std::thread& t : threads) t.join();
-  }
-  if (periodic_ck) {
-    {
-      std::lock_guard<std::mutex> lock(ck_mutex);
-      ck_stop = true;
-    }
-    ck_cv.notify_all();
-    ck_writer.join();
-  }
-  if (ctx.failure) std::rethrow_exception(ctx.failure);
-
-  // Deterministic single-threaded result reduction: every branch below
-  // reads the joined workers' state under no concurrency.
-  sol.stats.search_seconds = ctx.watch.seconds() - phase_mark;
-  sol.stats.nodes = ctx.nodes.load();
-  sol.stats.lp_iterations = ctx.lp_iterations.load();
-  sol.stats.dropped_nodes = ctx.dropped_nodes.load();
-  sol.stats.termination = controller.reason();
-  sol.stats.hit_node_limit =
-      sol.stats.termination == util::StopReason::kNodeLimit;
-  sol.stats.shed_cuts = ctx.shed_cuts.load();
-  sol.stats.shed_diving = ctx.shed_diving.load();
-  sol.stats.peak_memory_bytes = controller.peak_memory();
-  sol.stats.seconds = ctx.watch.seconds();
-  sol.stats.lp_scaling_active = ctx.lp_scaling_active;
-  sol.stats.lp_refactorizations = ctx.lp_stats.refactorizations;
-  sol.stats.lp_sparse_refactorizations = ctx.lp_stats.sparse_refactorizations;
-  sol.stats.lp_sparse_fallbacks = ctx.lp_stats.sparse_fallbacks;
-  sol.stats.lp_pivot_rejections = ctx.lp_stats.pivot_rejections;
-  sol.stats.lp_fill_ratio = ctx.lp_stats.fill_ratio();
-  sol.stats.lp_primal_phase1_iterations =
-      ctx.lp_stats.primal_phase1_iterations;
-  sol.stats.lp_primal_phase2_iterations =
-      ctx.lp_stats.primal_phase2_iterations;
-  sol.stats.lp_dual_iterations = ctx.lp_stats.dual_iterations;
-  sol.stats.lp_dual_solves = ctx.lp_stats.dual_solves;
-  sol.stats.lp_dual_fallbacks = ctx.lp_stats.dual_fallbacks;
-  sol.stats.lp_bound_flips =
-      ctx.lp_stats.bound_flips + ctx.lp_stats.dual_bound_flips;
-  sol.stats.lp_rows_deleted = ctx.lp_stats.rows_deleted;
-  sol.stats.lp_peak_rows = ctx.lp_stats.peak_rows;
-  sol.stats.lp_devex_resets = ctx.lp_stats.devex_resets;
-  sol.stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
-  sol.stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
-  sol.stats.lp_recovery_dense = ctx.lp_stats.recovery_dense;
-  sol.stats.lp_recovery_cold = ctx.lp_stats.recovery_cold;
-  sol.stats.lp_recovery_exhausted = ctx.lp_stats.recovery_exhausted;
-  sol.stats.lp_aborted_solves = ctx.lp_stats.aborted_solves;
-  sol.stats.lp_refactor_update_cap = ctx.lp_stats.refactor_update_cap;
-  sol.stats.lp_refactor_u_growth = ctx.lp_stats.refactor_u_growth;
-  sol.stats.lp_refactor_stability = ctx.lp_stats.refactor_stability;
-  sol.stats.lp_refactor_delete_rows = ctx.lp_stats.refactor_delete_rows;
-  sol.stats.lp_refactor_certify = ctx.lp_stats.refactor_certify;
-  sol.stats.lp_refactor_dual_ray = ctx.lp_stats.refactor_dual_ray;
-  sol.stats.lp_refactor_refresh = ctx.lp_stats.refactor_refresh;
-  sol.stats.cuts_clique_separated = ctx.clique_separated.load();
-  sol.stats.cuts_cover_separated = ctx.cover_separated.load();
-  for (const Cut& c : pool.applied()) {
-    switch (c.cut_class) {
-      case CutClass::kClique: ++sol.stats.cuts_clique_applied; break;
-      case CutClass::kCover: ++sol.stats.cuts_cover_applied; break;
-    }
-  }
-  sol.stats.cuts_aged_out = pool.aged_out();
-  sol.stats.reliability_probed = ctx.reliability_probed.load();
-  sol.stats.reliability_fixed = ctx.reliability_fixed.load();
-  sol.stats.reliability_tightened = ctx.reliability_tightened.load();
-  sol.stats.rc_fixed_root = rc_fixed_root;
-  sol.stats.rc_fixed_incumbent = ctx.rc_fixed_incumbent;
-
-  // Final checkpoint: any early stop persists the complete frontier —
-  // take() returned every worker's local node to the pool before exit, so
-  // the post-join pool IS the set of unexplored regions. A natural
-  // completion instead removes a leftover snapshot: resuming from it would
-  // redo work the finished proof already covers.
-  if (checkpointing && !ctx.root_unbounded.load()) {
-    if (sol.stats.termination != util::StopReason::kNone) {
-      const double mark = ctx.watch.seconds();
-      const SolveCheckpoint ck = capture_checkpoint(ctx, pcstore, fingerprint, n);
-      if (save_checkpoint(options_.checkpoint_path, ck))
-        checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-      else
-        util::log_warn() << "checkpoint: write to " << options_.checkpoint_path
-                         << " failed";
-      checkpoint_seconds.fetch_add(ctx.watch.seconds() - mark,
-                                   std::memory_order_relaxed);
-    } else {
-      std::remove(options_.checkpoint_path.c_str());
-    }
-  }
-  sol.stats.checkpoints_written = checkpoints_written.load();
-  sol.stats.checkpoint_seconds = checkpoint_seconds.load();
-
-  // End-of-solve accounting teardown: release the open nodes and zero the
-  // cut-pool gauge (workers already released their LP cut rows when they
-  // retired). Whatever remains accounted is a reserve/release imbalance —
-  // reported in the stats instead of silently leaked.
-  for (const Node& open : ctx.pool) controller.release(node_bytes(open));
-  if (cuts_enabled) ctx.update_cut_pool_bytes(0);
-  sol.stats.memory_unreleased_bytes = controller.memory_used();
-
-  if (ctx.root_unbounded.load()) {
-    sol.status = SolveStatus::kUnbounded;
-    return sol;
-  }
-
-  const bool exhausted = ctx.exhausted.load();
-  const double cutoff = ctx.cutoff.load();
-
-  // Final bound: min over open nodes, dropped nodes and, if exhausted, the
-  // incumbent.
-  double best_bound = exhausted ? cutoff : lp::kInfinity;
-  for (const Node& open : ctx.pool)
-    best_bound = std::min(best_bound, open.parent_bound);
-  best_bound = std::min(best_bound, ctx.dropped_bound);
-  if (ctx.pool.empty() && exhausted) best_bound = cutoff;
-  sol.stats.best_bound = best_bound;
-
-  // Honest termination statuses: a deadline, cancellation or memory-budget
-  // stop is reported as itself (with or without an incumbent; see
-  // Solution::has_solution). A node-limit stop keeps the legacy
-  // kFeasible / kNoSolutionFound mapping plus stats.hit_node_limit.
-  const auto limit_status = [&](SolveStatus fallback) {
-    switch (sol.stats.termination) {
-      case util::StopReason::kTimeLimit: return SolveStatus::kTimeLimit;
-      case util::StopReason::kCancelled: return SolveStatus::kCancelled;
-      case util::StopReason::kMemoryLimit: return SolveStatus::kMemoryLimit;
-      default: return fallback;
-    }
-  };
-  if (!ctx.incumbent.empty()) {
-    sol.values = std::move(ctx.incumbent);
-    sol.objective = cutoff;
-    const bool proven = exhausted ||
-                        (std::isfinite(best_bound) &&
-                         (ctx.integral_obj ? best_bound >= cutoff - 0.5
-                                           : best_bound >= cutoff - kBoundEps));
-    sol.status =
-        proven ? SolveStatus::kOptimal : limit_status(SolveStatus::kFeasible);
-    if (sol.status == SolveStatus::kOptimal) sol.stats.best_bound = cutoff;
-  } else if (exhausted && !std::isfinite(options_.initial_cutoff) &&
-             !(restored != nullptr && std::isfinite(restored->cutoff))) {
-    // A restored finite cutoff without an incumbent means the interrupted
-    // run was itself seeded — regions at or above that seed were pruned,
-    // so "no solution below the seed" is the strongest honest claim.
-    sol.status = SolveStatus::kInfeasible;
-  } else {
-    // Either a limit was hit, or a seeded cutoff pruned everything (the
-    // problem may still be feasible at or above the seed).
-    sol.status = limit_status(SolveStatus::kNoSolutionFound);
-  }
-
-  // ---------------------------------------------------------------------
-  // Exit audit (ON by default): no proof leaves the solver unbacked.
-  //  (a) The incumbent is re-verified against the ORIGINAL pre-presolve
-  //      model (presolve/probing/fixing all preserve variable indices, so
-  //      the mapping is the identity). A failing incumbent is DROPPED —
-  //      an infeasible "solution" is never handed out.
-  //  (b) The root dual bound is recomputed on a FRESH factorization of
-  //      the final root LP (cuts + globally valid fixings as the search
-  //      left them), so LU-update drift cannot survive into the reported
-  //      certificate. A recomputed bound that comes in BELOW the recorded
-  //      root bound means the root certificate was corrupted: a kOptimal
-  //      claim resting on it is downgraded to kFeasible.
-  // ---------------------------------------------------------------------
-  if (options_.exit_audit) {
-    const double audit_start = ctx.watch.seconds();
-    sol.stats.audit_ran = true;
-    bool incumbent_dropped = false;
-    if (!sol.values.empty()) {
-      const double viol = original.max_violation(sol.values, true);
-      const double audit_obj = original.objective_value(sol.values);
-      sol.stats.audit_max_violation = viol;
-      if (viol <= 10 * kActivityEps &&
-          std::abs(audit_obj - sol.objective) <=
-              1e-6 * std::max(1.0, std::abs(audit_obj))) {
-        sol.stats.audit_incumbent_ok = true;
-        sol.objective = audit_obj;  // report the re-verified objective
-      } else {
-        util::log_warn() << "exit audit: incumbent failed re-verification "
-                            "(violation "
-                         << viol << ", objective " << audit_obj << " vs "
-                         << sol.objective << "); solution dropped";
-        sol.values.clear();
-        sol.objective = lp::kInfinity;
-        incumbent_dropped = true;
-        sol.stats.audit_downgraded = true;
-        sol.status = limit_status(SolveStatus::kNoSolutionFound);
-        sol.stats.best_bound = -lp::kInfinity;  // claims rested on the drop
-      }
-    }
-    // (b) Certified root bound. Skipped when the incumbent was dropped:
-    // the reduced model's incumbent-driven rc fixings were conditioned on
-    // it, so its root LP certifies nothing about the original model.
-    if (!incumbent_dropped) {
-      if (!root_lp) root_lp.emplace(reduced, Worker::simplex_options(options_));
-      SimplexSolver& audit_lp = *root_lp;
-      audit_lp.set_controller(nullptr);  // the audit itself always finishes
-      audit_lp.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-      audit_lp.refresh_factorization();
-      ++sol.stats.lp_refactor_refresh;  // after the worker stats were folded
-      const LpResult alp = audit_lp.solve();
-      sol.stats.audit_lp_iterations = alp.iterations;
-      const double recorded = sol.stats.root_cut_bound;
-      // Integral bounds are ceil'ed integers: any disagreement is a whole
-      // unit. Continuous bounds get a relative drift tolerance.
-      const double drift_tol =
-          ctx.integral_obj ? 0.5
-                           : std::max(1e-6, 1e-9 * std::abs(recorded));
-      if (alp.status == LpStatus::kOptimal) {
-        const double cert = ctx.node_bound(alp.objective);
-        sol.stats.audit_root_bound = cert;
-        if (std::isfinite(recorded) && cert < recorded - drift_tol) {
-          // Fresh factors disagree with the bound the search pruned with.
-          util::log_warn() << "exit audit: recomputed root bound " << cert
-                           << " below recorded " << recorded
-                           << "; optimality proof not certified";
-          if (sol.status == SolveStatus::kOptimal) {
-            sol.status = SolveStatus::kFeasible;
-            sol.stats.audit_downgraded = true;
-          }
-          sol.stats.best_bound = std::min(sol.stats.best_bound, cert);
-        } else {
-          sol.stats.audit_bound_ok = true;
-          // The certified bound can only strengthen a non-proven claim.
-          if (sol.status != SolveStatus::kOptimal) {
-            const double glob =
-                sol.values.empty() ? cert : std::min(sol.objective, cert);
-            sol.stats.best_bound =
-                std::isfinite(sol.stats.best_bound)
-                    ? std::max(sol.stats.best_bound, glob)
-                    : glob;
-          }
-        }
-      } else if (sol.status == SolveStatus::kOptimal) {
-        // The audit could not recompute the bound at all (numerical wall):
-        // the proof is unbacked — downgrade rather than overclaim.
-        util::log_warn() << "exit audit: root LP re-solve failed (status "
-                         << static_cast<int>(alp.status)
-                         << "); optimality claim downgraded";
-        sol.status = SolveStatus::kFeasible;
-        sol.stats.audit_downgraded = true;
-      }
-    }
-    sol.stats.audit_seconds = ctx.watch.seconds() - audit_start;
-    sol.stats.seconds = ctx.watch.seconds();
-  }
+  reduce(ctx, in.restored, in.fingerprint, sol);
+  if (options_.exit_audit && sol.status != SolveStatus::kUnbounded)
+    audit(ctx, in.model, pre.reduced, root, sol);
   return sol;
 }
 

@@ -18,7 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -26,7 +25,6 @@
 #include "bist/verilog.hpp"
 #include "core/serve.hpp"
 #include "core/synthesizer.hpp"
-#include "hls/benchmarks.hpp"
 #include "hls/dfg_parser.hpp"
 #include "lp/mps_reader.hpp"
 
@@ -41,18 +39,6 @@ std::atomic<bool> g_cancel{false};
 
 void handle_cancel_signal(int) {
   g_cancel.store(true, std::memory_order_relaxed);
-}
-
-hls::ParsedDesign load_design(const std::string& spec) {
-  if (spec.find('.') == std::string::npos) {
-    const hls::Benchmark b = hls::benchmark_by_name(spec);
-    return hls::ParsedDesign{b.dfg, b.modules};
-  }
-  std::ifstream in(spec);
-  if (!in) throw std::invalid_argument("cannot open " + spec);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return hls::parse_dfg_text(text.str());
 }
 
 int usage() {
@@ -325,7 +311,7 @@ int main(int argc, char** argv) {
   if (!parse_flags(argc, argv, 3, take)) return usage();
 
   try {
-    const hls::ParsedDesign design = load_design(spec);
+    const hls::ParsedDesign design = hls::load_design(spec);
     if (cmd == "print") {
       std::fputs(hls::to_dfg_text(design.dfg, design.modules).c_str(), stdout);
       return 0;

@@ -1,6 +1,11 @@
-// Text DFG format: parsing, validation errors with line numbers, and
-// round-tripping through to_dfg_text for every built-in benchmark.
+// Text DFG format: parsing, validation errors with line numbers,
+// round-tripping through to_dfg_text for every built-in benchmark, and
+// load_design's built-in-name / file resolution.
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
 
 #include "hls/benchmarks.hpp"
 #include "hls/dfg_parser.hpp"
@@ -87,6 +92,30 @@ TEST(Parser, CommentsAndBlankLinesIgnored) {
   const ParsedDesign d = parse_dfg_text(
       "# header\n\ndfg c  # trailing\ninput a b\n\nop add t = a b @0\n");
   EXPECT_EQ(d.dfg.num_operations(), 1);
+}
+
+TEST(Parser, LoadDesignResolvesABuiltInName) {
+  const ParsedDesign d = load_design("tseng");
+  const Benchmark b = benchmark_by_name("tseng");
+  EXPECT_EQ(d.dfg.num_operations(), b.dfg.num_operations());
+  EXPECT_EQ(d.modules.num_modules(), b.modules.num_modules());
+}
+
+TEST(Parser, LoadDesignReadsADfgFile) {
+  const Benchmark b = benchmark_by_name("paulin");
+  const std::string path = testing::TempDir() + "load_design_test.dfg";
+  {
+    std::ofstream out(path);
+    out << to_dfg_text(b.dfg, b.modules);
+  }
+  const ParsedDesign d = load_design(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(to_dfg_text(d.dfg, d.modules), to_dfg_text(b.dfg, b.modules));
+}
+
+TEST(Parser, LoadDesignThrowsOnAMissingFile) {
+  EXPECT_THROW(load_design("/nonexistent/advbist/design.dfg"),
+               std::invalid_argument);
 }
 
 class RoundTripTest : public ::testing::TestWithParam<const char*> {};

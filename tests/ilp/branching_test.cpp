@@ -137,27 +137,40 @@ TEST(BranchingProbes, PaulinSameProvenOptimumAcrossThreadCounts) {
   expect_probe_differential(f.model(), 64, base);
 }
 
-TEST(BranchingProbes, StatsAccountProbesAgainstTheGlobalBudget) {
-  // tseng's tree is deep enough to exhaust a small budget; the counters
-  // must never exceed it, and fixings/tightenings only happen on probes.
-  const hls::Benchmark bench = hls::benchmark_by_name("tseng");
-  core::FormulationOptions fo;
-  fo.include_bist = true;
-  fo.k = 2;
-  const core::Formulation f(bench.dfg, bench.modules, fo);
-  Options base;
-  base.branch_priority = f.branch_priorities();
+TEST(BranchingProbes, ProbeSolvesStayOutOfTheDualSolveCount) {
+  // lp_dual_solves measures the warm-start health of NODE re-solves, so
+  // the iteration-capped probes of root strong branching and of in-tree
+  // reliability branching are kept out of it. With one node, no cuts, no
+  // rc fixing and no dive, the only counted dual solve is that node's LP,
+  // however many probes ran around it.
+  for (const char* name : {"fig1", "tseng", "paulin"}) {
+    SCOPED_TRACE(name);
+    const hls::Benchmark bench = hls::benchmark_by_name(name);
+    core::FormulationOptions fo;
+    fo.include_bist = true;
+    fo.k = 2;
+    const core::Formulation f(bench.dfg, bench.modules, fo);
+    Options base;
+    base.node_limit = 1;
+    base.use_clique_cuts = false;
+    base.use_cover_cuts = false;
+    base.use_rc_fixing = false;
+    base.use_rounding_heuristic = false;
 
-  const Solution s = solve(f.model(), 1, 8, base);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_LE(s.stats.reliability_probed, 8);
-  EXPECT_GT(s.stats.reliability_probed, 0)
-      << "a fresh tseng tree must find unreliable candidates to probe";
-  EXPECT_GE(s.stats.reliability_fixed, 0);
-  EXPECT_GE(s.stats.reliability_tightened, 0);
-  // A probe is two bounded LP re-solves; the dual-solve counter must have
-  // seen at least that much work.
-  EXPECT_GE(s.stats.lp_dual_solves, s.stats.reliability_probed);
+    Options strong = base;
+    strong.strong_branch_vars = 12;
+    const Solution sb = solve(f.model(), 1, 0, strong);
+    EXPECT_EQ(sb.stats.strong_branch_probed, 24);
+    EXPECT_EQ(sb.stats.reliability_probed, 0);
+    EXPECT_EQ(sb.stats.lp_dual_solves, 1);
+
+    Options reliability = base;
+    reliability.strong_branch_vars = 0;
+    const Solution rel = solve(f.model(), 1, 64, reliability);
+    EXPECT_EQ(rel.stats.strong_branch_probed, 0);
+    EXPECT_EQ(rel.stats.reliability_probed, 16);  // the depth-0 allowance
+    EXPECT_EQ(rel.stats.lp_dual_solves, 1);
+  }
 }
 
 // ---------------------------------------------------------------------------
