@@ -1,6 +1,6 @@
 // Seeded random 0/1-ILP instance generator: the corpus source behind the
 // reader fuzzer, the scaling differential suite, the serve smoke tests
-// and the generated BENCH_solver.json rows.
+// and the generated rows of the Table-2 record BENCH_table2.json.
 //
 // Every instance is generated around a planted 0/1 assignment, so it is
 // feasible AND bounded by construction (all variables are binaries): a

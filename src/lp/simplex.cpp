@@ -1523,51 +1523,30 @@ void SimplexSolver::ensure_dual_weights() {
   ++stats_.devex_resets;
 }
 
-void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w,
-                                        const std::vector<double>& rho) {
+void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w) {
   if (!dual_w_valid_) return;
   const double wr = w[r];
   if (wr == 0.0) {
     dual_w_valid_ = false;
     return;
   }
+  // Devex: w_i approximates ||e_i' B^-1||^2 relative to the reference
+  // framework; the update needs only the FTRANed entering column already
+  // in hand. Monotone (max), so a degraded framework is detected by
+  // weight growth and restarted rather than silently trusted. The loop
+  // skips w's exact zeros by value, so it already walks only the FTRAN
+  // result's true support.
   const double inv_wr2 = 1.0 / (wr * wr);
-  if (opt_.dual_pricing == DualPricing::kDevex) {
-    // Devex: w_i approximates ||e_i' B^-1||^2 relative to the reference
-    // framework; the update needs only the FTRANed entering column already
-    // in hand. Monotone (max), so a degraded framework is detected by
-    // weight growth and restarted rather than silently trusted. The loop
-    // skips w's exact zeros by value, so it already walks only the FTRAN
-    // result's true support.
-    const double ref = dual_w_[r];
-    double worst = 0.0;
-    for (int i = 0; i < m_; ++i) {
-      if (i == r || w[i] == 0.0) continue;
-      const double cand = w[i] * w[i] * inv_wr2 * ref;
-      if (cand > dual_w_[i]) dual_w_[i] = cand;
-      if (dual_w_[i] > worst) worst = dual_w_[i];
-    }
-    dual_w_[r] = std::max(ref * inv_wr2, 1.0);
-    if (std::max(worst, dual_w_[r]) > 1e7) dual_w_valid_ = false;
-  } else {
-    // Dual steepest edge (Forrest-Goldfarb): gamma_r = ||rho||^2 is exact
-    // (the BTRANed pivot row is in hand); the other rows follow the exact
-    // update recurrence via tau = B^-1 rho — the one extra FTRAN that
-    // makes this the expensive reference mode the Devex approximation is
-    // validated against. (Weights still restart from all-ones at each
-    // framework reset, so they are true row norms only between resets.)
-    double gamma_r = 0.0;
-    for (int i = 0; i < m_; ++i) gamma_r += rho[i] * rho[i];
-    dual_tau_.assign(rho.begin(), rho.end());
-    ftran_vec(dual_tau_);  // original-row input -> basis-position output
-    for (int i = 0; i < m_; ++i) {
-      if (i == r || w[i] == 0.0) continue;
-      const double k = w[i] / wr;
-      const double g = dual_w_[i] - 2.0 * k * dual_tau_[i] + k * k * gamma_r;
-      dual_w_[i] = std::max(g, std::max(k * k * gamma_r, 1e-10));
-    }
-    dual_w_[r] = std::max(gamma_r * inv_wr2, 1e-10);
+  const double ref = dual_w_[r];
+  double worst = 0.0;
+  for (int i = 0; i < m_; ++i) {
+    if (i == r || w[i] == 0.0) continue;
+    const double cand = w[i] * w[i] * inv_wr2 * ref;
+    if (cand > dual_w_[i]) dual_w_[i] = cand;
+    if (dual_w_[i] > worst) worst = dual_w_[i];
   }
+  dual_w_[r] = std::max(ref * inv_wr2, 1.0);
+  if (std::max(worst, dual_w_[r]) > 1e7) dual_w_valid_ = false;
 }
 
 int SimplexSolver::iterate_dual() {
@@ -1773,11 +1752,11 @@ int SimplexSolver::iterate_dual() {
   else
     degenerate_run_ = 0;
 
-  // The dual iteration computed both vectors the weight update needs: the
-  // FTRANed entering column and the BTRANed pivot row. (It must see the
-  // old factors; a pivot the factor update then rejects leaves stale
-  // weights and dual state, which the recovery ladder rebuilds.)
-  update_dual_weights(r, w, dual_rho_);
+  // The dual iteration computed the vector the weight update needs: the
+  // FTRANed entering column. (It must see the old factors; a pivot the
+  // factor update then rejects leaves stale weights and dual state, which
+  // the recovery ladder rebuilds.)
+  update_dual_weights(r, w);
   if (!pivot(chosen, r, t, dir, w, sgn < 0 ? kAtLower : kAtUpper)) return 3;
   ++iter_dual_;
   dual_d_[leaving] = -sgn * theta;  // the leaving variable's new reduced cost

@@ -92,21 +92,15 @@
 //    steepest edge): each row i carries a reference weight w_i that
 //    approximates ||e_i' B^-1||^2 relative to the reference framework, and
 //    the leaving row maximizes violation_i^2 / w_i. After each pivot the
-//    weights are updated in O(nnz) from the FTRANed entering column and the
-//    BTRANed pivot row that the dual iteration computes anyway. A dual
-//    steepest-edge mode (one extra FTRAN per pivot, the exact
-//    Forrest–Goldfarb update recurrence) is kept as the reference
-//    implementation the Devex approximation is validated against — note
-//    its weights also restart from the all-ones framework on each reset,
-//    so they are true row norms only up to that restart approximation.
-//    The weights are only meaningful for the basis they
-//    were accumulated on: they are RESET to the all-ones reference
-//    framework on refactorization, on any primal pivot (fallback or
-//    phase-2 certificate), on cold start, on add_rows/delete_rows, and
-//    when the framework degrades (a weight outgrows 1e7) — a stale weight
-//    set silently degrades the rule back to (worse than) Dantzig, which is
-//    why resets are counted in Stats::devex_resets and pinned by
-//    tests/lp/dual_simplex_test.cpp.
+//    weights are updated in O(nnz) from the FTRANed entering column that
+//    the dual iteration computes anyway. The weights are only meaningful
+//    for the basis they were accumulated on: they are RESET to the
+//    all-ones reference framework on refactorization, on any primal pivot
+//    (fallback or phase-2 certificate), on cold start, on
+//    add_rows/delete_rows, and when the framework degrades (a weight
+//    outgrows 1e7) — a stale weight set silently degrades the rule back to
+//    (worse than) Dantzig, which is why resets are counted in
+//    Stats::devex_resets and pinned by tests/lp/dual_simplex_test.cpp.
 //
 //  * Dual ratio test. alpha_j = rho' a_j is priced for the BTRANed pivot
 //    row rho by one column-major pass over the nonbasic columns. (The
@@ -156,15 +150,6 @@ struct LpResult {
   bool dual_fallback = false;
 };
 
-/// Leaving-row selection rule for solve_dual() (see the header comment).
-enum class DualPricing {
-  kDevex,         ///< reference-framework Devex weights (default)
-  kSteepestEdge,  ///< dual steepest edge (exact Forrest-Goldfarb update
-                  ///< recurrence; weights restart all-ones on each reset) —
-                  ///< reference mode, one extra FTRAN per pivot; use to
-                  ///< validate the Devex path
-};
-
 struct SimplexOptions {
   double feas_tol = 1e-7;   ///< bound/row feasibility tolerance
   double opt_tol = 1e-7;    ///< reduced-cost optimality tolerance
@@ -179,11 +164,6 @@ struct SimplexOptions {
   /// candidate a_rc is admissible only if |a_rc| >= markowitz_tol times the
   /// largest magnitude in its column. Larger = more stable, more fill.
   double markowitz_tol = 0.1;
-  /// Leaving-row rule for solve_dual(). kDevex (default) prices rows by
-  /// violation^2 / reference-weight; kSteepestEdge maintains dual
-  /// steepest-edge weights via the exact update recurrence (one extra
-  /// FTRAN per pivot; all-ones restart on each reset).
-  DualPricing dual_pricing = DualPricing::kDevex;
   /// Geometric-mean + equilibration scaling (lp/scaling.hpp) applied to
   /// the internal problem data at construction. All factors are powers of
   /// two, so scaling is EXACT: solutions, bounds and reduced costs are
@@ -260,8 +240,8 @@ class SimplexSolver {
   /// basis factors as L' = [[L,0],[l',1]], U' = [[U,0],[0,1]] with
   /// l' = g' U^-1 R for the new row g over the basic columns — the U' and
   /// row-eta stages of one BTRAN and an O(nnz) L rebuild per row, never a
-  /// refactorization or a cold start. Devex/steepest-edge dual weights are
-  /// reset (the row dimension changed).
+  /// refactorization or a cold start. Devex dual weights are reset (the
+  /// row dimension changed).
   void add_rows(const std::vector<ConstraintDef>& rows);
 
   /// Deletes appended cut rows.
@@ -277,7 +257,7 @@ class SimplexSolver {
   /// cost unchanged (the row's dual is zero), so the shrunken basis is
   /// still dual-feasible and the next solve_dual() warm starts. The LU
   /// factors are rebuilt at the new size; basic values are recomputed by
-  /// the next solve(); Devex/steepest-edge dual weights are reset.
+  /// the next solve(); Devex dual weights are reset.
   void delete_rows(const std::vector<int>& rows);
 
   /// True if the slack of appended row `added` (0-based among the rows
@@ -339,11 +319,11 @@ class SimplexSolver {
     /// Nonbasic bounds flipped by the dual path: dual-feasibility
     /// restoration at entry plus bound-flipping ratio-test flips.
     long long dual_bound_flips = 0;
-    /// Devex/steepest-edge weight resets to the all-ones reference
-    /// framework (refactorization, primal pivots, cold start, row
-    /// add/delete, framework degradation). A reset per dual solve is
-    /// normal churn; a reset per dual PIVOT means the weights never
-    /// accumulate and the rule has degraded to Dantzig.
+    /// Devex weight resets to the all-ones reference framework
+    /// (refactorization, primal pivots, cold start, row add/delete,
+    /// framework degradation). A reset per dual solve is normal churn; a
+    /// reset per dual PIVOT means the weights never accumulate and the rule
+    /// has degraded to Dantzig.
     long long devex_resets = 0;
 
     // --- row deletion (delete_rows) ---
@@ -535,8 +515,7 @@ class SimplexSolver {
   /// variable cannot flip (infinite opposite bound): the basis cannot be
   /// made dual-feasible by flipping and solve_dual must fall back.
   bool restore_dual_feasibility();
-  /// One dual pivot: leaving row by the configured pricing rule (Devex or
-  /// steepest-edge weights), entering
+  /// One dual pivot: leaving row by Devex weights, entering
   /// column by a bound-flipping dual ratio test over the BTRANed pivot
   /// row. Returns 0 = pivoted, 1 = primal feasible (dual optimal),
   /// 2 = primal infeasible (dual ray), 3 = numerical trouble.
@@ -544,13 +523,11 @@ class SimplexSolver {
   /// Re-initializes the dual pricing weights to the all-ones reference
   /// framework when they are missing or stale.
   void ensure_dual_weights();
-  /// Devex / exact steepest-edge weight update after a dual pivot with
-  /// leaving row r, FTRANed entering column w (pivot element w[r]) and
-  /// BTRANed pivot row rho (= e_r' B^-1, indexed by original row). Both
-  /// vectors are exactly zero off their support, so the weight loops
-  /// value-skip and cost O(nnz), never O(m) of multiplies.
-  void update_dual_weights(int r, const std::vector<double>& w,
-                           const std::vector<double>& rho);
+  /// Devex weight update after a dual pivot with leaving row r and
+  /// FTRANed entering column w (pivot element w[r]). w is exactly zero off
+  /// its support, so the weight loop value-skips and costs O(nnz), never
+  /// O(m) of multiplies.
+  void update_dual_weights(int r, const std::vector<double>& w);
 
   // --- problem data (immutable except bounds and appended cut rows) ---
   int n_ = 0;          // structural variables
@@ -685,13 +662,12 @@ class SimplexSolver {
   std::vector<DualRowEntry> dual_row_;
   std::vector<int> dual_flips_;     // columns flipped by the BFRT walk
   std::vector<double> dual_fcol_;   // accumulated flip column, size m_
-  // Dual pricing weights (Devex reference framework / exact steepest-edge
-  // row norms), valid only while dual_w_valid_: any primal pivot,
-  // refactorization, cold start or row add/delete invalidates them and the
-  // next dual iteration resets to all ones (counted in stats_).
+  // Devex dual pricing weights (reference framework), valid only while
+  // dual_w_valid_: any primal pivot, refactorization, cold start or row
+  // add/delete invalidates them and the next dual iteration resets to all
+  // ones (counted in stats_).
   std::vector<double> dual_w_;      // size m_ while valid
   bool dual_w_valid_ = false;
-  std::vector<double> dual_tau_;    // B^-1 rho scratch (steepest edge only)
 
   // Markowitz elimination workspace, reused across refactorizations so the
   // per-row vectors keep their capacity (no allocation churn in the hot

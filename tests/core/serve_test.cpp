@@ -122,6 +122,7 @@ TEST(Serve, BatchCompletesVerifiedAndCachesOptima) {
   const ServeStats st = serve(base_options(dir));
   EXPECT_EQ(st.jobs_completed, 2);
   EXPECT_EQ(st.jobs_failed, 0);
+  EXPECT_EQ(st.jobs_shed, 0);
   ASSERT_EQ(st.outcomes.size(), 2u);
   for (const JobOutcome& o : st.outcomes) {
     EXPECT_EQ(o.status, "optimal");
@@ -144,6 +145,8 @@ TEST(Serve, BatchCompletesVerifiedAndCachesOptima) {
   ASSERT_TRUE(submit_job(dir, again));
   const ServeStats st2 = serve(base_options(dir));
   EXPECT_EQ(st2.jobs_completed, 1);
+  EXPECT_EQ(st2.jobs_failed, 0);
+  EXPECT_EQ(st2.jobs_shed, 0);
   EXPECT_EQ(st2.cache_hits, 1);
   ASSERT_EQ(st2.outcomes.size(), 1u);
   EXPECT_TRUE(st2.outcomes[0].from_cache);

@@ -127,8 +127,8 @@ TEST(ParallelSolver, SeededCutoffAndPrioritiesMatchSerial) {
 /// Solves the k=2 BIST formulation of `name` to completion (no node budget)
 /// and asserts the identical proven optimum for threads in {1, 2, 4}.
 /// Budget-limited runs legitimately diverge per thread count (different
-/// exploration orders reach different incumbents at the budget, see
-/// BENCH_solver.json); the proven optimum must not.
+/// exploration orders reach different incumbents at the budget, see the
+/// limit-hit rows of BENCH_table2.json); the proven optimum must not.
 void expect_full_solve_deterministic(const std::string& name,
                                      double time_limit_seconds) {
   const hls::Benchmark bench = hls::benchmark_by_name(name);

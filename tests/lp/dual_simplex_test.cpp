@@ -101,18 +101,16 @@ ConstraintDef random_row(util::Rng& rng, int n) {
   return c;
 }
 
-/// Runs the seeded bound-change differential sweep under `pricing` and
-/// returns the total dual pivot count. Every step must agree with a
-/// warm-started primal solve and a cold solve of the same model.
-long long run_bound_sequences(DualPricing pricing) {
+/// Runs the seeded bound-change differential sweep and returns the total
+/// dual pivot count. Every step must agree with a warm-started primal solve
+/// and a cold solve of the same model.
+long long run_bound_sequences() {
   util::Rng rng(8260726ULL);
   long long dual_pivots = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const Model m = random_lp(rng);
     const int n = m.num_variables();
-    SimplexOptions opts;
-    opts.dual_pricing = pricing;
-    SimplexSolver dual(m, opts);
+    SimplexSolver dual(m);
     SimplexSolver primal(m);
     std::vector<std::pair<double, double>> bounds(n);
     for (int v = 0; v < n; ++v)
@@ -157,26 +155,22 @@ long long run_bound_sequences(DualPricing pricing) {
 }
 
 TEST(DualSimplex, RandomizedBoundSequencesMatchPrimalAndCold) {
-  // Both pricing rules choose different pivot SEQUENCES but must land on
-  // the same optimum at every step of the seeded sweep.
-  const long long devex = run_bound_sequences(DualPricing::kDevex);
+  // Devex pricing must land on the cold optimum at every step of the
+  // seeded sweep.
+  const long long devex = run_bound_sequences();
   ASSERT_FALSE(::testing::Test::HasFailure());
-  const long long se = run_bound_sequences(DualPricing::kSteepestEdge);
-  ASSERT_FALSE(::testing::Test::HasFailure());
-  std::printf("[ pricing  ] dual pivots over the seeded sweep: devex=%lld "
-              "se=%lld\n",
-              devex, se);
-  // EXACT trajectory pins. The dual ratio test is specified to be
+  std::printf("[ pricing  ] dual pivots over the seeded sweep: devex=%lld\n",
+              devex);
+  // EXACT trajectory pin. The dual ratio test is specified to be
   // deterministic: tolerance-scaled tie window, drop_tol noise floor, and a
   // total (ratio, col) breakpoint order. Any change to those rules — or a
   // stale- or garbage-weight bug, which shows up here as a pivot-count
-  // explosion long before it corrupts an optimum — moves at least one of
-  // these counts. Re-pin deliberately, never to "fix CI". (Last re-pinned
-  // from 105 / 101 when Forrest–Tomlin updates replaced the product-form
-  // eta file and the refactorization cap went from 50 to 100 updates: the
-  // update arithmetic and the refactorization points move the Devex resets.)
+  // explosion long before it corrupts an optimum — moves this count.
+  // Re-pin deliberately, never to "fix CI". (Last re-pinned from 105 when
+  // Forrest–Tomlin updates replaced the product-form eta file and the
+  // refactorization cap went from 50 to 100 updates: the update arithmetic
+  // and the refactorization points move the Devex resets.)
   EXPECT_EQ(devex, 103);
-  EXPECT_EQ(se, 100);
 }
 
 TEST(DualSimplex, AddAndDeleteRowSequencesMatchCold) {
@@ -410,9 +404,7 @@ TEST(DualSimplex, DevexWeightsResetAcrossRefactorizationAndFallback) {
   // catch as an explosion. Here we pin the reset *accounting* one boundary
   // at a time.
   const Model m = pivoting_lp(8);
-  SimplexOptions opts;
-  opts.dual_pricing = DualPricing::kDevex;
-  SimplexSolver solver(m, opts);
+  SimplexSolver solver(m);
   ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
   ASSERT_EQ(solver.stats().devex_resets, 0);  // no dual solve yet
 
@@ -491,7 +483,7 @@ TEST(DualSimplex, WarmResolveSequenceRefactorizesOnlyOnItsCauses) {
 TEST(DualSimplex, WeightedPricingAgreesAfterAddDeleteRows) {
   // add_rows / delete_rows change the row dimension: the weights must reset
   // (not read out of bounds, not mis-price) and the re-solve must still
-  // agree with a cold solver under every pricing rule.
+  // agree with a cold solver.
   // First seed whose base LP is feasible (random_lp can emit infeasible
   // >=-row combinations; those are differential-tested elsewhere).
   Model feasible;
@@ -505,47 +497,40 @@ TEST(DualSimplex, WeightedPricingAgreesAfterAddDeleteRows) {
     }
   }
   ASSERT_TRUE(found);
-  for (const DualPricing pricing :
-       {DualPricing::kDevex, DualPricing::kSteepestEdge}) {
-    util::Rng rng(5150ULL);
-    const Model& m = feasible;
-    const int n = m.num_variables();
-    SimplexOptions opts;
-    opts.dual_pricing = pricing;
-    SimplexSolver solver(m, opts);
-    std::vector<std::pair<double, double>> bounds(n);
-    for (int v = 0; v < n; ++v)
-      bounds[v] = {m.variable(v).lower, m.variable(v).upper};
-    ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
+  util::Rng rng(5150ULL);
+  const Model& m = feasible;
+  const int n = m.num_variables();
+  SimplexSolver solver(m);
+  std::vector<std::pair<double, double>> bounds(n);
+  for (int v = 0; v < n; ++v)
+    bounds[v] = {m.variable(v).lower, m.variable(v).upper};
+  ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
 
-    std::vector<ConstraintDef> active;
-    for (int i = 0; i < 4; ++i) active.push_back(random_row(rng, n));
-    solver.add_rows(active);
-    ASSERT_EQ(solver.solve_dual().status,
-              cold_solve(m, bounds, active).status);
+  std::vector<ConstraintDef> active;
+  for (int i = 0; i < 4; ++i) active.push_back(random_row(rng, n));
+  solver.add_rows(active);
+  ASSERT_EQ(solver.solve_dual().status, cold_solve(m, bounds, active).status);
 
-    const int base = solver.num_rows() - solver.num_added_rows();
-    std::vector<int> doomed;
-    std::vector<ConstraintDef> kept;
-    for (int i = 0; i < solver.num_added_rows(); ++i) {
-      if (solver.added_row_slack_basic(i))
-        doomed.push_back(base + i);
-      else
-        kept.push_back(active[i]);
-    }
-    if (!doomed.empty()) {
-      solver.delete_rows(doomed);
-      active = std::move(kept);
-    }
-    solver.set_variable_bounds(0, 0, 0);
-    bounds[0] = {0.0, 0.0};
-    const LpResult d = solver.solve_dual();
-    const LpResult c = cold_solve(m, bounds, active);
-    ASSERT_EQ(d.status, c.status) << "pricing " << static_cast<int>(pricing);
-    if (c.status == LpStatus::kOptimal)
-      EXPECT_NEAR(d.objective, c.objective, kTol)
-          << "pricing " << static_cast<int>(pricing);
+  const int base = solver.num_rows() - solver.num_added_rows();
+  std::vector<int> doomed;
+  std::vector<ConstraintDef> kept;
+  for (int i = 0; i < solver.num_added_rows(); ++i) {
+    if (solver.added_row_slack_basic(i))
+      doomed.push_back(base + i);
+    else
+      kept.push_back(active[i]);
   }
+  if (!doomed.empty()) {
+    solver.delete_rows(doomed);
+    active = std::move(kept);
+  }
+  solver.set_variable_bounds(0, 0, 0);
+  bounds[0] = {0.0, 0.0};
+  const LpResult d = solver.solve_dual();
+  const LpResult c = cold_solve(m, bounds, active);
+  ASSERT_EQ(d.status, c.status);
+  if (c.status == LpStatus::kOptimal)
+    EXPECT_NEAR(d.objective, c.objective, kTol);
 }
 
 TEST(DualSimplex, BidiagonalChainResolveMatchesColdSolve) {
