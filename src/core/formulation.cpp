@@ -381,6 +381,25 @@ void Formulation::build_bist() {
                             "eq8_r" + std::to_string(r) + "_p" +
                                 std::to_string(p));
     }
+  if (opt_.symmetry_reduction) {
+    // Session-label symmetry: relabeling the sessions leaves Eqs. 6-23 and
+    // the objective unchanged. Order them by their lowest-indexed module
+    // (the ordering form of the partitioning orbitope): module m may sit in
+    // session p >= 1 only if some m' < m sits in session p-1. Every design
+    // relabels to exactly one labeling that satisfies these rows (empty
+    // sessions trail), so no design is cut off.
+    for (int m = 0; m < M; ++m)
+      for (int p = 1; p < K_; ++p) {
+        LinExpr e;
+        for (int r = 0; r < R_; ++r) {
+          e.add(smrp_[m][r][p], 1.0);
+          for (int mp = 0; mp < m; ++mp) e.add(smrp_[mp][r][p - 1], -1.0);
+        }
+        model_.add_constraint(std::move(e), Sense::kLessEqual, 0.0,
+                              "symsess_m" + std::to_string(m) + "_p" +
+                                  std::to_string(p));
+      }
+  }
 
   // --- test pattern generators (Eqs. 9-13 + constants, Section 3.3.4) ---
   for (int m = 0; m < M; ++m) {

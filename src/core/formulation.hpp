@@ -22,6 +22,16 @@
 //   yr[r][q], yml[m][l][q]  one-hot multiplexer size selectors (the mux cost
 //                  table is not concave, so sizes are selected exactly)
 //
+// Symmetry-breaking rows (FormulationOptions::symmetry_reduction):
+//   Section 3.5    a maximal clique of pairwise-incompatible variables is
+//                  pinned to distinct registers (variable bounds, no rows)
+//   symsess_m<m>_p<p>  for each module m and session p >= 1:
+//                  sum_r smrp[m][r][p] <= sum_{m'<m} sum_r smrp[m'][r][p-1]
+//                  orders the interchangeable sessions by their lowest
+//                  module (partitioning-orbitope ordering; Kaibel & Pfetsch
+//                  2008). M*(k-1) rows; module 0 lands in session 0 and
+//                  empty sessions trail.
+//
 // The objective is the Section 3.4 transistor count:
 //   sum_r (w_tpg-w_reg) tr + (w_sr-w_reg) sr + (w_bilbo-w_sr-w_tpg+w_reg) br
 //         + (w_cbilbo-w_bilbo) cr
@@ -52,7 +62,9 @@ struct FormulationOptions {
   /// Build the BIST layer (false = reference datapath synthesis).
   bool include_bist = true;
   /// Section 3.5: pre-assign a maximum clique of pairwise-incompatible
-  /// variables to distinct registers (prunes n! symmetric assignments).
+  /// variables to distinct registers (prunes n! symmetric assignments),
+  /// and order the k sessions by their lowest module (the symsess_ rows,
+  /// which prune the k! session relabelings).
   bool symmetry_reduction = true;
   /// Model commutative operand swaps via pseudo-input ports (Eq. 3).
   /// Disabling forces the identity port map (ablation).

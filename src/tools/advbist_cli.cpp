@@ -27,6 +27,7 @@
 #include "core/synthesizer.hpp"
 #include "hls/dfg_parser.hpp"
 #include "lp/mps_reader.hpp"
+#include "util/table.hpp"
 
 using namespace advbist;
 
@@ -322,20 +323,34 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_cancel_signal);
     const core::Synthesizer synth(design.dfg, design.modules, options);
     const core::SynthesisResult ref = synth.synthesize_reference();
+    const std::string ref_limit =
+        ref.hit_limit ? " (budget hit, bound " +
+                            util::format_fixed(ref.best_bound, 0) + ")"
+                      : "";
     std::printf("%s: %d registers, %d modules, reference area %d%s\n",
                 design.dfg.name().c_str(), ref.design.area.num_registers,
                 design.modules.num_modules(), ref.design.area.total(),
-                ref.hit_limit ? " (budget hit)" : "");
+                ref_limit.c_str());
 
     auto report = [&](const core::SynthesisResult& r, int sessions) {
+      // A limit-hit row is only bounded: print its bound and gap with it.
+      const std::string limit =
+          r.hit_limit
+              ? ", bound " + util::format_fixed(r.best_bound, 0) + ", gap " +
+                    util::format_fixed(100.0 * (r.objective - r.best_bound) /
+                                           r.objective,
+                                       1) +
+                    "%"
+              : "";
       std::printf(
           "k=%d: area %d (+%.1f%%) T=%d S=%d B=%d C=%d mux=%d %s (%s, %lld "
-          "nodes)\n",
+          "nodes%s)\n",
           sessions, r.design.area.total(),
           bist::overhead_percent(r.design.area, ref.design.area),
           r.design.area.tpgs, r.design.area.srs, r.design.area.bilbos,
           r.design.area.cbilbos, r.design.area.mux_inputs,
-          r.hit_limit ? "*" : "", ilp::to_string(r.status).c_str(), r.nodes);
+          r.hit_limit ? "*" : "", ilp::to_string(r.status).c_str(), r.nodes,
+          limit.c_str());
       const ilp::Stats& st = r.solver_stats;
       if (st.lp_refactorizations > 0)
         std::printf(

@@ -1,7 +1,11 @@
 // White-box checks of the ILP formulation: the constraint families of
 // Sections 3.1-3.4 must appear with exactly the multiplicities the paper's
-// equations imply (constraints carry their equation names).
+// equations imply (constraints carry their equation names), and the
+// session-ordering rows must admit exactly one labeling per design.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/formulation.hpp"
 #include "hls/benchmarks.hpp"
@@ -126,6 +130,109 @@ TEST(FormulationSymmetry, PinsMaximalClique) {
     if (def.name.rfind("x_v", 0) == 0 && def.lower == def.upper) ++fixed;
   }
   EXPECT_EQ(fixed, 3 * 3);
+}
+
+TEST(FormulationSymmetry, SessionOrderRowsPerModuleAndLaterSession) {
+  for (const char* name : {"fig1", "tseng", "paulin"}) {
+    const hls::Benchmark b = hls::benchmark_by_name(name);
+    const int M = b.modules.num_modules();
+    for (int k = 1; k <= M; ++k) {
+      FormulationOptions fo;
+      fo.k = k;
+      const Formulation on(b.dfg, b.modules, fo);
+      EXPECT_EQ(count_rows_with_prefix(on.model(), "symsess_"), M * (k - 1))
+          << name << " k=" << k;
+      fo.symmetry_reduction = false;
+      const Formulation off(b.dfg, b.modules, fo);
+      EXPECT_EQ(count_rows_with_prefix(off.model(), "symsess_"), 0)
+          << name << " k=" << k;
+    }
+  }
+}
+
+/// Relabels the sessions of a module -> session map in order of their
+/// lowest module (the labeling the symsess_ rows admit).
+std::vector<int> canonical_labeling(const std::vector<int>& session_of) {
+  std::vector<int> relabel(session_of.size(), -1);
+  std::vector<int> out(session_of.size());
+  int next = 0;
+  for (std::size_t m = 0; m < session_of.size(); ++m) {
+    int& label = relabel[session_of[m]];
+    if (label < 0) label = next++;
+    out[m] = label;
+  }
+  return out;
+}
+
+/// Number of ways to split n modules into at most k nonempty unlabeled
+/// sessions: sum over j <= k of the Stirling numbers S(n, j).
+long long partitions_into_at_most(int n, int k) {
+  std::vector<std::vector<long long>> s(n + 1,
+                                        std::vector<long long>(n + 1, 0));
+  s[0][0] = 1;
+  for (int i = 1; i <= n; ++i)
+    for (int j = 1; j <= i; ++j) s[i][j] = j * s[i - 1][j] + s[i - 1][j - 1];
+  long long total = 0;
+  for (int j = 0; j <= k; ++j) total += s[n][j];
+  return total;
+}
+
+// The rows cut exactly the redundant session labelings: out of all k^M maps
+// from modules to sessions, the ones they admit are one per partition of
+// the modules into at most k sessions, each already in canonical order.
+TEST(FormulationSymmetry, SessionOrderRowsKeepOneLabelingPerPartition) {
+  for (const char* name : {"fig1", "tseng", "paulin"}) {
+    const hls::Benchmark b = hls::benchmark_by_name(name);
+    const int M = b.modules.num_modules();
+    for (int k = 2; k <= M; ++k) {
+      FormulationOptions fo;
+      fo.k = k;
+      const Formulation f(b.dfg, b.modules, fo);
+      const lp::Model& model = f.model();
+      const int R = f.num_registers();
+      std::vector<int> rows;
+      for (int c = 0; c < model.num_constraints(); ++c)
+        if (model.constraint(c).name.rfind("symsess_", 0) == 0)
+          rows.push_back(c);
+      const auto var_named = [&](const std::string& n) {
+        for (int v = 0; v < model.num_variables(); ++v)
+          if (model.variable(v).name == n) return v;
+        ADD_FAILURE() << "no variable " << n;
+        return 0;
+      };
+      // smrp[m][r][p] for one register per module; the rows sum over r.
+      std::vector<std::vector<int>> smrp(M, std::vector<int>(k));
+      for (int m = 0; m < M; ++m)
+        for (int p = 0; p < k; ++p)
+          smrp[m][p] = var_named("smrp_m" + std::to_string(m) + "_r" +
+                                 std::to_string(m % R) + "_p" +
+                                 std::to_string(p));
+
+      long long admitted = 0;
+      std::vector<int> session_of(M, 0);
+      for (long long code = 0;; ++code) {
+        std::vector<double> x(model.num_variables(), 0.0);
+        for (int m = 0; m < M; ++m) x[smrp[m][session_of[m]]] = 1.0;
+        bool ok = true;
+        for (int c : rows) {
+          const lp::ConstraintDef& row = model.constraint(c);
+          double lhs = 0.0;
+          for (const lp::Term& t : row.terms) lhs += t.coeff * x[t.var];
+          ok = ok && lhs <= row.rhs + 1e-9;
+        }
+        if (ok) {
+          ++admitted;
+          EXPECT_EQ(canonical_labeling(session_of), session_of)
+              << name << " k=" << k << " map " << code;
+        }
+        int m = 0;  // next map in base-k counting order
+        while (m < M && ++session_of[m] == k) session_of[m++] = 0;
+        if (m == M) break;
+      }
+      EXPECT_EQ(admitted, partitions_into_at_most(M, k))
+          << name << " k=" << k;
+    }
+  }
 }
 
 TEST(FormulationReference, NoBistVariablesWithoutBist) {

@@ -2,6 +2,9 @@
 // executable property: the concurrent ILP never loses to the heuristics.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "baselines/baselines.hpp"
 #include "core/synthesizer.hpp"
 #include "hls/benchmarks.hpp"
@@ -109,6 +112,62 @@ TEST(Synthesizer, WidthScalingScalesArea) {
   ASSERT_TRUE(r16.is_optimal());
   EXPECT_EQ(r16.design.area.total(), 2 * r8.design.area.total());
 }
+
+/// True when the sessions are numbered in order of their lowest module,
+/// the one labeling the symsess_ rows admit.
+bool sessions_in_canonical_order(const bist::BistAssignment& bist) {
+  int next = 0;
+  for (const auto& plan : bist.modules) {
+    if (plan.session > next) return false;
+    if (plan.session == next) ++next;
+  }
+  return true;
+}
+
+// Serial Table-2 rows proven with the session-ordering rows in, one solve
+// per test so the rows run in parallel. Each row pins its proven area and
+// checks it against the k-1 row of the same circuit, which its own test
+// proves: sessions may stay empty, so the optimum never rises with k.
+struct ProvenRow {
+  const char* circuit;
+  int k;
+  int area;
+};
+
+constexpr ProvenRow kProvenRows[] = {
+    {"fig1", 1, 1236},   {"fig1", 2, 1056},   {"tseng", 1, 2036},
+    {"tseng", 2, 1856},  {"tseng", 3, 1856},  {"paulin", 1, 2632},
+    {"paulin", 2, 2112}, {"paulin", 3, 2112}, {"paulin", 4, 2064},
+};
+
+void PrintTo(const ProvenRow& row, std::ostream* os) {
+  *os << row.circuit << " k=" << row.k;
+}
+
+class TableTwoRow : public ::testing::TestWithParam<ProvenRow> {};
+
+TEST_P(TableTwoRow, ProvesPinnedAreaAuditedAndCanonical) {
+  const ProvenRow row = GetParam();
+  const hls::Benchmark b = hls::benchmark_by_name(row.circuit);
+  const SynthesisResult r =
+      Synthesizer(b.dfg, b.modules, quick(60.0)).synthesize_bist(row.k);
+  ASSERT_EQ(r.status, ilp::SolveStatus::kOptimal);
+  EXPECT_TRUE(r.solver_stats.audit_ran);
+  EXPECT_TRUE(r.solver_stats.audit_incumbent_ok);
+  EXPECT_TRUE(r.solver_stats.audit_bound_ok);
+  EXPECT_EQ(r.design.area.total(), row.area);
+  EXPECT_TRUE(sessions_in_canonical_order(r.design.bist));
+  for (const ProvenRow& prev : kProvenRows)
+    if (std::string(prev.circuit) == row.circuit && prev.k == row.k - 1)
+      EXPECT_LE(r.design.area.total(), prev.area);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Serial, TableTwoRow, ::testing::ValuesIn(kProvenRows),
+    [](const ::testing::TestParamInfo<ProvenRow>& info) {
+      return std::string(info.param.circuit) + "_k" +
+             std::to_string(info.param.k);
+    });
 
 }  // namespace
 }  // namespace advbist::core

@@ -1,5 +1,6 @@
 // Randomized end-to-end property sweep: random scheduled DFGs go through
-// greedy binding, reference synthesis and 1-test-session ADVBIST synthesis.
+// greedy binding, reference synthesis and 1- and 2-test-session ADVBIST
+// synthesis.
 // Formulation::decode() re-validates every design from first principles
 // (register compatibility, Eqs. 6-13, ILP-objective/area reconciliation),
 // so every seed that solves is a full-pipeline correctness witness.
@@ -13,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "baselines/baselines.hpp"
@@ -156,6 +158,56 @@ TEST_P(FuzzTest, OptimalAdvbistDominatesHeuristics) {
       // solving it anyway is itself the stronger result.
     }
   }
+}
+
+// Two test sessions build the session-ordering rows. They and Section 3.5's
+// clique pinning only cut relabeled copies of designs, so the optimum must
+// not depend on symmetry_reduction, and every design must decode. The
+// unreduced model is the slow side: a short budget keeps the sweep cheap,
+// and an unproven side is still an upper bound on the proven optimum.
+TEST_P(FuzzTest, TwoSessionOptimumIndependentOfSymmetryReduction) {
+  const std::uint64_t seed = (fuzz_seed_base() + GetParam()) * 17 + 3;
+  SCOPED_TRACE(seed_trace(seed));
+  const hls::Dfg dfg = random_dfg(seed, 4);
+  const hls::ModuleAllocation modules = hls::bind_operations_greedy(dfg);
+  if (modules.num_modules() < 2) GTEST_SKIP() << "one module: k = 2 illegal";
+
+  // Each side yields its design, or nullopt when it proved k = 2
+  // infeasible. A side that hit its budget with no design at all (no
+  // incumbent and no fitting baseline) makes the case inconclusive.
+  bool inconclusive = false;
+  using Result = std::optional<core::SynthesisResult>;
+  const auto solve = [&](bool reduce) -> Result {
+    core::SynthesizerOptions o;
+    o.solver.time_limit_seconds = 2;
+    o.symmetry_reduction = reduce;
+    try {
+      return core::Synthesizer(dfg, modules, o).synthesize_bist(2);
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      if (what.find("limit") != std::string::npos)
+        inconclusive = true;
+      else
+        EXPECT_NE(what.find("infeasible"), std::string::npos) << what;
+      return std::nullopt;
+    }
+  };
+  const auto on = solve(true);
+  const auto off = solve(false);
+  if (inconclusive) GTEST_SKIP() << "budget hit before any design";
+  if (!on || !off) {
+    EXPECT_EQ(on.has_value(), off.has_value()) << "feasibility differs";
+    return;
+  }
+  int next = 0;  // sessions numbered in order of their lowest module
+  for (const auto& plan : on->design.bist.modules) {
+    EXPECT_LE(plan.session, next);
+    if (plan.session == next) ++next;
+  }
+  if (on->is_optimal() && off->is_optimal())
+    EXPECT_EQ(on->design.area.total(), off->design.area.total());
+  else if (on->is_optimal() && !off->from_heuristic_fallback)
+    EXPECT_LE(on->objective, off->objective);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
