@@ -1,6 +1,7 @@
 // Shared plumbing for the bench harnesses: environment-tunable solver
-// options and result-row formatting. Every bench binary regenerates one of
-// the paper's tables or figures (see DESIGN.md section 5).
+// options and result-row formatting. Each bench_table* / bench_fig* binary
+// regenerates the paper table or figure it is named after; docs/solver.md
+// §4–5 describe the Table-2 record and its gate.
 //
 // Environment knobs:
 //   ADVBIST_BENCH_OPTS   solver options as "key=value ..." tokens, with the

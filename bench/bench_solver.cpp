@@ -73,7 +73,7 @@ PaulinBasis paulin_basis(int updates) {
   PaulinBasis pb{core::Formulation(b.dfg, b.modules, fo).model(), nullptr};
   pb.lp = std::make_unique<lp::SimplexSolver>(pb.model);
   pb.lp->solve();
-  pb.lp->refactorize_for_testing();
+  pb.lp->refresh_factorization();
   util::Rng rng(2024);
   const int m = pb.lp->num_rows();
   const int total = pb.model.num_variables() + m;
@@ -141,7 +141,7 @@ BENCHMARK(BM_Btran)->Arg(0)->Arg(25)->Arg(100);
 void BM_Refactorize(benchmark::State& state) {
   const PaulinBasis pb = paulin_basis(0);
   for (auto _ : state)
-    benchmark::DoNotOptimize(pb.lp->refactorize_for_testing());
+    benchmark::DoNotOptimize(pb.lp->refresh_factorization());
   state.counters["rows"] = pb.lp->num_rows();
 }
 BENCHMARK(BM_Refactorize);

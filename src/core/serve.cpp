@@ -6,6 +6,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -179,17 +181,70 @@ std::vector<std::string> scan_pending(const std::string& jobs_dir) {
   return ids;
 }
 
-/// Runs one untrusted .mps/.lp model job end to end: defensive parse →
-/// sanitizer gate → cache lookup → solve-with-retries. Mirrors the
-/// synthesizer attempt loop (checkpoint/resume, backoff, memory shed).
-/// Returns false when a drain interrupted an attempt — the job then stays
-/// pending on disk and the caller stops the serve loop.
+/// One solve attempt of a job: the outcome fields its kind fills in
+/// (status, objective, bound, area, nodes), whether the solve proved
+/// optimality, and the solver's stats.
+struct Attempt {
+  JobOutcome outcome;
+  bool optimal = false;
+  ilp::Stats stats;
+};
+
+/// A job whose input loaded: its result-cache key and one solve attempt
+/// under the given solver options.
+struct LoadedJob {
+  std::string key;
+  std::function<Attempt(const ilp::Options&)> attempt;
+};
+
+/// Circuit jobs: a built-in or .dfg design synthesized at the job's k.
+/// A circuit that does not load is quarantined (nullopt).
+template <typename Quarantine>
+std::optional<LoadedJob> load_circuit_job(const JobSpec& spec,
+                                          const Quarantine& quarantine) {
+  hls::ParsedDesign design;
+  try {
+    design = hls::load_design(spec.circuit);
+  } catch (const std::exception& e) {
+    util::log_warn() << "serve: job " << spec.id << ": " << e.what();
+    JobOutcome bad;
+    bad.status = "bad-circuit";
+    quarantine(spec, std::move(bad),
+               reason_json(spec.id, "bad-circuit", e.what(), nullptr,
+                           nullptr));
+    return std::nullopt;
+  }
+  LoadedJob job;
+  job.key = cache_key(design, spec.k);
+  job.attempt = [design = std::move(design), k = spec.k](
+                    const ilp::Options& solver) {
+    SynthesizerOptions sopt;
+    sopt.solver = solver;
+    const Synthesizer synth(design.dfg, design.modules, sopt);
+    const SynthesisResult r = synth.synthesize_bist(k);
+    Attempt a;
+    a.outcome.status = ilp::to_string(r.status);
+    a.outcome.objective = r.objective;
+    a.outcome.best_bound = r.best_bound;
+    a.outcome.area = r.design.area.total();
+    a.outcome.nodes = r.nodes;
+    a.optimal = r.is_optimal();
+    a.stats = r.solver_stats;
+    return a;
+  };
+  return job;
+}
+
+/// Untrusted-model jobs: an .mps/.lp instance solved by the ILP solver
+/// directly, behind the defensive reader and the sanitizer gate. A file
+/// that does not parse or that the gate rejects is quarantined; a model the
+/// gate proves infeasible is finished with that verdict. Both return
+/// nullopt.
 template <typename Finish, typename Quarantine>
-bool run_model_job(const ServeOptions& options, const JobSpec& spec,
-                   ServeStats& stats, util::BoundedJobQueue& queue,
-                   const fs::path& cache_dir,
-                   const Finish& finish, const Quarantine& quarantine) {
-  const lp::ReadResult rr = lp::read_model_file(spec.circuit);
+std::optional<LoadedJob> load_model_job(const JobSpec& spec,
+                                        const Finish& finish,
+                                        const Quarantine& quarantine) {
+  lp::ReadResult rr = lp::read_model_file(spec.circuit);
   if (!rr.ok) {
     util::log_warn() << "serve: job " << spec.id << ": " << spec.circuit
                      << ": " << rr.error.to_string();
@@ -198,9 +253,9 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
     quarantine(spec, std::move(bad),
                reason_json(spec.id, "parse-error", spec.circuit, &rr.error,
                            nullptr));
-    return true;
+    return std::nullopt;
   }
-  const lp::SanitizeResult san = lp::sanitize_model(rr.model);
+  lp::SanitizeResult san = lp::sanitize_model(rr.model);
   if (san.diag.cls == lp::ModelClass::kRejected) {
     util::log_warn() << "serve: job " << spec.id << ": sanitizer rejected ("
                      << san.diag.first_issue << ")";
@@ -209,7 +264,7 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
     quarantine(spec, std::move(bad),
                reason_json(spec.id, "invalid-model", san.diag.summary(),
                            nullptr, &san.diag));
-    return true;
+    return std::nullopt;
   }
   if (san.diag.proven_infeasible) {
     // Decidable before any solve: an honest completed verdict, not a
@@ -217,7 +272,7 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
     JobOutcome o;
     o.status = ilp::to_string(ilp::SolveStatus::kInfeasible);
     finish(spec, std::move(o), /*failed=*/false);
-    return true;
+    return std::nullopt;
   }
 
   // Cache key: hash of the canonical MPS serialization of the SANITIZED
@@ -231,8 +286,41 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
   char keybuf[20];
   std::snprintf(keybuf, sizeof keybuf, "%016llx",
                 static_cast<unsigned long long>(h));
-  const std::string key = keybuf;
-  const fs::path cache_path = cache_dir / (key + ".result");
+  LoadedJob job;
+  job.key = keybuf;
+  // The objective the user asked about: the reader folded OBJSENSE MAX by
+  // negating the objective, and the offset lives outside the model.
+  job.attempt = [model = std::move(san.model), maximize = rr.maximize,
+                 offset = rr.objective_offset](const ilp::Options& solver) {
+    const auto user_value = [&](double z) {
+      return (maximize ? -z : z) + offset;
+    };
+    const ilp::Solution r = ilp::Solver(solver).solve(model);
+    Attempt a;
+    a.outcome.status = ilp::to_string(r.status);
+    if (r.has_solution()) a.outcome.objective = user_value(r.objective);
+    a.outcome.best_bound = user_value(r.stats.best_bound);
+    a.outcome.nodes = r.stats.nodes;
+    a.optimal = r.is_optimal();
+    a.stats = r.stats;
+    return a;
+  };
+  return job;
+}
+
+/// Serves one loaded job: a verified optimum already cached under its key
+/// answers it without a solve; otherwise attempts run until one finishes.
+/// Each attempt resumes from the job's checkpoint (the solver treats a
+/// missing file as a cold start), so retries make monotone progress; the
+/// job key for backoff jitter is the cache key. Returns false when a drain
+/// interrupted the job — it then stays pending on disk and the caller
+/// stops the serve loop.
+template <typename Finish>
+bool run_job(const ServeOptions& options, const JobSpec& spec,
+             const LoadedJob& job, ServeStats& stats,
+             util::BoundedJobQueue& queue, const fs::path& cache_dir,
+             const Finish& finish) {
+  const fs::path cache_path = cache_dir / (job.key + ".result");
   if (std::optional<JobOutcome> hit = read_result_file(cache_path.string())) {
     hit->from_cache = true;
     hit->attempts = 0;
@@ -241,17 +329,10 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
     return true;
   }
 
-  // The objective the user asked about: the reader folded OBJSENSE MAX by
-  // negating the objective, and the offset lives outside the model.
-  const auto user_value = [&](double z) {
-    return (rr.maximize ? -z : z) + rr.objective_offset;
-  };
-
   const std::uint64_t job_key = util::fnv1a64(
-      reinterpret_cast<const unsigned char*>(key.data()), key.size());
+      reinterpret_cast<const unsigned char*>(job.key.data()), job.key.size());
   bool job_resumed = false;
   bool left_pending = false;
-  JobOutcome outcome;
   int attempt = 0;
   while (true) {
     if (drain_requested(options)) {
@@ -259,37 +340,36 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
       break;
     }
     ++attempt;
-    const ilp::Solver solver(job_solver_options(options, spec));
-    const ilp::Solution r = solver.solve(san.model);
-    const ilp::Stats& st = r.stats;
+    Attempt a = job.attempt(job_solver_options(options, spec));
+    const ilp::Stats& st = a.stats;
     stats.checkpoints_written += st.checkpoints_written;
     stats.resume_rejected += st.resume_rejected;
     if (st.resumed) job_resumed = true;
-
-    outcome = JobOutcome{};
-    outcome.status = ilp::to_string(r.status);
-    if (r.has_solution()) outcome.objective = user_value(r.objective);
-    outcome.best_bound = user_value(st.best_bound);
-    outcome.nodes = st.nodes;
+    JobOutcome& outcome = a.outcome;
     outcome.attempts = attempt;
     outcome.resumed = job_resumed;
     outcome.verified = st.audit_incumbent_ok;
 
     if (drain_requested(options) ||
         st.termination == util::StopReason::kCancelled) {
+      // The solve checkpointed its frontier on the way out; the job
+      // stays pending on disk for the restarted serve to resume.
       left_pending = true;
       break;
     }
     if (st.termination == util::StopReason::kNone) {
       finish(spec, outcome, /*failed=*/false);
-      if (r.is_optimal() && st.audit_incumbent_ok) {
-        JobOutcome cached = outcome;
-        cached.from_cache = false;
-        write_text_atomic(cache_path.string(), format_result(cached));
-      }
+      if (a.optimal && st.audit_incumbent_ok)
+        write_text_atomic(cache_path.string(), format_result(outcome));
+      if (st.memory_unreleased_bytes > 0)
+        util::log_warn() << "serve: job " << spec.id << " left "
+                         << st.memory_unreleased_bytes
+                         << " bytes accounted at teardown";
       break;
     }
     if (st.termination == util::StopReason::kMemoryLimit) {
+      // Shed queued (never running) jobs first: they only lose their
+      // in-memory slot and stay durable on disk.
       const std::size_t shed = queue.shed_all();
       if (shed > 0) {
         stats.jobs_shed += static_cast<long long>(shed);
@@ -297,7 +377,7 @@ bool run_model_job(const ServeOptions& options, const JobSpec& spec,
       }
     }
     if (attempt > options.max_retries) {
-      finish(spec, outcome, /*failed=*/true);
+      finish(spec, std::move(outcome), /*failed=*/true);
       break;
     }
     ++stats.retries;
@@ -489,119 +569,14 @@ ServeStats serve(const ServeOptions& options) {
     }
     const JobSpec& spec = *parsed;
 
-    if (is_model_job(spec.circuit)) {
-      if (run_model_job(options, spec, stats, queue, cache_dir, finish,
-                        quarantine))
-        continue;
-      stats.drained = true;  // drain raised mid-attempt; job stays pending
-      break;
-    }
-
-    hls::ParsedDesign design;
-    try {
-      design = hls::load_design(spec.circuit);
-    } catch (const std::exception& e) {
-      util::log_warn() << "serve: job " << spec.id << ": " << e.what();
-      JobOutcome bad;
-      bad.status = "bad-circuit";
-      quarantine(spec, std::move(bad),
-                 reason_json(spec.id, "bad-circuit", e.what(), nullptr,
-                             nullptr));
-      continue;
-    }
-
-    const std::string key = cache_key(design, spec.k);
-    const fs::path cache_path = cache_dir / (key + ".result");
-    if (std::optional<JobOutcome> hit = read_result_file(cache_path.string())) {
-      hit->from_cache = true;
-      hit->attempts = 0;
-      ++stats.cache_hits;
-      finish(spec, std::move(*hit), /*failed=*/false);
-      continue;
-    }
-
-    // Attempt loop: each attempt resumes from the job's checkpoint (the
-    // solver treats a missing file as a cold start), so retries make
-    // monotone progress. The job key for backoff jitter is the cache key.
-    const std::uint64_t job_key = util::fnv1a64(
-        reinterpret_cast<const unsigned char*>(key.data()), key.size());
-    bool job_resumed = false;
-    bool left_pending = false;
-    JobOutcome outcome;
-    int attempt = 0;
-    while (true) {
-      if (drain_requested(options)) {
-        left_pending = true;
-        break;
-      }
-      ++attempt;
-      SynthesizerOptions sopt;
-      sopt.solver = job_solver_options(options, spec);
-
-      const Synthesizer synth(design.dfg, design.modules, sopt);
-      const SynthesisResult r = synth.synthesize_bist(spec.k);
-      const ilp::Stats& st = r.solver_stats;
-      stats.checkpoints_written += st.checkpoints_written;
-      stats.resume_rejected += st.resume_rejected;
-      if (st.resumed) job_resumed = true;
-
-      outcome = JobOutcome{};
-      outcome.status = ilp::to_string(r.status);
-      outcome.objective = r.objective;
-      outcome.best_bound = r.best_bound;
-      outcome.area = r.design.area.total();
-      outcome.nodes = r.nodes;
-      outcome.attempts = attempt;
-      outcome.resumed = job_resumed;
-      outcome.verified = st.audit_incumbent_ok;
-
-      if (drain_requested(options) ||
-          st.termination == util::StopReason::kCancelled) {
-        // The solve checkpointed its frontier on the way out; the job
-        // stays pending on disk for the restarted serve to resume.
-        left_pending = true;
-        break;
-      }
-      if (st.termination == util::StopReason::kNone) {
-        finish(spec, outcome, /*failed=*/false);
-        if (r.is_optimal() && st.audit_incumbent_ok) {
-          JobOutcome cached = outcome;
-          cached.from_cache = false;
-          write_text_atomic(cache_path.string(), format_result(cached));
-        }
-        if (st.termination == util::StopReason::kNone &&
-            st.memory_unreleased_bytes > 0)
-          util::log_warn() << "serve: job " << spec.id << " left "
-                           << st.memory_unreleased_bytes
-                           << " bytes accounted at teardown";
-        break;
-      }
-      if (st.termination == util::StopReason::kMemoryLimit) {
-        // Shed queued (never running) jobs first: they only lose their
-        // in-memory slot and stay durable on disk.
-        const std::size_t shed = queue.shed_all();
-        if (shed > 0) {
-          stats.jobs_shed += static_cast<long long>(shed);
-          stats.memory_pressure_shed = true;
-        }
-      }
-      if (attempt > options.max_retries) {
-        finish(spec, outcome, /*failed=*/true);
-        break;
-      }
-      ++stats.retries;
-      if (interruptible_sleep(
-              options, options.backoff.delay_seconds(job_key, attempt))) {
-        left_pending = true;
-        break;
-      }
-    }
-    if (left_pending) {
+    const std::optional<LoadedJob> job =
+        is_model_job(spec.circuit) ? load_model_job(spec, finish, quarantine)
+                                   : load_circuit_job(spec, quarantine);
+    if (!job) continue;
+    if (!run_job(options, spec, *job, stats, queue, cache_dir, finish)) {
       stats.drained = true;
-      if (job_resumed) ++stats.resumed_jobs;
       break;
     }
-    if (job_resumed) ++stats.resumed_jobs;
   }
   return stats;
 }

@@ -7,7 +7,7 @@
 // HYPER in the paper; the exact netlists were never published, so we build
 // DFGs for the same algorithms and schedule/bind them to match the shape
 // parameters reported in Table 3: register count R and module count N
-// (= the maximal number of test sessions). See DESIGN.md "Substitutions".
+// (= the maximal number of test sessions).
 //
 // All schedules and bindings are fixed (deterministic), mirroring the
 // paper's setup where "the six data flow graphs used in the experiment

@@ -17,154 +17,19 @@ using lp::VarType;
 
 namespace {
 
-struct RowActivity {
-  double min_act = 0.0;
-  double max_act = 0.0;
-  bool min_finite = true;
-  bool max_finite = true;
-};
-
-RowActivity activity(const Model& model, const ConstraintDef& row) {
-  RowActivity act;
-  for (const Term& t : row.terms) {
-    const auto& v = model.variable(t.var);
-    const double lo_contrib = t.coeff > 0 ? t.coeff * v.lower : t.coeff * v.upper;
-    const double hi_contrib = t.coeff > 0 ? t.coeff * v.upper : t.coeff * v.lower;
-    if (std::isfinite(lo_contrib))
-      act.min_act += lo_contrib;
-    else
-      act.min_finite = false;
-    if (std::isfinite(hi_contrib))
-      act.max_act += hi_contrib;
-    else
-      act.max_finite = false;
-  }
-  return act;
-}
-
-}  // namespace
-
-PresolveResult presolve(Model& model, int max_rounds) {
-  PresolveResult result;
-  result.row_redundant.assign(model.num_constraints(), false);
-
-  bool changed = true;
-  for (int round = 0; round < max_rounds && changed; ++round) {
-    changed = false;
-    for (int c = 0; c < model.num_constraints(); ++c) {
-      if (result.row_redundant[c]) continue;
-      const ConstraintDef& row = model.constraint(c);
-      const RowActivity act = activity(model, row);
-
-      // Effective row interval [row_lo, row_hi] that the activity must hit.
-      double row_lo = -lp::kInfinity, row_hi = lp::kInfinity;
-      switch (row.sense) {
-        case Sense::kLessEqual: row_hi = row.rhs; break;
-        case Sense::kGreaterEqual: row_lo = row.rhs; break;
-        case Sense::kEqual: row_lo = row_hi = row.rhs; break;
-      }
-
-      // Infeasibility: activity range entirely outside the row interval.
-      if (act.min_finite && act.min_act > row_hi + kActivityEps) {
-        result.infeasible = true;
-        return result;
-      }
-      if (act.max_finite && act.max_act < row_lo - kActivityEps) {
-        result.infeasible = true;
-        return result;
-      }
-      // Redundancy: bounds alone already satisfy the row.
-      if ((!std::isfinite(row_hi) ||
-           (act.max_finite && act.max_act <= row_hi + kBoundEps)) &&
-          (!std::isfinite(row_lo) ||
-           (act.min_finite && act.min_act >= row_lo - kBoundEps)) &&
-          row.sense != Sense::kEqual) {
-        result.row_redundant[c] = true;
-        ++result.redundant_rows;
-        continue;
-      }
-
-      // Per-variable implied bounds.
-      for (const Term& t : row.terms) {
-        const auto& v = model.variable(t.var);
-        double lo = v.lower, hi = v.upper;
-        const double contrib_min =
-            t.coeff > 0 ? t.coeff * lo : t.coeff * hi;  // this var's min part
-        const double contrib_max = t.coeff > 0 ? t.coeff * hi : t.coeff * lo;
-
-        // Residual activity of the other variables.
-        const bool rest_min_finite =
-            act.min_finite && std::isfinite(contrib_min);
-        const bool rest_max_finite =
-            act.max_finite && std::isfinite(contrib_max);
-        const double rest_min = act.min_act - (std::isfinite(contrib_min) ? contrib_min : 0.0);
-        const double rest_max = act.max_act - (std::isfinite(contrib_max) ? contrib_max : 0.0);
-
-        double new_lo = lo, new_hi = hi;
-        // coeff*x <= row_hi - rest_min  and  coeff*x >= row_lo - rest_max
-        if (std::isfinite(row_hi) && rest_min_finite) {
-          const double cap = row_hi - rest_min;
-          if (t.coeff > 0)
-            new_hi = std::min(new_hi, cap / t.coeff);
-          else
-            new_lo = std::max(new_lo, cap / t.coeff);
-        }
-        if (std::isfinite(row_lo) && rest_max_finite) {
-          const double cap = row_lo - rest_max;
-          if (t.coeff > 0)
-            new_lo = std::max(new_lo, cap / t.coeff);
-          else
-            new_hi = std::min(new_hi, cap / t.coeff);
-        }
-        if (v.type == VarType::kInteger) {
-          new_lo = std::ceil(new_lo - kIntEps);
-          new_hi = std::floor(new_hi + kIntEps);
-        }
-        if (new_lo > new_hi + kBoundEps) {
-          result.infeasible = true;
-          return result;
-        }
-        new_hi = std::max(new_hi, new_lo);  // clamp FP noise
-        if (new_lo > lo + kBoundEps || new_hi < hi - kBoundEps) {
-          model.set_bounds(t.var, std::max(lo, new_lo), std::min(hi, new_hi));
-          ++result.bounds_tightened;
-          changed = true;
-        }
-      }
-    }
-  }
-
-  for (int v = 0; v < model.num_variables(); ++v)
-    if (model.variable(v).lower == model.variable(v).upper)
-      ++result.variables_fixed;
-
-  util::log_debug() << "presolve: " << result.bounds_tightened
-                    << " bounds tightened, " << result.variables_fixed
-                    << " vars fixed, " << result.redundant_rows
-                    << " redundant rows";
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Probing: a flat row system + queue-driven propagation over candidate
-// bound vectors, cheap enough to run twice per binary.
-// ---------------------------------------------------------------------------
-
-namespace {
-
 /// Flattened copy of the model's (non-skipped) rows plus a variable->rows
-/// index, so probing never walks the Model's per-row vectors.
+/// index, so propagation never walks the Model's per-row vectors.
 struct RowSystem {
   struct Row {
     int start, end;  // term range in var/coeff
-    Sense sense;
-    double rhs;
+    double lo, hi;   // the interval the row's activity must hit
   };
   std::vector<Row> rows;
   std::vector<int> var;
   std::vector<double> coeff;
   std::vector<int> var_rows_start;  // size n+1
   std::vector<int> var_rows;        // row indices touching each variable
+  std::vector<VarType> types;       // per variable
 
   RowSystem(const Model& model, const std::vector<bool>& skip_row) {
     const int n = model.num_variables();
@@ -176,7 +41,9 @@ struct RowSystem {
         var.push_back(t.var);
         coeff.push_back(t.coeff);
       }
-      rows.push_back(Row{start, static_cast<int>(var.size()), r.sense, r.rhs});
+      const double lo = r.sense == Sense::kLessEqual ? -lp::kInfinity : r.rhs;
+      const double hi = r.sense == Sense::kGreaterEqual ? lp::kInfinity : r.rhs;
+      rows.push_back(Row{start, static_cast<int>(var.size()), lo, hi});
     }
     var_rows_start.assign(n + 1, 0);
     for (const int v : var) ++var_rows_start[v + 1];
@@ -186,16 +53,51 @@ struct RowSystem {
     for (std::size_t r = 0; r < rows.size(); ++r)
       for (int p = rows[r].start; p < rows[r].end; ++p)
         var_rows[fill[var[p]]++] = static_cast<int>(r);
+    types.resize(n);
+    for (int v = 0; v < n; ++v) types[v] = model.variable(v).type;
   }
 };
 
+void read_bounds(const Model& model, std::vector<double>& lb,
+                 std::vector<double>& ub) {
+  lb.resize(model.num_variables());
+  ub.resize(model.num_variables());
+  for (int v = 0; v < model.num_variables(); ++v) {
+    lb[v] = model.variable(v).lower;
+    ub[v] = model.variable(v).upper;
+  }
+}
+
+/// Minimum and maximum row activity over the bounds (lb, ub); an infinite
+/// bound makes its side infinite, and the finite sum covers the other terms.
+struct Activity {
+  double min = 0.0, max = 0.0;
+  bool min_finite = true, max_finite = true;
+};
+
+Activity row_activity(const RowSystem& sys, const RowSystem::Row& row,
+                      const std::vector<double>& lb,
+                      const std::vector<double>& ub) {
+  Activity act;
+  for (int p = row.start; p < row.end; ++p) {
+    const double c = sys.coeff[p];
+    const double lo = c > 0 ? c * lb[sys.var[p]] : c * ub[sys.var[p]];
+    const double hi = c > 0 ? c * ub[sys.var[p]] : c * lb[sys.var[p]];
+    if (std::isfinite(lo)) act.min += lo; else act.min_finite = false;
+    if (std::isfinite(hi)) act.max += hi; else act.max_finite = false;
+  }
+  return act;
+}
+
 /// Queue-driven bound propagation on (lb, ub). Seeds from `seed_var`'s rows
-/// (or all rows when seed_var < 0) and tightens to fixpoint or until the
-/// work budget runs out. Returns false on a proven contradiction.
-bool propagate(const RowSystem& sys, const std::vector<VarType>& types,
-               std::vector<double>& lb, std::vector<double>& ub, int seed_var,
+/// (or all rows when seed_var < 0) and tightens to fixpoint or until
+/// `work_budget` term visits are spent. Variables whose bounds moved are
+/// appended to `touched` (deduplicated through `touched_mark`). Returns
+/// false on a proven contradiction.
+bool propagate(const RowSystem& sys, std::vector<double>& lb,
+               std::vector<double>& ub, int seed_var,
                std::vector<int>& touched, std::vector<char>& touched_mark,
-               long long work_budget = 200000) {
+               long long work_budget) {
   std::vector<int> queue;
   std::vector<char> queued(sys.rows.size(), 0);
   auto enqueue_var_rows = [&](int v) {
@@ -216,13 +118,6 @@ bool propagate(const RowSystem& sys, const std::vector<VarType>& types,
     }
   }
 
-  auto record_touch = [&](int v) {
-    if (!touched_mark[v]) {
-      touched_mark[v] = 1;
-      touched.push_back(v);
-    }
-  };
-
   std::size_t head = 0;
   long long work = 0;
   while (head < queue.size()) {
@@ -232,63 +127,54 @@ bool propagate(const RowSystem& sys, const std::vector<VarType>& types,
     work += row.end - row.start;
     if (work > work_budget) return true;  // budget out: bounds stay valid
 
-    double min_act = 0.0, max_act = 0.0;
-    bool min_finite = true, max_finite = true;
-    for (int p = row.start; p < row.end; ++p) {
-      const double c = sys.coeff[p];
-      const double lo = c > 0 ? c * lb[sys.var[p]] : c * ub[sys.var[p]];
-      const double hi = c > 0 ? c * ub[sys.var[p]] : c * lb[sys.var[p]];
-      if (std::isfinite(lo)) min_act += lo; else min_finite = false;
-      if (std::isfinite(hi)) max_act += hi; else max_finite = false;
-    }
+    const Activity act = row_activity(sys, row, lb, ub);
+    // Infeasibility: activity range entirely outside the row interval.
+    if (act.min_finite && act.min > row.hi + kActivityEps) return false;
+    if (act.max_finite && act.max < row.lo - kActivityEps) return false;
 
-    double row_lo = -lp::kInfinity, row_hi = lp::kInfinity;
-    switch (row.sense) {
-      case Sense::kLessEqual: row_hi = row.rhs; break;
-      case Sense::kGreaterEqual: row_lo = row.rhs; break;
-      case Sense::kEqual: row_lo = row_hi = row.rhs; break;
-    }
-    if (min_finite && min_act > row_hi + kActivityEps) return false;
-    if (max_finite && max_act < row_lo - kActivityEps) return false;
-
+    // Per-variable implied bounds from the residual activity of the rest:
+    // c*x <= hi - rest_min  and  c*x >= lo - rest_max.
     for (int p = row.start; p < row.end; ++p) {
       const int v = sys.var[p];
       const double c = sys.coeff[p];
       double lo = lb[v], hi = ub[v];
       const double contrib_min = c > 0 ? c * lo : c * hi;
       const double contrib_max = c > 0 ? c * hi : c * lo;
-      const bool rest_min_finite = min_finite && std::isfinite(contrib_min);
-      const bool rest_max_finite = max_finite && std::isfinite(contrib_max);
+      const bool rest_min_finite = act.min_finite && std::isfinite(contrib_min);
+      const bool rest_max_finite = act.max_finite && std::isfinite(contrib_max);
       const double rest_min =
-          min_act - (std::isfinite(contrib_min) ? contrib_min : 0.0);
+          act.min - (std::isfinite(contrib_min) ? contrib_min : 0.0);
       const double rest_max =
-          max_act - (std::isfinite(contrib_max) ? contrib_max : 0.0);
+          act.max - (std::isfinite(contrib_max) ? contrib_max : 0.0);
 
       double new_lo = lo, new_hi = hi;
-      if (std::isfinite(row_hi) && rest_min_finite) {
-        const double cap = row_hi - rest_min;
+      if (std::isfinite(row.hi) && rest_min_finite) {
+        const double cap = row.hi - rest_min;
         if (c > 0)
           new_hi = std::min(new_hi, cap / c);
         else
           new_lo = std::max(new_lo, cap / c);
       }
-      if (std::isfinite(row_lo) && rest_max_finite) {
-        const double cap = row_lo - rest_max;
+      if (std::isfinite(row.lo) && rest_max_finite) {
+        const double cap = row.lo - rest_max;
         if (c > 0)
           new_lo = std::max(new_lo, cap / c);
         else
           new_hi = std::min(new_hi, cap / c);
       }
-      if (types[v] == VarType::kInteger) {
+      if (sys.types[v] == VarType::kInteger) {
         new_lo = std::ceil(new_lo - kIntEps);
         new_hi = std::floor(new_hi + kIntEps);
       }
       if (new_lo > new_hi + kBoundEps) return false;
-      new_hi = std::max(new_hi, new_lo);
+      new_hi = std::max(new_hi, new_lo);  // clamp FP noise
       if (new_lo > lo + kBoundEps || new_hi < hi - kBoundEps) {
         lb[v] = std::max(lo, new_lo);
         ub[v] = std::min(hi, new_hi);
-        record_touch(v);
+        if (!touched_mark[v]) {
+          touched_mark[v] = 1;
+          touched.push_back(v);
+        }
         enqueue_var_rows(v);
       }
     }
@@ -296,25 +182,62 @@ bool propagate(const RowSystem& sys, const std::vector<VarType>& types,
   return true;
 }
 
+/// Presolve's propagation budget, in full sweeps' worth of term visits.
+constexpr long long kPresolveSweeps = 20;
+/// Probing caps: binaries probed (two propagations each), term visits per
+/// propagation, and harvested conflict edges.
+constexpr int kMaxProbes = 5000;
+constexpr long long kProbeWork = 200000;
+constexpr long long kMaxImplications = 200000;
+
 }  // namespace
 
+PresolveResult presolve(Model& model) {
+  PresolveResult result;
+  const int n = model.num_variables();
+  const RowSystem sys(model, {});
+  std::vector<double> lb, ub;
+  read_bounds(model, lb, ub);
+  std::vector<int> touched;
+  std::vector<char> touched_mark(n, 0);
+  if (!propagate(sys, lb, ub, -1, touched, touched_mark,
+                 kPresolveSweeps * static_cast<long long>(sys.var.size()))) {
+    result.infeasible = true;
+    return result;
+  }
+  for (const int v : touched) model.set_bounds(v, lb[v], ub[v]);
+
+  // Redundancy: the final bounds alone satisfy the row. Equality rows are
+  // kept.
+  int redundant = 0;
+  result.row_redundant.assign(sys.rows.size(), false);
+  for (std::size_t r = 0; r < sys.rows.size(); ++r) {
+    const RowSystem::Row& row = sys.rows[r];
+    if (row.lo == row.hi) continue;
+    const Activity act = row_activity(sys, row, lb, ub);
+    if ((!std::isfinite(row.hi) ||
+         (act.max_finite && act.max <= row.hi + kBoundEps)) &&
+        (!std::isfinite(row.lo) ||
+         (act.min_finite && act.min >= row.lo - kBoundEps))) {
+      result.row_redundant[r] = true;
+      ++redundant;
+    }
+  }
+
+  util::log_debug() << "presolve: " << touched.size() << " vars tightened, "
+                    << redundant << " redundant rows";
+  return result;
+}
+
 ProbingResult probe_binaries(Model& model, const std::vector<bool>& skip_row,
-                             ConflictGraph& graph,
-                             const ProbingOptions& options) {
+                             ConflictGraph& graph) {
   ProbingResult result;
   const int n = model.num_variables();
   const RowSystem sys(model, skip_row);
-
-  std::vector<VarType> types(n);
-  std::vector<double> base_lb(n), base_ub(n);
-  for (int v = 0; v < n; ++v) {
-    const auto& def = model.variable(v);
-    types[v] = def.type;
-    base_lb[v] = def.lower;
-    base_ub[v] = def.upper;
-  }
+  std::vector<double> base_lb, base_ub;
+  read_bounds(model, base_lb, base_ub);
   auto is_unfixed_binary = [&](int v) {
-    return types[v] == VarType::kInteger && base_lb[v] == 0.0 &&
+    return sys.types[v] == VarType::kInteger && base_lb[v] == 0.0 &&
            base_ub[v] == 1.0;
   };
 
@@ -340,18 +263,20 @@ ProbingResult probe_binaries(Model& model, const std::vector<bool>& skip_row,
     }
   };
 
-  for (int v = 0; v < n && result.probed < options.max_probes; ++v) {
+  for (int v = 0; v < n && result.probed < kMaxProbes; ++v) {
     if (!is_unfixed_binary(v)) continue;
     ++result.probed;
 
     lb0 = base_lb; ub0 = base_ub;
     ub0[v] = 0.0;
     touched0.clear();
-    const bool feas0 = propagate(sys, types, lb0, ub0, v, touched0, mark0);
+    const bool feas0 =
+        propagate(sys, lb0, ub0, v, touched0, mark0, kProbeWork);
     lb1 = base_lb; ub1 = base_ub;
     lb1[v] = 1.0;
     touched1.clear();
-    const bool feas1 = propagate(sys, types, lb1, ub1, v, touched1, mark1);
+    const bool feas1 =
+        propagate(sys, lb1, ub1, v, touched1, mark1, kProbeWork);
     for (const int t : touched0) mark0[t] = 0;
     for (const int t : touched1) mark1[t] = 0;
 
@@ -392,7 +317,7 @@ ProbingResult probe_binaries(Model& model, const std::vector<bool>& skip_row,
           ++result.bounds_tightened;
         model.set_bounds(y, base_lb[y], base_ub[y]);
       }
-      if (result.implications >= options.max_implications) continue;
+      if (result.implications >= kMaxImplications) continue;
       if (is_unfixed_binary(y) && lb0[y] == ub0[y]) {
         const bool w = lb0[y] > 0.5;
         graph.add_edge(ConflictGraph::lit(v, false),
@@ -401,7 +326,7 @@ ProbingResult probe_binaries(Model& model, const std::vector<bool>& skip_row,
       }
     }
     for (const int y : touched1) {
-      if (y == v || result.implications >= options.max_implications) continue;
+      if (y == v || result.implications >= kMaxImplications) continue;
       if (is_unfixed_binary(y) && lb1[y] == ub1[y]) {
         const bool w = lb1[y] > 0.5;
         graph.add_edge(ConflictGraph::lit(v, true),

@@ -1,15 +1,19 @@
 // Bound-propagation presolve, binary probing and model reduction for the
 // 0/1-dominated MILPs of the BIST formulation.
 //
-// presolve() iterates activity-based bound strengthening until fixpoint:
-//   * For each row, compute the minimum/maximum activity from current
-//     variable bounds; derive implied bounds for each variable and round
-//     them inward for integer variables.
-//   * Rows proved redundant are marked (build_reduced_model drops them).
-//   * Infeasibility (crossed bounds / impossible rows) is detected early.
+// One propagation kernel serves both passes. It works a queue of rows: a
+// row's minimum/maximum activity over the current bounds implies a bound
+// for each of its variables (rounded inward for integers), a row whose
+// activity range misses its interval proves infeasibility, and a variable
+// whose bound moves re-queues its rows.
+//
+// presolve() seeds the kernel with every row and runs it to the fixpoint
+// (under a budget of 20 sweeps' worth of term visits, for models that
+// converge slowly), then marks the rows that the final bounds alone satisfy
+// as redundant (build_reduced_model drops them).
 //
 // probe_binaries() goes one level deeper: each unfixed 0/1 variable is
-// tentatively fixed to 0 and to 1 and the consequences propagated. A probe
+// tentatively fixed to 0 and to 1 and the kernel run from its rows. A probe
 // value that propagates to a contradiction fixes the variable the other
 // way (and its probe's implied bounds become unconditionally valid); a
 // variable forced to the same value under both probes is fixed outright;
@@ -38,20 +42,12 @@ class ConflictGraph;
 
 struct PresolveResult {
   bool infeasible = false;
-  int bounds_tightened = 0;   ///< number of individual bound changes
-  int variables_fixed = 0;    ///< variables with lower == upper after presolve
-  int redundant_rows = 0;     ///< rows implied by variable bounds alone
   std::vector<bool> row_redundant;  ///< per-constraint redundancy flag
 };
 
-/// Tightens variable bounds of `model` in place. Never changes the set of
-/// feasible integer solutions.
-PresolveResult presolve(lp::Model& model, int max_rounds = 20);
-
-struct ProbingOptions {
-  int max_probes = 5000;  ///< binaries probed (two propagations each)
-  long long max_implications = 200000;  ///< cap on harvested conflict edges
-};
+/// Tightens variable bounds of `model` in place (left untouched when
+/// infeasible). Never changes the set of feasible integer solutions.
+PresolveResult presolve(lp::Model& model);
 
 struct ProbingResult {
   bool infeasible = false;       ///< both probe values contradicted
@@ -67,8 +63,7 @@ struct ProbingResult {
 /// model; finalize() is the caller's job).
 ProbingResult probe_binaries(lp::Model& model,
                              const std::vector<bool>& skip_row,
-                             ConflictGraph& graph,
-                             const ProbingOptions& options = {});
+                             ConflictGraph& graph);
 
 struct ReducedModelResult {
   lp::Model model;

@@ -378,8 +378,6 @@ class SimplexSolver {
   bool refresh_factorization();
 
   // --- testing/diagnostic hooks (tests/lp/factorization_diff_test.cpp) ---
-  /// Test-suite alias for refresh_factorization().
-  bool refactorize_for_testing() { return refresh_factorization(); }
   /// Solves B w = rhs with the current factors and their pending updates.
   /// `rhs` is indexed by original row; the result by basis position.
   [[nodiscard]] std::vector<double> ftran_for_testing(
@@ -628,7 +626,6 @@ class SimplexSolver {
 
   // --- scratch (avoid per-iteration allocation) ---
   mutable std::vector<double> work_;        // ftran/btran solves
-  mutable std::vector<double> work2_;       // second solve buffer (btran)
   std::vector<double> phase_cost_;          // composite phase-1 objective
   std::vector<double> duals_;               // y
   std::vector<double> cb_;                  // basic costs

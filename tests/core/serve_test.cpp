@@ -11,6 +11,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 
@@ -261,6 +262,60 @@ TEST(Serve, MalformedAndBadCircuitSpecsFailCleanly) {
   EXPECT_TRUE(fs::exists(dir + "/failed/garbage.result"));
   EXPECT_TRUE(fs::exists(dir + "/failed/ghost.result"));
   EXPECT_TRUE(fs::is_empty(dir + "/jobs"));  // nothing left behind
+}
+
+const std::string kCorpus = ADVBIST_SOURCE_DIR "/tests/lp/corpus";
+
+TEST(Serve, ModelJobCompletesVerifiedAndIsCached) {
+  const std::string dir = make_spool("model");
+  JobSpec spec;
+  spec.id = "knapsack";
+  spec.circuit = kCorpus + "/valid/knapsack.lp";
+  ASSERT_TRUE(submit_job(dir, spec));
+  const ServeStats st = serve(base_options(dir));
+  EXPECT_EQ(st.jobs_completed, 1);
+  EXPECT_EQ(st.jobs_failed, 0);
+  ASSERT_EQ(st.outcomes.size(), 1u);
+  EXPECT_EQ(st.outcomes[0].status, "optimal");
+  EXPECT_TRUE(st.outcomes[0].verified);
+  EXPECT_NEAR(st.outcomes[0].objective, 12.0, 1e-6);  // the LP's maximum
+  EXPECT_EQ(st.outcomes[0].attempts, 1);
+  const auto file = read_result_file(dir + "/done/knapsack.result");
+  ASSERT_TRUE(file.has_value());
+  EXPECT_EQ(file->status, "optimal");
+  EXPECT_TRUE(fs::is_empty(dir + "/jobs"));
+
+  // The same file under a new id is answered from the cache.
+  spec.id = "knapsack-again";
+  ASSERT_TRUE(submit_job(dir, spec));
+  const ServeStats st2 = serve(base_options(dir));
+  EXPECT_EQ(st2.jobs_completed, 1);
+  EXPECT_EQ(st2.cache_hits, 1);
+  ASSERT_EQ(st2.outcomes.size(), 1u);
+  EXPECT_TRUE(st2.outcomes[0].from_cache);
+  EXPECT_EQ(st2.outcomes[0].attempts, 0);
+  EXPECT_NEAR(st2.outcomes[0].objective, 12.0, 1e-6);
+}
+
+TEST(Serve, UnparseableModelJobIsQuarantined) {
+  const std::string dir = make_spool("badmodel");
+  JobSpec spec;
+  spec.id = "bad-sense";
+  spec.circuit = kCorpus + "/malformed/bad_sense.mps";
+  ASSERT_TRUE(submit_job(dir, spec));
+  const ServeStats st = serve(base_options(dir));
+  EXPECT_EQ(st.jobs_completed, 0);
+  EXPECT_EQ(st.jobs_failed, 1);
+  EXPECT_EQ(st.jobs_quarantined, 1);
+  std::ifstream in(dir + "/failed/bad-sense.reason.json");
+  ASSERT_TRUE(in.good());
+  const std::string reason((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(reason.find("\"kind\": \"parse-error\""), std::string::npos)
+      << reason;
+  EXPECT_TRUE(fs::exists(dir + "/failed/bad-sense.job"));  // spec kept
+  EXPECT_TRUE(fs::exists(dir + "/failed/bad-sense.result"));
+  EXPECT_TRUE(fs::is_empty(dir + "/jobs"));
 }
 
 TEST(Serve, ExhaustedRetriesMoveTheJobToFailedWithItsBestEffort) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/formulation.hpp"
+#include "hls/benchmarks.hpp"
 #include "ilp/presolve.hpp"
 #include "lp/model.hpp"
+#include "lp/sanitizer.hpp"
 
 namespace advbist::ilp {
 namespace {
@@ -19,9 +25,10 @@ TEST(Presolve, FixesForcedBinaries) {
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Sense::kLessEqual, 0);
   const PresolveResult r = presolve(m);
   EXPECT_FALSE(r.infeasible);
-  EXPECT_EQ(m.variable(x).upper, 0.0);
-  EXPECT_EQ(m.variable(y).upper, 0.0);
-  EXPECT_EQ(r.variables_fixed, 2);
+  for (const int v : {x, y}) {
+    EXPECT_EQ(m.variable(v).lower, 0.0);
+    EXPECT_EQ(m.variable(v).upper, 0.0);
+  }
 }
 
 TEST(Presolve, PropagatesIndicatorChain) {
@@ -74,10 +81,15 @@ TEST(Presolve, DetectsRedundantRow) {
   const int x = m.add_binary(0, "x");
   const int y = m.add_binary(0, "y");
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Sense::kLessEqual, 5);
+  m.add_constraint(LinExpr().add(x, 1).add(y, 1), Sense::kLessEqual, 1);
   const PresolveResult r = presolve(m);
-  EXPECT_EQ(r.redundant_rows, 1);
-  ASSERT_EQ(r.row_redundant.size(), 1u);
-  EXPECT_TRUE(r.row_redundant[0]);
+  EXPECT_FALSE(r.infeasible);
+  EXPECT_EQ(r.row_redundant, (std::vector<bool>{true, false}));
+  // Redundancy drops a row; it does not move a bound.
+  for (const int v : {x, y}) {
+    EXPECT_EQ(m.variable(v).lower, 0.0);
+    EXPECT_EQ(m.variable(v).upper, 1.0);
+  }
 }
 
 TEST(Presolve, EqualityForcesBothEnds) {
@@ -120,6 +132,88 @@ TEST(Presolve, LeavesFeasibleModelSolvable) {
   // (4,1) and (1,4) remain feasible.
   EXPECT_LE(m.max_violation({4, 1}, true), 0.0 + 1e-9);
   EXPECT_GE(m.variable(x).upper, 4.0);
+}
+
+TEST(Presolve, SlowChainStopsAtTheWorkBudget) {
+  // x <= 0.999 y and y <= 0.999 x shrink each other's upper bound by 0.1%
+  // per row visit; the fixpoint 0 is tens of thousands of visits away.
+  // The work budget stops the kernel with valid, partly tightened bounds.
+  Model m;
+  const int x = m.add_variable(0, 1e6, 0, VarType::kContinuous, "x");
+  const int y = m.add_variable(0, 1e6, 0, VarType::kContinuous, "y");
+  m.add_constraint(LinExpr().add(x, 1).add(y, -0.999), Sense::kLessEqual, 0);
+  m.add_constraint(LinExpr().add(y, 1).add(x, -0.999), Sense::kLessEqual, 0);
+  const PresolveResult r = presolve(m);
+  EXPECT_FALSE(r.infeasible);
+  for (const int v : {x, y}) {
+    EXPECT_EQ(m.variable(v).lower, 0.0);
+    EXPECT_LT(m.variable(v).upper, 1e6);
+    EXPECT_GT(m.variable(v).upper, 1e5);
+  }
+}
+
+// The sanitized BIST formulation of `circuit` with k sessions (k = 0: the
+// reference datapath formulation).
+Model formulation_model(const char* circuit, int k) {
+  const hls::Benchmark bench = hls::benchmark_by_name(circuit);
+  core::FormulationOptions fo;
+  fo.include_bist = k > 0;
+  fo.k = k > 0 ? k : 1;
+  const core::Formulation f(bench.dfg, bench.modules, fo);
+  return lp::sanitize_model(f.model()).model;
+}
+
+Model with_rows_reversed(const Model& m) {
+  Model rev;
+  for (int v = 0; v < m.num_variables(); ++v) {
+    const auto& d = m.variable(v);
+    rev.add_variable(d.lower, d.upper, d.objective, d.type, d.name);
+  }
+  for (int c = m.num_constraints() - 1; c >= 0; --c) {
+    const auto& row = m.constraint(c);
+    LinExpr expr;
+    for (const auto& t : row.terms) expr.add(t.var, t.coeff);
+    rev.add_constraint(std::move(expr), row.sense, row.rhs, row.name);
+  }
+  return rev;
+}
+
+void expect_same_bounds(const Model& a, const Model& b) {
+  ASSERT_EQ(a.num_variables(), b.num_variables());
+  for (int v = 0; v < a.num_variables(); ++v) {
+    EXPECT_EQ(a.variable(v).lower, b.variable(v).lower) << a.variable(v).name;
+    EXPECT_EQ(a.variable(v).upper, b.variable(v).upper) << a.variable(v).name;
+  }
+}
+
+// Presolve reaches the fixpoint of its tightening operator on the paper's
+// models: a second pass moves nothing, and the result does not depend on
+// the order the rows are stored in.
+TEST(Presolve, FormulationsReachTheFixpoint) {
+  for (const char* circuit : {"fig1", "tseng", "paulin"}) {
+    for (int k = 0; k <= 2; ++k) {
+      SCOPED_TRACE(std::string(circuit) + " k=" + std::to_string(k));
+      Model once = formulation_model(circuit, k);
+      const PresolveResult first = presolve(once);
+      ASSERT_FALSE(first.infeasible);
+
+      Model twice = once;
+      const PresolveResult second = presolve(twice);
+      ASSERT_FALSE(second.infeasible);
+      expect_same_bounds(once, twice);
+      EXPECT_EQ(first.row_redundant, second.row_redundant);
+
+      Model reversed = with_rows_reversed(formulation_model(circuit, k));
+      const PresolveResult rev = presolve(reversed);
+      ASSERT_FALSE(rev.infeasible);
+      expect_same_bounds(once, reversed);
+      const int rows = once.num_constraints();
+      ASSERT_EQ(static_cast<int>(rev.row_redundant.size()), rows);
+      for (int c = 0; c < rows; ++c)
+        EXPECT_EQ(first.row_redundant[c], rev.row_redundant[rows - 1 - c])
+            << once.constraint(c).name;
+    }
+  }
 }
 
 }  // namespace

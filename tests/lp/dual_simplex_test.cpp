@@ -423,7 +423,7 @@ TEST(DualSimplex, DevexWeightsResetAcrossRefactorizationAndFallback) {
 
   // Refactorization boundary: the framework restarts on the next dual
   // iteration even though the basis itself did not change.
-  ASSERT_TRUE(solver.refactorize_for_testing());
+  ASSERT_TRUE(solver.refresh_factorization());
   solver.set_variable_bounds(1, 0, 0);
   ASSERT_EQ(solver.solve_dual().status, LpStatus::kOptimal);
   const long long resets_after_refactor = solver.stats().devex_resets;

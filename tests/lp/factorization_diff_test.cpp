@@ -212,7 +212,7 @@ TEST_P(FactorizationDiff, FtranBtranMatchDenseReference) {
     SimplexSolver s(m, options_for(sparse));
     const LpResult r = s.solve();
     ASSERT_NE(r.status, LpStatus::kIterLimit);
-    ASSERT_TRUE(s.refactorize_for_testing())
+    ASSERT_TRUE(s.refresh_factorization())
         << (sparse ? "sparse" : "dense") << " factorization flagged a "
         << "working basis singular";
     check_factorization(s, seed, 1e-8);
@@ -231,8 +231,8 @@ TEST_P(FactorizationDiff, SparseAndDenseSweepAgree) {
   ASSERT_EQ(rs.status, rd.status);
   // A short solve may never hit the refactorization interval; force one so
   // each solver demonstrably exercised its configured path.
-  ASSERT_TRUE(sparse.refactorize_for_testing());
-  ASSERT_TRUE(dense.refactorize_for_testing());
+  ASSERT_TRUE(sparse.refresh_factorization());
+  ASSERT_TRUE(dense.refresh_factorization());
   EXPECT_GT(sparse.stats().sparse_refactorizations, 0);
   EXPECT_EQ(dense.stats().sparse_refactorizations, 0);
   if (rs.status != LpStatus::kOptimal) return;
@@ -272,7 +272,7 @@ TEST_P(FactorizationDiff, WarmStartResolvesAgree) {
           << "step " << step;
     }
   }
-  if (sparse.refactorize_for_testing()) check_factorization(sparse, seed, 1e-8);
+  if (sparse.refresh_factorization()) check_factorization(sparse, seed, 1e-8);
 }
 
 // 4. Degenerate + near-singular instances: duplicated rows, nearly parallel
@@ -293,7 +293,7 @@ TEST_P(FactorizationDiff, DegenerateAndNearSingularAgree) {
   EXPECT_LE(primal_violation(m, rd.x), 1e-5);
   // The factors of an ill-conditioned basis still have to be consistent:
   // verify with a looser, conditioning-aware tolerance.
-  if (sparse.refactorize_for_testing()) check_factorization(sparse, seed, 1e-5);
+  if (sparse.refresh_factorization()) check_factorization(sparse, seed, 1e-5);
 }
 
 // 5. Forrest–Tomlin updates: FTRAN/BTRAN after 1, 5, 20 and (cap - 1)
@@ -309,7 +309,7 @@ TEST_P(FactorizationDiff, MidUpdateSolvesMatchDenseReference) {
     o.sparse_factorization = sparse;
     SimplexSolver s(m, o);
     ASSERT_NE(s.solve().status, LpStatus::kIterLimit);
-    ASSERT_TRUE(s.refactorize_for_testing());
+    ASSERT_TRUE(s.refresh_factorization());
     const long long refactorizations = s.stats().refactorizations;
     int done = 0;
     for (const int target : {1, 5, 20, cap - 1}) {
@@ -333,7 +333,7 @@ TEST_P(FactorizationDiff, MidUpdateAddAndDeleteRows) {
   const int n = m.num_variables();
   SimplexSolver s(m, SimplexOptions{});
   ASSERT_NE(s.solve().status, LpStatus::kIterLimit);
-  ASSERT_TRUE(s.refactorize_for_testing());
+  ASSERT_TRUE(s.refresh_factorization());
   ASSERT_EQ(apply_updates(s, n, 5, seed), 5);
   check_factorization(s, seed, 1e-8);
 
@@ -412,7 +412,7 @@ TEST(FactorizationDiffTargeted, MixedSlackAndDenseBlock) {
   ASSERT_EQ(rs.status, LpStatus::kOptimal);
   ASSERT_EQ(rd.status, LpStatus::kOptimal);
   EXPECT_NEAR(rs.objective, rd.objective, 1e-6 * (1.0 + std::abs(rd.objective)));
-  ASSERT_TRUE(sparse.refactorize_for_testing());
+  ASSERT_TRUE(sparse.refresh_factorization());
   EXPECT_GT(sparse.stats().sparse_refactorizations, 0);
   check_factorization(sparse, 424242, 1e-8);
 }

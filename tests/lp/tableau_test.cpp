@@ -220,7 +220,7 @@ void survives_add_delete_and_refactorization(std::uint64_t seed,
     }
   }
 
-  ASSERT_TRUE(s.refactorize_for_testing());
+  ASSERT_TRUE(s.refresh_factorization());
   apply_updates(s, n, updates, seed + 3);
   check_all_pivot_rows(s, lp_rows(m, cuts), n, nullptr, 1e-7);
 }
