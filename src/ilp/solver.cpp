@@ -130,9 +130,6 @@ void round_integers(const Model& model, std::vector<double>& x) {
 void accumulate(lp::SimplexSolver::Stats& into,
                 const lp::SimplexSolver::Stats& s) {
   into.refactorizations += s.refactorizations;
-  into.sparse_refactorizations += s.sparse_refactorizations;
-  into.dense_refactorizations += s.dense_refactorizations;
-  into.sparse_fallbacks += s.sparse_fallbacks;
   into.pivot_rejections += s.pivot_rejections;
   into.factor_basis_nnz += s.factor_basis_nnz;
   into.factor_fill_nnz += s.factor_fill_nnz;
@@ -149,7 +146,6 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.peak_rows = std::max(into.peak_rows, s.peak_rows);
   into.recovery_refactorize += s.recovery_refactorize;
   into.recovery_tighten += s.recovery_tighten;
-  into.recovery_dense += s.recovery_dense;
   into.recovery_cold += s.recovery_cold;
   into.recovery_exhausted += s.recovery_exhausted;
   into.aborted_solves += s.aborted_solves;
@@ -1507,16 +1503,15 @@ struct Root {
   }
 };
 
-/// Root stage, when cuts or rc fixing are on: the root LP, rounds of
+/// Root stage: the root LP, then — when cuts are on — rounds of
 /// clique/cover separation against it (rows appended in place on the
-/// factorized basis), a rounding incumbent per round, and reduced-cost
-/// fixing off the final root basis.
+/// factorized basis) with a rounding incumbent per round, and — when rc
+/// fixing is on — reduced-cost fixing off the final root basis.
 Exit root_stage(SearchContext& ctx, Model& reduced, CutPool& pool, Root& root,
                 Stats& stats) {
   const Options& opt = *ctx.options;
   const bool cut_loop =
       opt.cut_rounds > 0 && (opt.use_clique_cuts || opt.use_cover_cuts);
-  if (!cut_loop && !opt.use_rc_fixing) return std::nullopt;
   root.solve(ctx, reduced);
   LpResult& rlp = root.result;
   if (rlp.status == LpStatus::kInfeasible) return SolveStatus::kInfeasible;
@@ -1567,12 +1562,6 @@ Exit root_stage(SearchContext& ctx, Model& reduced, CutPool& pool, Root& root,
 
   root.bound = ctx.node_bound(rlp.objective);
   stats.root_cut_bound = root.bound;
-  const double cut = ctx.cutoff.load();
-  if (std::isfinite(cut) && cut - stats.root_lp_bound > kIntEps)
-    stats.root_gap_closed =
-        std::clamp((root.bound - stats.root_lp_bound) /
-                       (cut - stats.root_lp_bound),
-                   0.0, 1.0);
   if (!opt.use_rc_fixing) return std::nullopt;
 
   // Root reduced-cost fixing: keep the certificate for incumbent
@@ -1583,7 +1572,8 @@ Exit root_stage(SearchContext& ctx, Model& reduced, CutPool& pool, Root& root,
   ctx.root_d = root.solver->reduced_costs();
   ctx.rc_lb = ctx.root_lb;
   ctx.rc_ub = ctx.root_ub;
-  if (std::isfinite(cut) && !ctx.prunable(root.bound))
+  if (const double cut = ctx.cutoff.load();
+      std::isfinite(cut) && !ctx.prunable(root.bound))
     stats.rc_fixed_root = ctx.rc_fix_against(cut);
   // Bake the root fixings into the root bounds and the LP model (workers
   // copy both at construction).
@@ -1682,16 +1672,11 @@ Exit strong_branch(SearchContext& ctx, Model& reduced, Root& root,
   const Options& opt = *ctx.options;
   bool infeasible = false;
   if (opt.strong_branch_vars > 0 && restored == nullptr &&
-      ctx.controller->check() == util::StopReason::kNone) {
-    // Cuts and rc fixing disabled: no root solve happened yet.
-    if (!root.solver) root.solve(ctx, reduced);
-    if (root.result.status == LpStatus::kOptimal)
-      infeasible = probe_root(ctx, reduced, *root.solver, root.result, stats);
-  }
-  if (root.solver) {
-    accumulate(ctx.lp_stats, root.solver->stats());
-    ctx.lp_scaling_active |= root.solver->scaling_active();
-  }
+      ctx.controller->check() == util::StopReason::kNone &&
+      root.result.status == LpStatus::kOptimal)
+    infeasible = probe_root(ctx, reduced, *root.solver, root.result, stats);
+  accumulate(ctx.lp_stats, root.solver->stats());
+  ctx.lp_scaling_active |= root.solver->scaling_active();
   if (infeasible) return SolveStatus::kInfeasible;
   return std::nullopt;
 }
@@ -1815,8 +1800,7 @@ void search(SearchContext& ctx, const Model& reduced,
 /// Honest termination statuses: a deadline, cancellation or memory-budget
 /// stop is reported as itself (with or without an incumbent; see
 /// Solution::has_solution). Any other stop keeps `fallback` — a node-limit
-/// stop keeps the legacy kFeasible / kNoSolutionFound mapping plus
-/// stats.hit_node_limit.
+/// stop keeps the legacy kFeasible / kNoSolutionFound mapping.
 SolveStatus limit_status(util::StopReason reason, SolveStatus fallback) {
   switch (reason) {
     case util::StopReason::kTimeLimit: return SolveStatus::kTimeLimit;
@@ -1837,16 +1821,12 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
   stats.lp_iterations = ctx.lp_iterations.load();
   stats.dropped_nodes = ctx.dropped_nodes.load();
   stats.termination = ctx.controller->reason();
-  stats.hit_node_limit =
-      stats.termination == util::StopReason::kNodeLimit;
   stats.shed_cuts = ctx.shed_cuts.load();
   stats.shed_diving = ctx.shed_diving.load();
   stats.peak_memory_bytes = ctx.controller->peak_memory();
   stats.seconds = ctx.watch.seconds();
   stats.lp_scaling_active = ctx.lp_scaling_active;
   stats.lp_refactorizations = ctx.lp_stats.refactorizations;
-  stats.lp_sparse_refactorizations = ctx.lp_stats.sparse_refactorizations;
-  stats.lp_sparse_fallbacks = ctx.lp_stats.sparse_fallbacks;
   stats.lp_pivot_rejections = ctx.lp_stats.pivot_rejections;
   stats.lp_fill_ratio = ctx.lp_stats.fill_ratio();
   stats.lp_primal_phase1_iterations =
@@ -1865,7 +1845,6 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
   stats.lp_devex_resets = ctx.lp_stats.devex_resets;
   stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
   stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
-  stats.lp_recovery_dense = ctx.lp_stats.recovery_dense;
   stats.lp_recovery_cold = ctx.lp_stats.recovery_cold;
   stats.lp_recovery_exhausted = ctx.lp_stats.recovery_exhausted;
   stats.lp_aborted_solves = ctx.lp_stats.aborted_solves;
@@ -1965,8 +1944,8 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
 ///      certificate. A recomputed bound that comes in BELOW the recorded
 ///      root bound means the root certificate was corrupted: a kOptimal
 ///      claim resting on it is downgraded to kFeasible.
-void audit(const SearchContext& ctx, const Model& original,
-           const Model& reduced, Root& root, Solution& sol) {
+void audit(const SearchContext& ctx, const Model& original, Root& root,
+           Solution& sol) {
   const double audit_start = ctx.watch.seconds();
   sol.stats.audit_ran = true;
   bool incumbent_dropped = false;
@@ -1997,8 +1976,6 @@ void audit(const SearchContext& ctx, const Model& original,
   // the reduced model's incumbent-driven rc fixings were conditioned on
   // it, so its root LP certifies nothing about the original model.
   if (!incumbent_dropped) {
-    if (!root.solver)
-      root.solver.emplace(reduced, Worker::simplex_options(*ctx.options));
     SimplexSolver& audit_lp = *root.solver;
     audit_lp.set_controller(nullptr);  // the audit itself always finishes
     audit_lp.set_max_iterations(lp::SimplexOptions{}.max_iterations);
@@ -2049,6 +2026,19 @@ void audit(const SearchContext& ctx, const Model& original,
   }
   sol.stats.audit_seconds = ctx.watch.seconds() - audit_start;
   sol.stats.seconds = ctx.watch.seconds();
+}
+
+/// The fraction of the root gap (final objective - first root LP bound)
+/// that the root cut loop closed; 0 without an incumbent.
+double root_gap_closed(const Solution& sol) {
+  const Stats& s = sol.stats;
+  if (!sol.has_solution() || !std::isfinite(s.root_lp_bound) ||
+      !std::isfinite(s.root_cut_bound) ||
+      sol.objective - s.root_lp_bound <= kIntEps)
+    return 0.0;
+  return std::clamp((s.root_cut_bound - s.root_lp_bound) /
+                        (sol.objective - s.root_lp_bound),
+                    0.0, 1.0);
 }
 }  // namespace
 
@@ -2120,7 +2110,8 @@ Solution Solver::solve_impl(const Model& input,
 
   reduce(ctx, in.restored, in.fingerprint, sol);
   if (options_.exit_audit && sol.status != SolveStatus::kUnbounded)
-    audit(ctx, in.model, pre.reduced, root, sol);
+    audit(ctx, in.model, root, sol);
+  sol.stats.root_gap_closed = root_gap_closed(sol);
   return sol;
 }
 

@@ -239,7 +239,8 @@ struct Stats {
   long long cuts_clique_separated = 0;  ///< clique cuts found (pre-dedup)
   long long cuts_cover_separated = 0;   ///< cover cuts found (pre-dedup)
   /// Always 0: the Gomory and odd-cycle separators were removed. The four
-  /// counters stay because the Table-2 bench (t2bench/main.cpp) sums them.
+  /// counters (and lp_recovery_dense below) stay because the Table-2 bench
+  /// (t2bench/main.cpp) sums them.
   long long cuts_gomory_separated = 0;
   long long cuts_odd_cycle_separated = 0;
   int cuts_clique_applied = 0;          ///< clique cuts appended to LPs
@@ -251,8 +252,8 @@ struct Stats {
   int rc_fixed_root = 0;       ///< bound tightenings at the root
   int rc_fixed_incumbent = 0;  ///< bound tightenings at incumbent updates
   /// Root LP bound before/after the cut loop, and the fraction of the
-  /// root gap (incumbent - first bound) the loop closed (0 when no
-  /// incumbent was known at the root).
+  /// root gap (final objective - first bound) the loop closed (0 without
+  /// an incumbent).
   double root_lp_bound = -lp::kInfinity;
   double root_cut_bound = -lp::kInfinity;
   double root_gap_closed = 0.0;
@@ -262,7 +263,6 @@ struct Stats {
   /// the controller the first time any layer (down to the LP pivot loops)
   /// trips a limit, so the reported status is honest about the cause.
   util::StopReason termination = util::StopReason::kNone;
-  bool hit_node_limit = false;  ///< termination == kNodeLimit (convenience)
   // --- per-phase wall clock (seconds; sums to ~seconds) ---
   double presolve_seconds = 0.0;       ///< presolve + probing + reduction
   double root_cut_seconds = 0.0;       ///< root LP + cut-and-fix loop
@@ -276,8 +276,6 @@ struct Stats {
   // --- LP factorization counters, summed over all workers' simplex solvers
   // (see lp::SimplexSolver::Stats) ---
   long long lp_refactorizations = 0;
-  long long lp_sparse_refactorizations = 0;  ///< via Markowitz elimination
-  long long lp_sparse_fallbacks = 0;  ///< Markowitz singular -> dense sweep
   long long lp_pivot_rejections = 0;  ///< threshold-rejected pivot candidates
   /// Mean nnz(L+U) / nnz(B) over all refactorizations (1.0 = no fill).
   double lp_fill_ratio = 1.0;
@@ -305,8 +303,9 @@ struct Stats {
   // lp::SimplexSolver::Stats) ---
   long long lp_recovery_refactorize = 0;  ///< rung 0 recoveries
   long long lp_recovery_tighten = 0;      ///< rung 1: markowitz_tol tightened
-  long long lp_recovery_dense = 0;        ///< rung 2: dense LU forced
-  long long lp_recovery_cold = 0;         ///< rung 3: cold primal restarts
+  long long lp_recovery_cold = 0;         ///< rung 2: cold primal restarts
+  /// Always 0, like cuts_gomory_* above: the dense-LU rung was removed.
+  long long lp_recovery_dense = 0;
   long long lp_recovery_exhausted = 0;    ///< ladder spent; solve abandoned
   long long lp_aborted_solves = 0;  ///< LP solves aborted by the controller
   // --- LP refactorization causes, summed over workers (see

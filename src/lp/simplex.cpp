@@ -445,32 +445,15 @@ void SimplexSolver::compute_basic_values() {
   for (int i = 0; i < m_; ++i) x_[basis_[i]] = residual[i];
 }
 
-bool SimplexSolver::refactorize() {
-  // Fault-injection hook: a forced "singular" verdict fails the WHOLE
-  // refactorization (sparse and dense path alike), so the callers'
-  // recovery ladder is exercised exactly like a real rank drop would —
-  // not silently absorbed by the dense second opinion.
-  if (auto* fi = util::FaultInjector::active();
-      fi != nullptr && fi->fire(util::FaultSite::kFactorSingular))
-    return false;
-  if (opt_.sparse_factorization && opt_.markowitz_tol > 0.0) {
-    if (refactorize_markowitz()) return true;
-    // Markowitz flagged the basis singular (or numerically empty columns):
-    // the dense sweep gets a second opinion before the caller cold-starts.
-    ++stats_.sparse_fallbacks;
-  }
-  return refactorize_dense();
-}
-
 bool SimplexSolver::escalate_recovery() {
   // A pivot landed since the last trouble: that incident was resolved, so
   // this one restarts at the bottom of the ladder. With NO progress since
   // the last trouble the same incident persists and the next rung fires —
   // which is also what bounds the ladder: a stuck solve climbs through all
-  // four rungs and then gives up instead of refactorizing forever.
+  // three rungs and then gives up instead of refactorizing forever.
   if (iterations_ > iters_at_last_trouble_) recovery_rung_ = 0;
   iters_at_last_trouble_ = iterations_;
-  while (recovery_rung_ < 4) {
+  while (recovery_rung_ < 3) {
     switch (recovery_rung_++) {
       case 0:
         ++stats_.recovery_refactorize;
@@ -489,19 +472,7 @@ bool SimplexSolver::escalate_recovery() {
           return true;
         }
         break;
-      case 2: {
-        ++stats_.recovery_dense;
-        const bool sparse = opt_.sparse_factorization;
-        opt_.sparse_factorization = false;
-        const bool ok = refactorize();
-        opt_.sparse_factorization = sparse;
-        if (ok) {
-          compute_basic_values();
-          return true;
-        }
-        break;
-      }
-      case 3:
+      case 2:
         ++stats_.recovery_cold;
         cold_start();
         compute_basic_values();
@@ -512,7 +483,13 @@ bool SimplexSolver::escalate_recovery() {
   return false;
 }
 
-bool SimplexSolver::refactorize_markowitz() {
+bool SimplexSolver::refactorize() {
+  // Fault-injection hook: a forced "singular" verdict fails the
+  // refactorization, so the callers' recovery ladder is exercised exactly
+  // like a real rank drop would.
+  if (auto* fi = util::FaultInjector::active();
+      fi != nullptr && fi->fire(util::FaultSite::kFactorSingular))
+    return false;
   // Sparse right-looking LU with Markowitz pivoting and relative threshold
   // stability (Suhl-style). Only the active submatrix (unpivoted rows x
   // unpivoted columns) is stored and updated; entries freeze into L/U as
@@ -834,90 +811,6 @@ bool SimplexSolver::refactorize_markowitz() {
   stats_.factor_fill_nnz +=
       static_cast<long long>(l_idx_.size()) + u_nnz_ + m - basis_nnz;
   ++stats_.refactorizations;
-  ++stats_.sparse_refactorizations;
-  dual_w_valid_ = false;  // refactorization resets the pricing framework
-  return true;
-}
-
-bool SimplexSolver::refactorize_dense() {
-  // Dense LU with partial pivoting, column-major (right-looking). Rows are
-  // physically swapped as pivots are chosen; perm_ records the mapping
-  // lu row i <- original row perm_[i]. The dense sweep is cheap in practice
-  // because zero multiplier columns are skipped; the factors are then
-  // compressed into sparse column arrays for the solves and the m*m
-  // scratch is released (it would otherwise dominate per-worker memory).
-  const std::size_t mm = static_cast<std::size_t>(m_);
-  std::vector<double> lu(mm * mm, 0.0);
-  long long basis_nnz = 0;
-  for (int k = 0; k < m_; ++k) {
-    const int col = basis_[k];
-    double* lucol = lu.data() + static_cast<std::size_t>(k) * mm;
-    if (col < n_) {
-      for (int p = col_start_[col]; p < col_start_[col + 1]; ++p)
-        lucol[col_row_[p]] = col_val_[p];
-      basis_nnz += col_start_[col + 1] - col_start_[col];
-    } else {
-      lucol[col - n_] = 1.0;
-      ++basis_nnz;
-    }
-  }
-  for (int r = 0; r < m_; ++r) perm_[r] = r;
-  for (int r = 0; r < m_; ++r) cperm_[r] = r;  // columns stay in basis order
-
-  for (int k = 0; k < m_; ++k) {
-    double* colk = lu.data() + static_cast<std::size_t>(k) * mm;
-    int prow = -1;
-    double best = opt_.pivot_tol;
-    for (int i = k; i < m_; ++i) {
-      const double v = std::abs(colk[i]);
-      if (v > best) {
-        best = v;
-        prow = i;
-      }
-    }
-    if (prow < 0) return false;  // singular basis
-    if (prow != k) {
-      for (int j = 0; j < m_; ++j)
-        std::swap(lu[static_cast<std::size_t>(j) * mm + prow],
-                  lu[static_cast<std::size_t>(j) * mm + k]);
-      std::swap(perm_[prow], perm_[k]);
-    }
-    const double inv_piv = 1.0 / colk[k];
-    for (int i = k + 1; i < m_; ++i) colk[i] *= inv_piv;
-    for (int j = k + 1; j < m_; ++j) {
-      double* colj = lu.data() + static_cast<std::size_t>(j) * mm;
-      const double ujk = colj[k];
-      if (ujk == 0.0) continue;
-      for (int i = k + 1; i < m_; ++i) colj[i] -= colk[i] * ujk;
-    }
-  }
-
-  // Compress L (unit diagonal implicit) and U into sparse columns.
-  l_start_.assign(m_ + 1, 0);
-  l_idx_.clear();
-  l_val_.clear();
-  ucol_.reset(m_);
-  for (int k = 0; k < m_; ++k) {
-    const double* colk = lu.data() + static_cast<std::size_t>(k) * mm;
-    ucol_.renew(k, 0);
-    for (int i = 0; i < k; ++i)
-      if (colk[i] != 0.0) ucol_.push(k, i, colk[i]);
-    u_diag_[k] = colk[k];
-    for (int i = k + 1; i < m_; ++i) {
-      if (colk[i] != 0.0) {
-        l_idx_.push_back(i);
-        l_val_.push_back(colk[i]);
-      }
-    }
-    l_start_[k + 1] = static_cast<int>(l_idx_.size());
-  }
-  reset_updates();
-
-  stats_.factor_basis_nnz += basis_nnz;
-  stats_.factor_fill_nnz +=
-      static_cast<long long>(l_idx_.size()) + u_nnz_ + m_ - basis_nnz;
-  ++stats_.refactorizations;
-  ++stats_.dense_refactorizations;
   dual_w_valid_ = false;  // refactorization resets the pricing framework
   return true;
 }
@@ -953,8 +846,8 @@ void SimplexSolver::ftran_vec(std::vector<double>& v,
     for (int p = ucol_.start[k]; p < end; ++p)
       w[ucol_.idx[p]] -= ucol_.val[p] * wk;
   }
-  // Scatter from slot order back to basis position (cperm_ is the
-  // identity after a dense sweep; the Markowitz path pivots columns freely).
+  // Scatter from slot order back to basis position (the elimination
+  // pivots columns freely).
   for (int k = 0; k < m_; ++k) v[cperm_[k]] = w[k];
 }
 
@@ -1038,9 +931,10 @@ int SimplexSolver::price_column(int j, const std::vector<double>& y,
     score = -d;
     return +1;  // increase from lower bound
   }
-  if (vstat_[j] == kAtUpper && d > opt_.opt_tol) {
+  // A free column sits at 0 marked kAtLower and may move either way.
+  if ((vstat_[j] == kAtUpper || !std::isfinite(lb_[j])) && d > opt_.opt_tol) {
     score = d;
-    return -1;  // decrease from upper bound
+    return -1;  // decrease from upper bound (or from 0, if free)
   }
   return 0;
 }
@@ -1415,7 +1309,7 @@ LpResult SimplexSolver::run_primal() {
     }
     if (refactor_due()) {
       // A scheduled refactorization that comes back singular climbs the
-      // same ladder as pivot trouble (tighten, dense, cold) instead of
+      // same ladder as pivot trouble (tighten, cold) instead of
       // jumping straight to a cold start.
       if (refactorize())
         compute_basic_values();

@@ -15,24 +15,20 @@
 //    any basis.
 //
 //  * Basis representation. The basis inverse is never formed explicitly.
-//    A refactorization computes an LU factorization of the basis matrix
-//    with sparse factors. The default factorization is a sparse
-//    Markowitz-pivoting elimination (Suhl-style): singleton columns and
-//    rows are pivoted first at zero fill-in cost — the bases seen in this
-//    project are slack-heavy, so this triangularization usually resolves
-//    almost the whole basis — and the remaining "bump" is eliminated
-//    choosing pivots that minimize the Markowitz count
+//    A refactorization computes a sparse LU factorization of the basis
+//    matrix by Markowitz-pivoting elimination (Suhl & Suhl 1990): singleton
+//    columns and rows are pivoted first at zero fill-in cost — the bases
+//    seen in this project are slack-heavy, so this triangularization
+//    usually resolves almost the whole basis — and the remaining "bump" is
+//    eliminated choosing pivots that minimize the Markowitz count
 //    (rowcount-1)*(colcount-1) subject to a relative threshold
 //    |a_rc| >= markowitz_tol * max|a_*c| for stability. Row and column
 //    counts are maintained incrementally; only the active submatrix is
 //    updated, so the cost is proportional to fill, not m^2. A basis the
-//    Markowitz elimination flags as singular (or a markowitz_tol of 0 /
-//    sparse_factorization = false) falls back to the original dense
-//    column-major sweep with partial pivoting; a basis singular under both
-//    falls back to the all-slack cold-start basis. Both factorizations
-//    produce the same factors (plus row/column pivot permutations), so the
-//    paths are interchangeable — tests/lp/factorization_diff_test.cpp pins
-//    them against each other and a dense-inverse reference.
+//    elimination flags as singular goes to the numerical-recovery ladder
+//    (a tighter threshold, then the all-slack cold-start basis).
+//    tests/lp/factorization_diff_test.cpp pins the factors against a
+//    dense-inverse reference and every solve against the explicit dual.
 //
 //    Between refactorizations the factors are updated in place by the
 //    Forrest–Tomlin method (Forrest & Tomlin 1972; Suhl & Suhl 1993). U is
@@ -158,8 +154,6 @@ struct SimplexOptions {
   /// Cap on Forrest–Tomlin updates between basis refactorizations (U
   /// growth and the update's stability check can refactorize earlier).
   int refactor_every = 100;
-  /// Use the sparse Markowitz factorization (false: dense sweep only).
-  bool sparse_factorization = true;
   /// Relative threshold-pivoting tolerance in (0, 1]: a Markowitz pivot
   /// candidate a_rc is admissible only if |a_rc| >= markowitz_tol times the
   /// largest magnitude in its column. Larger = more stable, more fill.
@@ -294,11 +288,7 @@ class SimplexSolver {
 
   /// Cumulative factorization/pivot counters (never reset; cheap to keep).
   struct Stats {
-    long long refactorizations = 0;          ///< successful refactorizations
-    long long sparse_refactorizations = 0;   ///< via Markowitz elimination
-    long long dense_refactorizations = 0;    ///< via the dense sweep
-    /// Markowitz flagged the basis singular and the dense sweep was tried.
-    long long sparse_fallbacks = 0;
+    long long refactorizations = 0;  ///< successful refactorizations
     /// Times the relative stability threshold changed a pivot choice: a
     /// singleton-row candidate vetoed, or a bump step forced onto a
     /// strictly costlier pivot (counted once per step, not per rescan).
@@ -332,14 +322,12 @@ class SimplexSolver {
 
     // --- numerical-recovery escalation ladder ---
     // Repeated pivot rejections / residual drift inside one solve escalate
-    // through four rungs instead of the old single-shot fallbacks; each
-    // counter tallies the times that rung was climbed to. The rung resets
-    // once the solve makes pivot progress again (a fresh incident restarts
-    // at rung 0) and at every public solve entry.
+    // through three rungs; each counter tallies the times that rung was
+    // climbed to. The rung resets once the solve makes pivot progress again
+    // (a fresh incident restarts at rung 0) and at every public solve entry.
     long long recovery_refactorize = 0;  ///< rung 0: basis refactorized
     long long recovery_tighten = 0;  ///< rung 1: markowitz_tol tightened 5x
-    long long recovery_dense = 0;    ///< rung 2: dense LU forced
-    long long recovery_cold = 0;     ///< rung 3: cold primal restart
+    long long recovery_cold = 0;     ///< rung 2: cold primal restart
     /// Solves abandoned with the ladder exhausted (reported kIterLimit on
     /// the primal path / primal fallback on the dual path).
     long long recovery_exhausted = 0;
@@ -372,9 +360,8 @@ class SimplexSolver {
   /// Forces an immediate refactorization of the current basis
   /// (cold-starting one first if none exists), discarding the pending
   /// Forrest–Tomlin updates and any accumulated drift. Returns false if
-  /// the basis was singular under both factorization paths (the solver
-  /// then cold-starts). The exit audit uses this to recompute the claimed
-  /// dual bound on fresh factors.
+  /// the basis was singular (the solver then cold-starts). The exit audit
+  /// uses this to recompute the claimed dual bound on fresh factors.
   bool refresh_factorization();
 
   // --- testing/diagnostic hooks (tests/lp/factorization_diff_test.cpp) ---
@@ -422,21 +409,18 @@ class SimplexSolver {
   /// factorization order and drops the row etas and the update counters.
   void reset_updates();
   void compute_basic_values();
-  /// Rebuilds the LU factors from basis_: Markowitz first (when enabled),
-  /// dense sweep as the singularity fallback; false if both flag the basis
-  /// singular.
+  /// Rebuilds the LU factors from basis_ by Markowitz elimination; false
+  /// if the basis is singular (or a fault injector forces that verdict).
   bool refactorize();
-  bool refactorize_markowitz();  // sparse elimination; false if singular
-  bool refactorize_dense();      // dense partial-pivot sweep; false if singular
 
   /// Numerical-recovery escalation ladder, called on a troubled iteration
   /// (rc == 3: rejected pivots, residual drift, an LU update failing its
   /// stability check). Fresh incidents — at least one pivot since the last
   /// trouble — restart at rung 0; repeated trouble with no progress climbs:
-  /// refactorize -> tighten markowitz_tol -> force the dense LU -> cold
-  /// primal restart. Returns false when even the top rung was already spent
-  /// (the caller abandons the solve: kIterLimit on the primal path, primal
-  /// fallback on the dual path).
+  /// refactorize -> tighten markowitz_tol -> cold primal restart. Returns
+  /// false when even the top rung was already spent (the caller abandons
+  /// the solve: kIterLimit on the primal path, primal fallback on the dual
+  /// path).
   /// Leaves basic values recomputed on success.
   bool escalate_recovery();
 
@@ -565,17 +549,15 @@ class SimplexSolver {
   int iter_dual_ = 0;
 
   // --- basis factorization ---
-  // Both refactorization paths (sparse Markowitz elimination; dense
-  // column-major sweep as fallback) emit the same sparse factors of
-  // P B Q = L U: the bases seen here are slack-heavy and the factors stay
-  // close to the identity, so FTRAN / BTRAN cost O(m + nnz(L) + nnz(U))
-  // instead of O(m^2) dense triangular solves. Factor "slots" are the pivot
-  // steps of the last refactorization: L is unit lower triangular in slot
-  // order and never changes between refactorizations (add_rows only
-  // appends border rows); U is upper triangular in the pivot order
-  // u_order_, which Forrest–Tomlin updates permute. perm_ is the row pivot
-  // order P, cperm_ the column pivot order Q (identity for the dense sweep,
-  // which pivots columns in basis order); neither changes on an update.
+  // The Markowitz elimination emits sparse factors of P B Q = L U: the
+  // bases seen here are slack-heavy and the factors stay close to the
+  // identity, so FTRAN / BTRAN cost O(m + nnz(L) + nnz(U)) instead of
+  // O(m^2) dense triangular solves. Factor "slots" are the pivot steps of
+  // the last refactorization: L is unit lower triangular in slot order and
+  // never changes between refactorizations (add_rows only appends border
+  // rows); U is upper triangular in the pivot order u_order_, which
+  // Forrest–Tomlin updates permute. perm_ is the row pivot order P, cperm_
+  // the column pivot order Q; neither changes on an update.
   std::vector<int> perm_;   // row permutation: slot i <- row perm_[i]
   std::vector<int> cperm_;  // col permutation: slot k <- basis pos cperm_[k]
   std::vector<int> l_start_, l_idx_;  // unit-L off-diagonal columns (i > k)

@@ -355,14 +355,12 @@ int main(int argc, char** argv) {
       if (st.lp_refactorizations > 0)
         std::printf(
             "     lp: %lld iterations (%lld phase-1 / %lld phase-2 / %lld "
-            "dual), %lld refactorizations (%lld sparse, "
-            "%lld dense fallbacks), fill %.3f, %lld pivot rejections, %d "
-            "threads\n",
+            "dual), %lld refactorizations, fill %.3f, %lld pivot "
+            "rejections, %d threads\n",
             st.lp_iterations, st.lp_primal_phase1_iterations,
             st.lp_primal_phase2_iterations, st.lp_dual_iterations,
-            st.lp_refactorizations,
-            st.lp_sparse_refactorizations, st.lp_sparse_fallbacks,
-            st.lp_fill_ratio, st.lp_pivot_rejections, st.threads);
+            st.lp_refactorizations, st.lp_fill_ratio, st.lp_pivot_rejections,
+            st.threads);
       if (st.lp_refactorizations > 0)
         std::printf(
             "     refactor causes: %lld update cap, %lld U growth, %lld "
@@ -413,14 +411,14 @@ int main(int argc, char** argv) {
                     static_cast<double>(st.peak_memory_bytes) / (1024 * 1024));
       const long long recoveries =
           st.lp_recovery_refactorize + st.lp_recovery_tighten +
-          st.lp_recovery_dense + st.lp_recovery_cold;
+          st.lp_recovery_cold;
       if (recoveries > 0 || st.lp_recovery_exhausted > 0)
         std::printf(
-            "     lp recovery: %lld refactorize / %lld tighten / %lld dense "
-            "/ %lld cold restarts (%lld exhausted, %lld aborted solves)\n",
+            "     lp recovery: %lld refactorize / %lld tighten / %lld cold "
+            "restarts (%lld exhausted, %lld aborted solves)\n",
             st.lp_recovery_refactorize, st.lp_recovery_tighten,
-            st.lp_recovery_dense, st.lp_recovery_cold,
-            st.lp_recovery_exhausted, st.lp_aborted_solves);
+            st.lp_recovery_cold, st.lp_recovery_exhausted,
+            st.lp_aborted_solves);
       if (st.resumed || st.resume_rejected > 0 || st.checkpoints_written > 0)
         std::printf(
             "     checkpoint: %s%d frontier nodes restored, %d snapshots "

@@ -165,7 +165,7 @@ TEST(FaultInjection, ForcedSingularFactorizationsClimbTheRecoveryLadder) {
   // must have run — and recovered without giving the proof up.
   EXPECT_GT(fi.fired(util::FaultSite::kFactorSingular), 0);
   EXPECT_GT(s.stats.lp_recovery_refactorize + s.stats.lp_recovery_tighten +
-                s.stats.lp_recovery_dense + s.stats.lp_recovery_cold,
+                s.stats.lp_recovery_cold,
             0);
 }
 
@@ -234,7 +234,6 @@ TEST(SolveLifecycle, NodeLimitFoldsUnexploredBoundsIntoBestBound) {
   opt.branch_priority = inst.priority;
   opt.node_limit = 5;
   const Solution s = Solver(opt).solve(inst.model);
-  EXPECT_TRUE(s.stats.hit_node_limit);
   EXPECT_EQ(s.stats.termination, util::StopReason::kNodeLimit);
   // Legacy statuses are preserved for the node budget.
   EXPECT_TRUE(s.status == SolveStatus::kFeasible ||

@@ -3,9 +3,12 @@
 // exhaustive 0/1 enumeration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
+#include "core/formulation.hpp"
+#include "hls/benchmarks.hpp"
 #include "ilp/solver.hpp"
 #include "lp/model.hpp"
 #include "util/rng.hpp"
@@ -145,7 +148,8 @@ TEST(IlpSolver, NodeLimitReportsFeasibleOrNoSolution) {
   EXPECT_TRUE(s.status == SolveStatus::kFeasible ||
               s.status == SolveStatus::kNoSolutionFound ||
               s.status == SolveStatus::kOptimal);
-  EXPECT_TRUE(s.stats.hit_node_limit || s.is_optimal());
+  EXPECT_TRUE(s.stats.termination == util::StopReason::kNodeLimit ||
+              s.is_optimal());
 }
 
 TEST(IlpSolver, GapIsZeroWhenOptimal) {
@@ -155,6 +159,58 @@ TEST(IlpSolver, GapIsZeroWhenOptimal) {
   const Solution s = Solver().solve(m);
   ASSERT_TRUE(s.is_optimal());
   EXPECT_DOUBLE_EQ(s.gap(), 0.0);
+}
+
+/// The reference (non-BIST) datapath formulation of a built-in circuit.
+core::Formulation reference_formulation(const char* circuit) {
+  const hls::Benchmark bench = hls::benchmark_by_name(circuit);
+  core::FormulationOptions fo;
+  fo.include_bist = false;
+  return core::Formulation(bench.dfg, bench.modules, fo);
+}
+
+TEST(IlpSolver, RootGapClosedIsMeasuredAgainstTheFinalObjective) {
+  // Unseeded reference solves: no cutoff is known at the root, yet the
+  // stat still reports the share of the root gap the cut loop closed.
+  for (const char* circuit : {"fig1", "tseng", "paulin"}) {
+    SCOPED_TRACE(circuit);
+    const core::Formulation f = reference_formulation(circuit);
+    Options opt;
+    opt.branch_priority = f.branch_priorities();
+    const Solution s = Solver(opt).solve(f.model());
+    ASSERT_TRUE(s.is_optimal());
+    const Stats& st = s.stats;
+    ASSERT_TRUE(std::isfinite(st.root_lp_bound));
+    ASSERT_TRUE(std::isfinite(st.root_cut_bound));
+    const double gap = s.objective - st.root_lp_bound;
+    const double expected =
+        gap > 0.0 ? std::clamp((st.root_cut_bound - st.root_lp_bound) / gap,
+                               0.0, 1.0)
+                  : 0.0;
+    EXPECT_DOUBLE_EQ(st.root_gap_closed, expected);
+    if (st.root_cut_bound > st.root_lp_bound) EXPECT_GT(st.root_gap_closed, 0.0);
+  }
+}
+
+TEST(IlpSolver, RootLpSolvedWithEveryRootStageOff) {
+  // Cuts, reduced-cost fixing and strong branching off: the root stage
+  // still solves the root LP, whose solver the exit audit re-solves on
+  // fresh factors to certify the bound.
+  const core::Formulation f = reference_formulation("tseng");
+  Options opt;
+  opt.branch_priority = f.branch_priorities();
+  opt.use_clique_cuts = false;
+  opt.use_cover_cuts = false;
+  opt.use_rc_fixing = false;
+  opt.strong_branch_vars = 0;
+  const Solution s = Solver(opt).solve(f.model());
+  ASSERT_TRUE(s.is_optimal());
+  EXPECT_TRUE(std::isfinite(s.stats.root_lp_bound));
+  EXPECT_EQ(s.stats.root_cut_bound, s.stats.root_lp_bound);
+  EXPECT_TRUE(s.stats.audit_ran);
+  EXPECT_TRUE(s.stats.audit_bound_ok);
+  EXPECT_GE(s.stats.audit_root_bound, s.stats.root_lp_bound - 0.5);
+  EXPECT_EQ(s.stats.strong_branch_probed, 0);
 }
 
 TEST(IlpSolver, BranchPriorityRespectedForCorrectness) {

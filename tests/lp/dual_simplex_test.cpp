@@ -6,8 +6,9 @@
 // fallback after bound tightenings and slack-basic row appends), the
 // mandatory fallback on a warm start that cannot be made dual-feasible by
 // bound flips, the delete_rows bookkeeping (fill accounting against the
-// current row count, not the high-water mark), and the incrementally
-// maintained dual reduced costs (no drift against a fresh recomputation).
+// current row count, not the high-water mark), the incrementally
+// maintained dual reduced costs (no drift against a fresh recomputation),
+// and the numerical-recovery ladder under forced singular factorizations.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,8 @@
 
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
+#include "update_chain.hpp"
+#include "util/fault_injector.hpp"
 #include "util/rng.hpp"
 
 namespace advbist::lp {
@@ -468,16 +471,71 @@ TEST(DualSimplex, WarmResolveSequenceRefactorizesOnlyOnItsCauses) {
     const long long forced =
         st.refactor_u_growth + st.refactor_delete_rows + st.refactor_certify +
         st.refactor_dual_ray + st.refactor_refresh + st.recovery_refactorize +
-        st.recovery_tighten + st.recovery_dense;
+        st.recovery_tighten;
     SCOPED_TRACE("trial " + std::to_string(trial));
     EXPECT_LE(st.refactor_update_cap, st.basis_pivots / opts.refactor_every);
     EXPECT_LE(st.refactorizations,
               st.basis_pivots / opts.refactor_every + forced);
     // Stability failures are recovered by the ladder's refactorize rung.
     EXPECT_LE(st.refactor_stability, st.recovery_refactorize +
-                                         st.recovery_tighten +
-                                         st.recovery_dense + st.recovery_cold);
+                                         st.recovery_tighten + st.recovery_cold);
   }
+}
+
+TEST(DualSimplex, SingularRefactorizationClimbsTheLadderOnce) {
+  // A refactorization that comes back singular climbs the recovery ladder
+  // one rung per failed attempt: refactorize -> tighten markowitz_tol ->
+  // cold restart. With every refactorization forced singular, a spent
+  // update cap makes the faulted solve's first loop pass refactorize; the
+  // LP is small enough that the cold restart then reaches the optimum
+  // inside one update cap, so exactly one incident runs.
+  Model m;
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 40 && !found; ++seed) {
+    util::Rng rng(seed);
+    Model candidate = random_lp(rng);
+    if (candidate.num_constraints() >= 3 &&
+        SimplexSolver(candidate).solve().status == LpStatus::kOptimal) {
+      m = std::move(candidate);
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found);
+  const LpResult reference = SimplexSolver(m).solve();
+
+  SimplexOptions opts;
+  opts.refactor_every = 20;
+  SimplexSolver solver(m, opts);
+  ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
+  ASSERT_TRUE(solver.refresh_factorization());
+  ASSERT_EQ(apply_updates(solver, m.num_variables(), opts.refactor_every, 7),
+            opts.refactor_every);
+  const SimplexSolver::Stats before = solver.stats();
+
+  util::FaultInjector fi(1);
+  fi.set_period(util::FaultSite::kFactorSingular, 1);  // every visit fires
+  struct Installed {
+    explicit Installed(util::FaultInjector* f) {
+      util::FaultInjector::install(f);
+    }
+    ~Installed() { util::FaultInjector::install(nullptr); }
+  };
+  LpResult r;
+  {
+    const Installed guard(&fi);
+    r = solver.solve();
+  }
+  const SimplexSolver::Stats& st = solver.stats();
+  // The scheduled refactorization, rung 0 and rung 1: three singular
+  // verdicts, then the cold rung (which needs no factorization).
+  EXPECT_EQ(fi.fired(util::FaultSite::kFactorSingular), 3);
+  EXPECT_EQ(st.recovery_refactorize - before.recovery_refactorize, 1);
+  EXPECT_EQ(st.recovery_tighten - before.recovery_tighten, 1);
+  EXPECT_EQ(st.recovery_cold - before.recovery_cold, 1);
+  EXPECT_EQ(st.recovery_exhausted, 0);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_NEAR(r.objective, reference.objective, kTol);
+  EXPECT_LE(m.max_violation(r.x), kTol);
 }
 
 TEST(DualSimplex, WeightedPricingAgreesAfterAddDeleteRows) {

@@ -1,21 +1,22 @@
-// Differential fuzz harness for the basis factorization kernels.
+// Differential fuzz harness for the basis factorization kernel.
 //
 // Numerical-kernel rewrites are where silent wrong-answer bugs hide, so the
 // sparse Markowitz factorization is pinned three ways on seeded random LPs
-// (including degenerate and near-singular bases):
+// (including degenerate and near-singular bases), each at markowitz_tol 0.1
+// and 1.0 — two different pivot orders:
 //
 //  1. FTRAN/BTRAN solutions of the factorized basis are checked against a
 //     slow dense-inverse reference (full Gaussian elimination with partial
 //     pivoting computed independently here) and against the exact residual
 //     B w - rhs.
-//  2. The sparse Markowitz path and the dense-sweep path must solve every
-//     LP to the same status and optimal objective, with primal-feasible
-//     solutions — including across warm-started bound-change re-solves in
-//     the pattern branch & bound produces.
-//  3. Degenerate (duplicated rows, fixed variables) and near-singular
-//     (nearly parallel rows) instances must not crash either path and must
-//     agree wherever both claim optimality.
-//  4. Mid-update: after 1, 5, 20 and (cap - 1) Forrest–Tomlin updates with
+//  2. Every optimum is certified without trusting the solver's factors:
+//     the returned point is primal-feasible, and the LP's explicit dual,
+//     built here, has a dual-feasible optimum with the same objective (weak
+//     duality then makes both optimal) — including across warm-started
+//     bound-change re-solves in the pattern branch & bound produces, and on
+//     degenerate (duplicated rows, fixed variables) and near-singular
+//     (nearly parallel rows) instances.
+//  3. Mid-update: after 1, 5, 20 and (cap - 1) Forrest–Tomlin updates with
 //     no refactorization in between — and with add_rows/delete_rows landing
 //     between updates — FTRAN/BTRAN still match the dense-inverse reference
 //     and the residuals.
@@ -37,9 +38,13 @@
 namespace advbist::lp {
 namespace {
 
-SimplexOptions options_for(bool sparse) {
+/// The two threshold settings every case runs at: the default and full
+/// partial pivoting, which pick different pivot orders.
+constexpr double kMarkowitzTols[] = {0.1, 1.0};
+
+SimplexOptions options_for(double markowitz_tol) {
   SimplexOptions o;
-  o.sparse_factorization = sparse;
+  o.markowitz_tol = markowitz_tol;
   // A tiny interval forces many refactorizations per solve so every case
   // actually exercises the factorization under test, not just its updates.
   o.refactor_every = 3;
@@ -195,8 +200,57 @@ void check_factorization(const SimplexSolver& s, std::uint64_t seed,
   }
 }
 
-double primal_violation(const Model& m, const std::vector<double>& x) {
-  return m.max_violation(x, /*check_integrality=*/false);
+/// The LP dual of `m`, a minimization whose variable bounds are all
+/// finite: with y the row duals and s, t >= 0 the lower/upper bound duals,
+///   max b'y + l's - u't  s.t.  A'y + s - t = c,
+/// y_i <= 0 on <= rows, >= 0 on >= rows and free on equalities. Returned as
+/// the minimization of the negated objective over (y, s, t).
+Model explicit_dual(const Model& m) {
+  const int n = m.num_variables();
+  const int rows = m.num_constraints();
+  Model d;
+  for (const ConstraintDef& c : m.constraints()) {
+    const double lo = c.sense == Sense::kGreaterEqual ? 0.0 : -kInfinity;
+    const double hi = c.sense == Sense::kLessEqual ? 0.0 : kInfinity;
+    d.add_variable(lo, hi, -c.rhs, VarType::kContinuous);
+  }
+  for (int v = 0; v < n; ++v)
+    d.add_variable(0.0, kInfinity, -m.variable(v).lower, VarType::kContinuous);
+  for (int v = 0; v < n; ++v)
+    d.add_variable(0.0, kInfinity, m.variable(v).upper, VarType::kContinuous);
+  std::vector<LinExpr> cols(n);
+  for (int r = 0; r < rows; ++r)
+    for (const Term& t : m.constraint(r).terms) cols[t.var].add(r, t.coeff);
+  for (int v = 0; v < n; ++v) {
+    cols[v].add(rows + v, 1.0).add(rows + n + v, -1.0);
+    d.add_constraint(std::move(cols[v]), Sense::kEqual,
+                     m.variable(v).objective);
+  }
+  return d;
+}
+
+/// Certifies the verdict `r` on `m` without trusting the factors that
+/// produced it. An optimum: r.x is primal-feasible with objective
+/// r.objective, and the explicit dual, solved with the same options,
+/// returns a dual-feasible point of the same objective. An infeasibility
+/// verdict: the dual (feasible by construction, s - t = c) is unbounded.
+/// `tol` scales with the objective.
+void expect_certified(const Model& m, const LpResult& r,
+                      const SimplexOptions& o, double tol) {
+  const Model dual = explicit_dual(m);
+  const LpResult dr = SimplexSolver(dual, o).solve();
+  if (r.status == LpStatus::kInfeasible) {
+    EXPECT_EQ(dr.status, LpStatus::kUnbounded) << "infeasibility unbacked";
+    return;
+  }
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  const double scale = 1.0 + std::abs(r.objective);
+  EXPECT_LE(m.max_violation(r.x), tol) << "primal point infeasible";
+  EXPECT_NEAR(m.objective_value(r.x), r.objective, tol * scale);
+  ASSERT_EQ(dr.status, LpStatus::kOptimal) << "explicit dual not solved";
+  EXPECT_LE(dual.max_violation(dr.x), tol) << "dual point infeasible";
+  EXPECT_NEAR(-dual.objective_value(dr.x), r.objective, tol * scale)
+      << "duality gap";
 }
 
 class FactorizationDiff : public ::testing::TestWithParam<std::uint64_t> {};
@@ -208,105 +262,102 @@ TEST_P(FactorizationDiff, FtranBtranMatchDenseReference) {
   const std::uint64_t seed = GetParam();
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Model m = random_lp(seed, /*degenerate=*/false);
-  for (const bool sparse : {true, false}) {
-    SimplexSolver s(m, options_for(sparse));
+  for (const double mtol : kMarkowitzTols) {
+    SimplexSolver s(m, options_for(mtol));
     const LpResult r = s.solve();
     ASSERT_NE(r.status, LpStatus::kIterLimit);
     ASSERT_TRUE(s.refresh_factorization())
-        << (sparse ? "sparse" : "dense") << " factorization flagged a "
-        << "working basis singular";
+        << "markowitz_tol " << mtol << " flagged a working basis singular";
     check_factorization(s, seed, 1e-8);
   }
 }
 
-// 2. The two factorization paths must reach the same answer on every LP.
+// 2. Every LP's optimum is certified against its explicit dual. (The name
+//    is kept so test ids stay stable; there is one factorization path.)
 TEST_P(FactorizationDiff, SparseAndDenseSweepAgree) {
   const std::uint64_t seed = GetParam() * 1000003ULL + 17;
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Model m = random_lp(seed, /*degenerate=*/false);
-  SimplexSolver sparse(m, options_for(true));
-  SimplexSolver dense(m, options_for(false));
-  const LpResult rs = sparse.solve();
-  const LpResult rd = dense.solve();
-  ASSERT_EQ(rs.status, rd.status);
-  // A short solve may never hit the refactorization interval; force one so
-  // each solver demonstrably exercised its configured path.
-  ASSERT_TRUE(sparse.refresh_factorization());
-  ASSERT_TRUE(dense.refresh_factorization());
-  EXPECT_GT(sparse.stats().sparse_refactorizations, 0);
-  EXPECT_EQ(dense.stats().sparse_refactorizations, 0);
-  if (rs.status != LpStatus::kOptimal) return;
-  const double scale = 1.0 + std::abs(rd.objective);
-  EXPECT_NEAR(rs.objective, rd.objective, 1e-6 * scale);
-  EXPECT_LE(primal_violation(m, rs.x), 1e-6);
-  EXPECT_LE(primal_violation(m, rd.x), 1e-6);
+  for (const double mtol : kMarkowitzTols) {
+    SCOPED_TRACE("markowitz_tol " + std::to_string(mtol));
+    SimplexSolver s(m, options_for(mtol));
+    const LpResult r = s.solve();
+    ASSERT_EQ(r.status, LpStatus::kOptimal);
+    expect_certified(m, r, options_for(mtol), 1e-6);
+    // A short solve may never hit the refactorization interval; force one
+    // so the factors under test are fresh.
+    ASSERT_TRUE(s.refresh_factorization());
+    check_factorization(s, seed, 1e-8);
+  }
 }
 
 // 3. Warm-started re-solves after bound changes (the branch & bound usage
-//    pattern) stay in agreement, and the factors stay verifiable.
+//    pattern) stay certified, and the factors stay verifiable.
 TEST_P(FactorizationDiff, WarmStartResolvesAgree) {
   const std::uint64_t seed = GetParam() * 7919ULL + 3;
   SCOPED_TRACE("seed " + std::to_string(seed));
-  const Model m = random_lp(seed, /*degenerate=*/false);
-  SimplexSolver sparse(m, options_for(true));
-  SimplexSolver dense(m, options_for(false));
-  ASSERT_EQ(sparse.solve().status, dense.solve().status);
+  const Model base = random_lp(seed, /*degenerate=*/false);
+  for (const double mtol : kMarkowitzTols) {
+    SCOPED_TRACE("markowitz_tol " + std::to_string(mtol));
+    Model m = base;
+    SimplexSolver s(m, options_for(mtol));
+    const LpResult root = s.solve();
+    ASSERT_EQ(root.status, LpStatus::kOptimal);
+    expect_certified(m, root, options_for(mtol), 1e-6);
 
-  util::Rng rng(seed ^ 0xb0b0ULL);
-  const int n = m.num_variables();
-  for (int step = 0; step < 6; ++step) {
-    const int v = rng.next_int(0, n - 1);
-    const double lo = sparse.variable_lower(v);
-    const double hi = sparse.variable_upper(v);
-    if (lo >= hi) continue;
-    // Tighten to one of the bounds, like a branching child does.
-    const double fix = rng.next_bool() ? lo : hi;
-    sparse.set_variable_bounds(v, fix, fix);
-    dense.set_variable_bounds(v, fix, fix);
-    const LpResult rs = sparse.solve();
-    const LpResult rd = dense.solve();
-    ASSERT_EQ(rs.status, rd.status) << "step " << step;
-    if (rs.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(rs.objective, rd.objective,
-                  1e-6 * (1.0 + std::abs(rd.objective)))
-          << "step " << step;
+    util::Rng rng(seed ^ 0xb0b0ULL);
+    const int n = m.num_variables();
+    for (int step = 0; step < 6; ++step) {
+      const int v = rng.next_int(0, n - 1);
+      const double lo = m.variable(v).lower;
+      const double hi = m.variable(v).upper;
+      if (lo >= hi) continue;
+      // Tighten to one of the bounds, like a branching child does. The
+      // interior point random_lp derives its rows from may be cut off, so
+      // the child can be infeasible.
+      const double fix = rng.next_bool() ? lo : hi;
+      m.set_bounds(v, fix, fix);
+      s.set_variable_bounds(v, fix, fix);
+      const LpResult r = s.solve();
+      SCOPED_TRACE("step " + std::to_string(step));
+      ASSERT_TRUE(r.status == LpStatus::kOptimal ||
+                  r.status == LpStatus::kInfeasible);
+      expect_certified(m, r, options_for(mtol), 1e-6);
     }
+    if (s.refresh_factorization()) check_factorization(s, seed, 1e-8);
   }
-  if (sparse.refresh_factorization()) check_factorization(sparse, seed, 1e-8);
 }
 
 // 4. Degenerate + near-singular instances: duplicated rows, nearly parallel
-//    rows and fixed variables. Both paths must survive (fall back rather
-//    than crash or return garbage) and agree on the optimum.
+//    rows and fixed variables. Every solve must survive (recover rather
+//    than crash or return garbage) and certify its optimum.
 TEST_P(FactorizationDiff, DegenerateAndNearSingularAgree) {
   const std::uint64_t seed = GetParam() * 104729ULL + 29;
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Model m = random_lp(seed, /*degenerate=*/true);
-  SimplexSolver sparse(m, options_for(true));
-  SimplexSolver dense(m, options_for(false));
-  const LpResult rs = sparse.solve();
-  const LpResult rd = dense.solve();
-  ASSERT_EQ(rs.status, rd.status);
-  if (rs.status != LpStatus::kOptimal) return;
-  EXPECT_NEAR(rs.objective, rd.objective, 1e-6 * (1.0 + std::abs(rd.objective)));
-  EXPECT_LE(primal_violation(m, rs.x), 1e-5);
-  EXPECT_LE(primal_violation(m, rd.x), 1e-5);
-  // The factors of an ill-conditioned basis still have to be consistent:
-  // verify with a looser, conditioning-aware tolerance.
-  if (sparse.refresh_factorization()) check_factorization(sparse, seed, 1e-5);
+  for (const double mtol : kMarkowitzTols) {
+    SCOPED_TRACE("markowitz_tol " + std::to_string(mtol));
+    SimplexSolver s(m, options_for(mtol));
+    const LpResult r = s.solve();
+    ASSERT_EQ(r.status, LpStatus::kOptimal);
+    expect_certified(m, r, options_for(mtol), 1e-5);
+    // The factors of an ill-conditioned basis still have to be consistent:
+    // verify with a looser, conditioning-aware tolerance.
+    if (s.refresh_factorization()) check_factorization(s, seed, 1e-5);
+  }
 }
 
 // 5. Forrest–Tomlin updates: FTRAN/BTRAN after 1, 5, 20 and (cap - 1)
 //    updates with no refactorization, against the dense-inverse reference
-//    and the residuals, on both factorization paths.
+//    and the residuals.
 TEST_P(FactorizationDiff, MidUpdateSolvesMatchDenseReference) {
   const std::uint64_t seed = GetParam() * 15485863ULL + 41;
   SCOPED_TRACE("seed " + std::to_string(seed));
   const Model m = random_lp(seed, /*degenerate=*/false);
   const int cap = SimplexOptions{}.refactor_every;
-  for (const bool sparse : {true, false}) {
+  for (const double mtol : kMarkowitzTols) {
     SimplexOptions o;
-    o.sparse_factorization = sparse;
+    o.markowitz_tol = mtol;
     SimplexSolver s(m, o);
     ASSERT_NE(s.solve().status, LpStatus::kIterLimit);
     ASSERT_TRUE(s.refresh_factorization());
@@ -405,20 +456,19 @@ TEST(FactorizationDiffTargeted, MixedSlackAndDenseBlock) {
     }
     m.add_constraint(std::move(e), Sense::kLessEqual, lhs + 1);
   }
-  SimplexSolver sparse(m, options_for(true));
-  SimplexSolver dense(m, options_for(false));
-  const LpResult rs = sparse.solve();
-  const LpResult rd = dense.solve();
-  ASSERT_EQ(rs.status, LpStatus::kOptimal);
-  ASSERT_EQ(rd.status, LpStatus::kOptimal);
-  EXPECT_NEAR(rs.objective, rd.objective, 1e-6 * (1.0 + std::abs(rd.objective)));
-  ASSERT_TRUE(sparse.refresh_factorization());
-  EXPECT_GT(sparse.stats().sparse_refactorizations, 0);
-  check_factorization(sparse, 424242, 1e-8);
+  for (const double mtol : kMarkowitzTols) {
+    SCOPED_TRACE("markowitz_tol " + std::to_string(mtol));
+    SimplexSolver s(m, options_for(mtol));
+    const LpResult r = s.solve();
+    ASSERT_EQ(r.status, LpStatus::kOptimal);
+    expect_certified(m, r, options_for(mtol), 1e-6);
+    ASSERT_TRUE(s.refresh_factorization());
+    check_factorization(s, 424242, 1e-8);
+  }
 }
 
 // Targeted regression: a singular basis candidate (duplicate equality rows
-// force rank deficiency) must be survivable — the solver falls back rather
+// force rank deficiency) must be survivable — the solver recovers rather
 // than asserting, and still answers correctly.
 TEST(FactorizationDiffTargeted, SingularBasisFallsBack) {
   Model m;
@@ -427,10 +477,10 @@ TEST(FactorizationDiffTargeted, SingularBasisFallsBack) {
   m.add_constraint(LinExpr().add(a, 1).add(b, 1), Sense::kEqual, 5);
   m.add_constraint(LinExpr().add(a, 1).add(b, 1), Sense::kEqual, 5);
   m.add_constraint(LinExpr().add(a, 1).add(b, -1), Sense::kLessEqual, 5);
-  for (const bool sparse : {true, false}) {
-    SimplexSolver s(m, options_for(sparse));
+  for (const double mtol : kMarkowitzTols) {
+    SimplexSolver s(m, options_for(mtol));
     const LpResult r = s.solve();
-    ASSERT_EQ(r.status, LpStatus::kOptimal) << (sparse ? "sparse" : "dense");
+    ASSERT_EQ(r.status, LpStatus::kOptimal) << "markowitz_tol " << mtol;
     EXPECT_NEAR(r.objective, 5.0, 1e-6);
   }
 }

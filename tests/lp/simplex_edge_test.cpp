@@ -27,6 +27,21 @@ TEST(SimplexEdge, IterationLimitReported) {
   EXPECT_EQ(s.solve().status, LpStatus::kIterLimit);
 }
 
+TEST(SimplexEdge, FreeColumnMovesDownFromZero) {
+  // A nonbasic free column rests at 0; with a positive reduced cost it
+  // must be priced to decrease, not taken as optimal where it stands.
+  Model m;
+  const int x = m.add_variable(-kInfinity, kInfinity, 1, VarType::kContinuous);
+  const int y = m.add_variable(0, 2, -1, VarType::kContinuous);
+  m.add_constraint(LinExpr().add(x, 1).add(y, 1), Sense::kGreaterEqual, -5);
+  for (const bool dual : {false, true}) {
+    SimplexSolver s(m);
+    const LpResult r = dual ? s.solve_dual() : s.solve();
+    ASSERT_EQ(r.status, LpStatus::kOptimal) << (dual ? "dual" : "primal");
+    EXPECT_NEAR(r.objective, -9.0, 1e-9) << (dual ? "dual" : "primal");
+  }
+}
+
 TEST(SimplexEdge, AssignmentPolytopeIsIntegralAtVertices) {
   // The LP relaxation of an assignment problem has integral vertices
   // (total unimodularity): the simplex optimum must land on one.
