@@ -1,6 +1,5 @@
 #include "core/serve.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -30,26 +29,6 @@ bool valid_job_id(const std::string& id) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
     if (!ok) return false;
-  }
-  return true;
-}
-
-/// Atomic text drop: write <path>.tmp, flush, rename over <path>.
-bool write_text_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << text;
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
   }
   return true;
 }
@@ -167,18 +146,19 @@ bool interruptible_sleep(const ServeOptions& opt, double seconds) {
   return drain_requested(opt);
 }
 
-/// Pending job ids, oldest-name-first (sorted for determinism).
-std::vector<std::string> scan_pending(const std::string& jobs_dir) {
-  std::vector<std::string> ids;
+/// The pending job id that sorts first, or nullopt when jobs/ holds none.
+/// The spool is the queue: serve runs jobs in this name order.
+std::optional<std::string> first_pending(const fs::path& jobs_dir) {
+  std::optional<std::string> first;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(jobs_dir, ec)) {
     if (!entry.is_regular_file()) continue;
     const fs::path& p = entry.path();
     if (p.extension() != ".job") continue;
-    ids.push_back(p.stem().string());
+    std::string id = p.stem().string();
+    if (!first || id < *first) first = std::move(id);
   }
-  std::sort(ids.begin(), ids.end());
-  return ids;
+  return first;
 }
 
 /// One solve attempt of a job: the outcome fields its kind fills in
@@ -311,15 +291,15 @@ std::optional<LoadedJob> load_model_job(const JobSpec& spec,
 /// Serves one loaded job: a verified optimum already cached under its key
 /// answers it without a solve; otherwise attempts run until one finishes.
 /// Each attempt resumes from the job's checkpoint (the solver treats a
-/// missing file as a cold start), so retries make monotone progress; the
-/// job key for backoff jitter is the cache key. Returns false when a drain
-/// interrupted the job — it then stays pending on disk and the caller
-/// stops the serve loop.
-template <typename Finish>
+/// missing file as a cold start), so an immediate retry makes monotone
+/// progress. An attempt that throws quarantines the job as a solve-error.
+/// Returns false when a drain interrupted the job — it then stays pending
+/// on disk and the caller stops the serve loop.
+template <typename Finish, typename Quarantine>
 bool run_job(const ServeOptions& options, const JobSpec& spec,
              const LoadedJob& job, ServeStats& stats,
-             util::BoundedJobQueue& queue, const fs::path& cache_dir,
-             const Finish& finish) {
+             const fs::path& cache_dir, const Finish& finish,
+             const Quarantine& quarantine) {
   const fs::path cache_path = cache_dir / (job.key + ".result");
   if (std::optional<JobOutcome> hit = read_result_file(cache_path.string())) {
     hit->from_cache = true;
@@ -329,8 +309,6 @@ bool run_job(const ServeOptions& options, const JobSpec& spec,
     return true;
   }
 
-  const std::uint64_t job_key = util::fnv1a64(
-      reinterpret_cast<const unsigned char*>(job.key.data()), job.key.size());
   bool job_resumed = false;
   bool left_pending = false;
   int attempt = 0;
@@ -340,7 +318,20 @@ bool run_job(const ServeOptions& options, const JobSpec& spec,
       break;
     }
     ++attempt;
-    Attempt a = job.attempt(job_solver_options(options, spec));
+    Attempt a;
+    try {
+      a = job.attempt(job_solver_options(options, spec));
+    } catch (const std::exception& e) {
+      util::log_warn() << "serve: job " << spec.id << ": " << e.what();
+      JobOutcome bad;
+      bad.status = "solve-error";
+      bad.attempts = attempt;
+      bad.resumed = job_resumed;
+      quarantine(spec, std::move(bad),
+                 reason_json(spec.id, "solve-error", e.what(), nullptr,
+                             nullptr));
+      break;
+    }
     const ilp::Stats& st = a.stats;
     stats.checkpoints_written += st.checkpoints_written;
     stats.resume_rejected += st.resume_rejected;
@@ -360,32 +351,18 @@ bool run_job(const ServeOptions& options, const JobSpec& spec,
     if (st.termination == util::StopReason::kNone) {
       finish(spec, outcome, /*failed=*/false);
       if (a.optimal && st.audit_incumbent_ok)
-        write_text_atomic(cache_path.string(), format_result(outcome));
+        util::write_file_atomic(cache_path.string(), format_result(outcome));
       if (st.memory_unreleased_bytes > 0)
         util::log_warn() << "serve: job " << spec.id << " left "
                          << st.memory_unreleased_bytes
                          << " bytes accounted at teardown";
       break;
     }
-    if (st.termination == util::StopReason::kMemoryLimit) {
-      // Shed queued (never running) jobs first: they only lose their
-      // in-memory slot and stay durable on disk.
-      const std::size_t shed = queue.shed_all();
-      if (shed > 0) {
-        stats.jobs_shed += static_cast<long long>(shed);
-        stats.memory_pressure_shed = true;
-      }
-    }
     if (attempt > options.max_retries) {
       finish(spec, std::move(outcome), /*failed=*/true);
       break;
     }
     ++stats.retries;
-    if (interruptible_sleep(options,
-                            options.backoff.delay_seconds(job_key, attempt))) {
-      left_pending = true;
-      break;
-    }
   }
   if (job_resumed) ++stats.resumed_jobs;
   return !left_pending;
@@ -407,8 +384,8 @@ bool submit_job(const std::string& dir, const JobSpec& spec) {
     if (!ilp::set_option(check, key, value).empty()) return false;
     out << key << "=" << value << "\n";
   }
-  return write_text_atomic((fs::path(dir) / "jobs" / (spec.id + ".job")).string(),
-                           out.str());
+  return util::write_file_atomic(
+      (fs::path(dir) / "jobs" / (spec.id + ".job")).string(), out.str());
 }
 
 std::optional<JobSpec> parse_job_file(const std::string& path,
@@ -494,29 +471,26 @@ ServeStats serve(const ServeOptions& options) {
        {jobs_dir, ckpt_dir, done_dir, failed_dir, cache_dir})
     fs::create_directories(d, ec);
 
-  util::BoundedJobQueue queue(
-      static_cast<std::size_t>(std::max(1, options.queue_capacity)));
-  long long fault_sheds_seen = 0;
-
   const auto finish = [&](const JobSpec& spec, JobOutcome outcome,
                           bool failed) {
     outcome.id = spec.id;
     const fs::path dest =
         (failed ? failed_dir : done_dir) / (spec.id + ".result");
-    write_text_atomic(dest.string(), format_result(outcome));
+    util::write_file_atomic(dest.string(), format_result(outcome));
     fs::remove(jobs_dir / (spec.id + ".job"), ec);
     fs::remove(ckpt_dir / (spec.id + ".ck"), ec);  // no stale state behind
     (failed ? stats.jobs_failed : stats.jobs_completed) += 1;
     stats.outcomes.push_back(std::move(outcome));
   };
 
-  // Quarantine: the job is rejected before any solve attempt. The reason
-  // lands machine-readable in failed/<id>.reason.json and the offending
-  // spec is preserved next to it (finish() removes the pending copy).
+  // Quarantine: the job is rejected before any solve attempt, or because
+  // an attempt threw. The reason lands machine-readable in
+  // failed/<id>.reason.json and the offending spec is preserved next to it
+  // (finish() removes the pending copy).
   const auto quarantine = [&](const JobSpec& spec, JobOutcome outcome,
                               const std::string& reason) {
-    write_text_atomic((failed_dir / (spec.id + ".reason.json")).string(),
-                      reason);
+    util::write_file_atomic((failed_dir / (spec.id + ".reason.json")).string(),
+                            reason);
     std::error_code copy_ec;
     fs::copy_file(jobs_dir / (spec.id + ".job"),
                   failed_dir / (spec.id + ".job"),
@@ -531,18 +505,7 @@ ServeStats serve(const ServeOptions& options) {
       break;
     }
 
-    // Admission scan: pending specs enter the bounded queue; refusals
-    // (full queue) simply stay on disk, fault refusals are counted shed.
-    for (const std::string& id : scan_pending(jobs_dir.string())) {
-      if (queue.full()) break;
-      queue.try_push(id);
-    }
-    if (queue.shed_by_fault() > fault_sheds_seen) {
-      stats.jobs_shed += queue.shed_by_fault() - fault_sheds_seen;
-      fault_sheds_seen = queue.shed_by_fault();
-    }
-
-    const std::optional<std::string> next = queue.pop();
+    const std::optional<std::string> next = first_pending(jobs_dir);
     if (!next) {
       if (!options.watch) break;
       if (interruptible_sleep(options, options.poll_seconds)) {
@@ -573,7 +536,7 @@ ServeStats serve(const ServeOptions& options) {
         is_model_job(spec.circuit) ? load_model_job(spec, finish, quarantine)
                                    : load_circuit_job(spec, quarantine);
     if (!job) continue;
-    if (!run_job(options, spec, *job, stats, queue, cache_dir, finish)) {
+    if (!run_job(options, spec, *job, stats, cache_dir, finish, quarantine)) {
       stats.drained = true;
       break;
     }

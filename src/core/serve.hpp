@@ -6,26 +6,24 @@
 //   <dir>/jobs/<id>.job      pending specs (circuit=, k=, option overrides)
 //   <dir>/ckpt/<id>.ck       the job's latest solve checkpoint
 //   <dir>/done/<id>.result   completed jobs (text key=value report)
-//   <dir>/failed/<id>.result jobs that exhausted their retries
+//   <dir>/failed/<id>.result jobs that exhausted their retries or were
+//                            quarantined (with <id>.reason.json + spec)
 //   <dir>/cache/<hex>.result audit-verified optimal results by model hash
 //
-// The engine admits pending jobs into a bounded in-memory queue (honest
-// backpressure: a full queue or a fired kQueueAlloc fault refuses the slot
-// and the job simply stays on disk for a later scan) and runs them one at
-// a time. A job that stops on a limit is retried with exponential backoff
-// plus deterministic jitter, resuming from its checkpoint, so every retry
-// makes monotone progress instead of starting over. Results of
-// audit-verified optimal solves are cached by model hash; a later job for
-// the same model is answered from the cache without solving.
+// The spool directory is the only queue. Each pass scans jobs/ and runs
+// the first pending id in name order, one job at a time, so a batch runs in
+// sorted-id order and a job submitted mid-run whose id sorts first runs
+// next. A job that stops on a limit is retried at once, resuming from its
+// checkpoint, so every retry makes monotone progress instead of starting
+// over. An attempt that throws quarantines the job (kind solve-error) and
+// the serve moves on. Results of audit-verified optimal solves are cached
+// by model hash; a later job for the same model is answered from the cache
+// without solving.
 //
 // Drain (SIGTERM in the CLI): the drain flag cancels the running solve
 // cooperatively — the solver checkpoints its frontier on the way out — and
 // the engine exits leaving every unfinished job pending on disk. A
 // restarted serve picks them up and resumes from their checkpoints.
-//
-// A job that ends with a memory-limit stop sheds the queued (not running)
-// jobs from the in-memory queue back to their on-disk pending state before
-// anything else, and the shed is flagged in the stats.
 #pragma once
 
 #include <atomic>
@@ -35,7 +33,6 @@
 #include <vector>
 
 #include "ilp/solver.hpp"
-#include "util/job_queue.hpp"
 
 namespace advbist::core {
 
@@ -71,15 +68,14 @@ struct JobOutcome {
 
 struct ServeStats {
   int jobs_completed = 0;
-  int jobs_failed = 0;     ///< exhausted retries (moved to failed/)
+  int jobs_failed = 0;     ///< exhausted retries or quarantined (failed/);
+                           ///< malformed specs count only below
   int jobs_malformed = 0;  ///< unparseable spec files (moved to failed/)
-  /// Jobs rejected before any solve attempt — malformed spec, unreadable
-  /// circuit, model-file parse error, sanitizer-rejected model. Each left
-  /// a <id>.reason.json and its spec in failed/; none consumed a retry.
+  /// Jobs quarantined — malformed spec, unreadable circuit, model-file
+  /// parse error, sanitizer-rejected model, or an attempt that threw
+  /// (solve-error). Each left a <id>.reason.json and its spec in failed/;
+  /// none consumed a retry.
   int jobs_quarantined = 0;
-  long long jobs_shed = 0; ///< queue-slot refusals: kQueueAlloc fault fires
-                           ///< + memory-pressure sheds (jobs stay on disk)
-  bool memory_pressure_shed = false;  ///< some shed came from memory pressure
   int retries = 0;
   int cache_hits = 0;
   int resumed_jobs = 0;
@@ -91,9 +87,7 @@ struct ServeStats {
 
 struct ServeOptions {
   std::string dir;           ///< spool root (created if missing)
-  int queue_capacity = 8;
-  int max_retries = 3;       ///< retries after the first attempt
-  util::BackoffPolicy backoff;
+  int max_retries = 3;       ///< immediate retries after the first attempt
   bool watch = false;        ///< keep polling after the spool drains
   double poll_seconds = 0.2; ///< watch-mode scan interval
   std::atomic<bool>* drain = nullptr;  ///< cooperative drain (SIGTERM)

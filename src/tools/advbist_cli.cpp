@@ -8,8 +8,8 @@
 // SIGINT and SIGTERM cancel a solve cooperatively: it reports the best
 // incumbent and bound found so far with status "cancelled" (snapshotted
 // with --checkpoint). In serve mode they drain: the running job
-// checkpoints, queued jobs stay pending on disk, and a restarted serve
-// resumes all of them.
+// checkpoints, every unfinished job stays pending on disk, and a restarted
+// serve resumes all of them.
 #include <atomic>
 #include <cerrno>
 #include <climits>
@@ -51,8 +51,8 @@ int usage() {
                "[--resume F] [solver flags]\n"
                "       advbist submit <dir> <circuit|file.dfg|file.mps"
                "|file.lp> [--job ID] [--k N] [solver flags]\n"
-               "       advbist serve <dir> [--queue N] [--retries N] "
-               "[--watch] [--poll S] [--seed X] [solver flags]\n"
+               "       advbist serve <dir> [--retries N] [--watch] "
+               "[--poll S] [solver flags]\n"
                "solver flags (a serve job file takes them as key=value "
                "lines):\n");
   for (const ilp::OptionKey& k : ilp::option_keys())
@@ -161,10 +161,6 @@ int cmd_serve(int argc, char** argv) {
     long long n = 0;
     if (key == "watch") {
       so.watch = true;
-    } else if (key == "queue") {
-      if (!parse_int(value, 1, INT_MAX, n))
-        return "queue wants an integer >= 1";
-      so.queue_capacity = static_cast<int>(n);
     } else if (key == "retries") {
       if (!parse_int(value, 0, INT_MAX, n))
         return "retries wants an integer >= 0";
@@ -175,10 +171,6 @@ int cmd_serve(int argc, char** argv) {
       if (end == value || *end != '\0' || !(so.poll_seconds > 0) ||
           !std::isfinite(so.poll_seconds))
         return "poll wants seconds > 0";
-    } else if (key == "seed") {
-      char* end = nullptr;
-      so.backoff.seed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0') return "seed wants an integer";
     } else {
       return ilp::set_option(so.solver, key, value);
     }
@@ -195,11 +187,9 @@ int cmd_serve(int argc, char** argv) {
                 o.resumed ? " resumed" : "", o.verified ? " verified" : "",
                 o.from_cache ? " cached" : "");
   std::printf(
-      "serve: %d completed, %d failed, %d malformed, %lld shed%s, "
-      "%d retries, %d cache hits, %d resumed, %d checkpoints, "
-      "%d snapshots rejected%s\n",
-      st.jobs_completed, st.jobs_failed, st.jobs_malformed, st.jobs_shed,
-      st.memory_pressure_shed ? " (memory pressure)" : "", st.retries,
+      "serve: %d completed, %d failed, %d malformed, %d retries, "
+      "%d cache hits, %d resumed, %d checkpoints, %d snapshots rejected%s\n",
+      st.jobs_completed, st.jobs_failed, st.jobs_malformed, st.retries,
       st.cache_hits, st.resumed_jobs, st.checkpoints_written,
       st.resume_rejected, st.drained ? ", drained" : "");
   return (st.jobs_failed > 0 || st.jobs_malformed > 0) ? 1 : 0;
@@ -317,6 +307,11 @@ int main(int argc, char** argv) {
       std::fputs(hls::to_dfg_text(design.dfg, design.modules).c_str(), stdout);
       return 0;
     }
+    if (cmd == "synth" && k > design.modules.num_modules()) {
+      std::fprintf(stderr, "advbist: k wants an integer in [1, %d]\n",
+                   design.modules.num_modules());
+      return usage();
+    }
 
     options.solver.cancel_flag = &g_cancel;
     std::signal(SIGINT, handle_cancel_signal);
@@ -399,12 +394,14 @@ int main(int argc, char** argv) {
             st.cuts_aged_out, st.probing_fixed, st.probing_probed,
             st.rc_fixed_root, st.rc_fixed_incumbent,
             100.0 * st.root_gap_closed);
+      std::printf("     phases: presolve %.2fs, root cuts %.2fs, strong "
+                  "branch %.2fs, search %.2fs, audit %.2fs\n",
+                  st.presolve_seconds, st.root_cut_seconds,
+                  st.strong_branch_seconds, st.search_seconds,
+                  st.audit_seconds);
       if (st.termination != util::StopReason::kNone)
-        std::printf("     stopped: %s (presolve %.2fs, root cuts %.2fs, "
-                    "strong branch %.2fs, search %.2fs)%s%s\n",
-                    util::to_string(st.termination), st.presolve_seconds,
-                    st.root_cut_seconds, st.strong_branch_seconds,
-                    st.search_seconds, st.shed_cuts ? ", cuts shed" : "",
+        std::printf("     stopped: %s%s%s\n", util::to_string(st.termination),
+                    st.shed_cuts ? ", cuts shed" : "",
                     st.shed_diving ? ", diving shed" : "");
       if (st.peak_memory_bytes > 0 && st.termination != util::StopReason::kNone)
         std::printf("     memory: peak %.1f MB accounted\n",

@@ -39,8 +39,6 @@ FaultInjector* env_injector() {
     fi->set_period(FaultSite::kCancel, env_period("ADVBIST_FAULT_CANCEL"));
     fi->set_period(FaultSite::kSnapshotTorn,
                    env_period("ADVBIST_FAULT_SNAPSHOT"));
-    fi->set_period(FaultSite::kQueueAlloc,
-                   env_period("ADVBIST_FAULT_QUEUE_ALLOC"));
     return fi;
   }();
   return injector;
@@ -58,7 +56,6 @@ const char* to_string(FaultSite site) {
     case FaultSite::kCutAlloc: return "cut-alloc";
     case FaultSite::kCancel: return "cancel";
     case FaultSite::kSnapshotTorn: return "snapshot-torn";
-    case FaultSite::kQueueAlloc: return "queue-alloc";
     case FaultSite::kNumSites: break;
   }
   return "?";

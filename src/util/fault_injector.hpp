@@ -2,7 +2,8 @@
 //
 // The LP kernel and the branch & bound driver carry cheap hook points
 // (factorization declared singular, a Forrest–Tomlin updated U diagonal
-// perturbed, a node/cut allocation refused, a spontaneous cancellation).
+// perturbed, a node/cut allocation refused, a spontaneous cancellation),
+// and the snapshot writer carries one more (a torn write).
 // With no injector active every hook is a single pointer load; with one
 // active, each visit to a hook fires on a deterministic seeded schedule —
 // hash(seed, site, visit counter) — so "the factorization went singular on
@@ -14,9 +15,9 @@
 //  2. ADVBIST_FAULT_SEED in the environment — builds a process-wide
 //     injector whose per-site periods come from ADVBIST_FAULT_SINGULAR,
 //     ADVBIST_FAULT_ETA, ADVBIST_FAULT_NODE_ALLOC, ADVBIST_FAULT_CUT_ALLOC,
-//     ADVBIST_FAULT_CANCEL, ADVBIST_FAULT_SNAPSHOT and
-//     ADVBIST_FAULT_QUEUE_ALLOC (mean visits between fires; 0/unset
-//     disables that site). Used by the CI fault-injection sweep.
+//     ADVBIST_FAULT_CANCEL and ADVBIST_FAULT_SNAPSHOT (mean visits between
+//     fires; 0/unset disables that site). Used by the CI fault-injection
+//     sweep.
 //  3. Otherwise active() is null and every hook is inert.
 #pragma once
 
@@ -32,9 +33,8 @@ enum class FaultSite : int {
   kNodeAlloc,           ///< node-pool publish refused (node dropped)
   kCutAlloc,            ///< cut-pool add refused (cut discarded)
   kCancel,              ///< spontaneous cancellation request
-  // --- service-layer sites (checkpoint/serve hardening) ---
+  // --- service-layer site (checkpoint hardening) ---
   kSnapshotTorn,        ///< snapshot write torn (payload truncated mid-write)
-  kQueueAlloc,          ///< serve job-queue slot refused (queued job shed)
   kNumSites,
 };
 

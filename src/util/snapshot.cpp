@@ -105,6 +105,25 @@ void SnapshotReader::doubles(std::vector<double>& out) {
   if (n > 0 && !take(out.data(), n * sizeof(double))) out.clear();
 }
 
+bool write_file_atomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    File f(std::fopen(tmp.c_str(), "wb"));
+    if (f.f_ == nullptr) return false;
+    if ((!bytes.empty() &&
+         std::fwrite(bytes.data(), 1, bytes.size(), f.f_) != bytes.size()) ||
+        std::fflush(f.f_) != 0) {
+      std::remove(tmp.c_str());
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
 bool save_snapshot_file(const std::string& path, std::uint32_t version,
                         const std::vector<unsigned char>& payload) {
   Header h{};
@@ -121,23 +140,11 @@ bool save_snapshot_file(const std::string& path, std::uint32_t version,
       fi != nullptr && fi->fire(FaultSite::kSnapshotTorn))
     write_bytes = payload.size() / 2;
 
-  const std::string tmp = path + ".tmp";
-  {
-    File f(std::fopen(tmp.c_str(), "wb"));
-    if (f.f_ == nullptr) return false;
-    if (std::fwrite(&h, sizeof h, 1, f.f_) != 1 ||
-        (write_bytes > 0 &&
-         std::fwrite(payload.data(), 1, write_bytes, f.f_) != write_bytes) ||
-        std::fflush(f.f_) != 0) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  std::string framed(sizeof h + write_bytes, '\0');
+  std::memcpy(framed.data(), &h, sizeof h);
+  if (write_bytes > 0)
+    std::memcpy(framed.data() + sizeof h, payload.data(), write_bytes);
+  return write_file_atomic(path, framed);
 }
 
 std::optional<std::vector<unsigned char>> load_snapshot_file(

@@ -3,10 +3,11 @@
 // The solver's checkpoint/resume path (ilp/checkpoint.hpp) and any future
 // durable state share one framing: a fixed magic, a format version, the
 // payload length and an FNV-1a 64 checksum over the payload, followed by
-// the payload bytes. A file is only ever published complete: the writer
-// streams to `<path>.tmp` in the same directory and rename()s over the
-// target, so a reader never observes a half-written snapshot under POSIX
-// rename atomicity — and if the machine dies mid-write, the stale-but-whole
+// the payload bytes. A file is only ever published complete: every writer
+// (write_file_atomic(), shared with the serve spool's text files) streams
+// to `<path>.tmp` in the same directory and rename()s over the target, so
+// a reader never observes a half-written snapshot under POSIX rename
+// atomicity — and if the machine dies mid-write, the stale-but-whole
 // previous snapshot survives.
 //
 // Torn and truncated writes are still assumed to happen (lying disks,
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace advbist::util {
@@ -85,6 +87,12 @@ class SnapshotReader {
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
+
+/// Writes `bytes` to `<path>.tmp`, flushes it and renames it over `path`,
+/// so readers see the old file or the new one, never a partial write.
+/// Returns false on any I/O error, leaving no `.tmp` behind and the
+/// previous file at `path`, if any, untouched.
+bool write_file_atomic(const std::string& path, std::string_view bytes);
 
 /// Writes `payload` to `path` under the snapshot framing, atomically
 /// (temp file in the same directory + rename). Returns false on any I/O

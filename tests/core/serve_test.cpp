@@ -1,5 +1,6 @@
-// Serve-engine hardening tests: bounded admission, retry-with-resume,
-// result caching, drain-and-restart, and fault-injected queue shedding.
+// Serve-engine hardening tests: name-order runs off the spool,
+// retry-with-resume, result caching, drain-and-restart, and quarantine of
+// jobs that cannot be solved.
 //
 // Everything runs against a real spool directory under the test temp dir
 // and real solves of the small paper instances, because the contract under
@@ -16,20 +17,11 @@
 #include <thread>
 
 #include "core/serve.hpp"
-#include "util/fault_injector.hpp"
 
 namespace advbist::core {
 namespace {
 
 namespace fs = std::filesystem;
-
-class ScopedInjector {
- public:
-  explicit ScopedInjector(util::FaultInjector* fi) {
-    util::FaultInjector::install(fi);
-  }
-  ~ScopedInjector() { util::FaultInjector::install(nullptr); }
-};
 
 /// Fresh spool dir per test.
 std::string make_spool(const char* name) {
@@ -42,8 +34,6 @@ ServeOptions base_options(const std::string& dir) {
   ServeOptions so;
   so.dir = dir;
   so.solver.time_limit_seconds = 30.0;
-  so.backoff.base_seconds = 0.01;  // tests should not sleep for real
-  so.backoff.max_seconds = 0.05;
   return so;
 }
 
@@ -123,7 +113,6 @@ TEST(Serve, BatchCompletesVerifiedAndCachesOptima) {
   const ServeStats st = serve(base_options(dir));
   EXPECT_EQ(st.jobs_completed, 2);
   EXPECT_EQ(st.jobs_failed, 0);
-  EXPECT_EQ(st.jobs_shed, 0);
   ASSERT_EQ(st.outcomes.size(), 2u);
   for (const JobOutcome& o : st.outcomes) {
     EXPECT_EQ(o.status, "optimal");
@@ -147,7 +136,6 @@ TEST(Serve, BatchCompletesVerifiedAndCachesOptima) {
   const ServeStats st2 = serve(base_options(dir));
   EXPECT_EQ(st2.jobs_completed, 1);
   EXPECT_EQ(st2.jobs_failed, 0);
-  EXPECT_EQ(st2.jobs_shed, 0);
   EXPECT_EQ(st2.cache_hits, 1);
   ASSERT_EQ(st2.outcomes.size(), 1u);
   EXPECT_TRUE(st2.outcomes[0].from_cache);
@@ -219,31 +207,6 @@ TEST(Serve, DrainCheckpointsInFlightAndRestartFinishes) {
   EXPECT_TRUE(fs::is_empty(dir + "/jobs"));
 }
 
-TEST(Serve, QueueFaultShedsJobsBackToDiskNeverLosesThem) {
-  const std::string dir = make_spool("shed");
-  for (int k = 1; k <= 2; ++k) {
-    JobSpec spec;
-    spec.id = "fig1-k" + std::to_string(k);
-    spec.circuit = "fig1";
-    spec.k = k;
-    ASSERT_TRUE(submit_job(dir, spec));
-  }
-  {
-    util::FaultInjector fi(9);
-    fi.set_period(util::FaultSite::kQueueAlloc, 1);  // refuse every slot
-    ScopedInjector guard(&fi);
-    const ServeStats st = serve(base_options(dir));
-    EXPECT_EQ(st.jobs_completed, 0);
-    EXPECT_GT(st.jobs_shed, 0);
-  }
-  // Shed jobs stayed durable on disk; a healthy serve completes them all.
-  EXPECT_TRUE(fs::exists(dir + "/jobs/fig1-k1.job"));
-  EXPECT_TRUE(fs::exists(dir + "/jobs/fig1-k2.job"));
-  const ServeStats st2 = serve(base_options(dir));
-  EXPECT_EQ(st2.jobs_completed, 2);
-  EXPECT_EQ(st2.jobs_failed, 0);
-}
-
 TEST(Serve, MalformedAndBadCircuitSpecsFailCleanly) {
   const std::string dir = make_spool("malformed");
   fs::create_directories(dir + "/jobs");
@@ -262,6 +225,55 @@ TEST(Serve, MalformedAndBadCircuitSpecsFailCleanly) {
   EXPECT_TRUE(fs::exists(dir + "/failed/garbage.result"));
   EXPECT_TRUE(fs::exists(dir + "/failed/ghost.result"));
   EXPECT_TRUE(fs::is_empty(dir + "/jobs"));  // nothing left behind
+}
+
+TEST(Serve, ThrowingJobIsQuarantinedAndTheSpoolDrains) {
+  const std::string dir = make_spool("throwing");
+  // fig1 has 2 modules, so k=3 makes the formulation throw on the first
+  // attempt. Its id sorts first: the healthy job must still run after it.
+  JobSpec bad;
+  bad.id = "a-too-many-sessions";
+  bad.circuit = "fig1";
+  bad.k = 3;
+  ASSERT_TRUE(submit_job(dir, bad));
+  JobSpec good;
+  good.id = "b-healthy";
+  good.circuit = "fig1";
+  good.k = 1;
+  ASSERT_TRUE(submit_job(dir, good));
+
+  const ServeStats st = serve(base_options(dir));
+  EXPECT_EQ(st.jobs_completed, 1);
+  EXPECT_EQ(st.jobs_failed, 1);
+  EXPECT_EQ(st.jobs_quarantined, 1);
+  EXPECT_EQ(st.retries, 0);
+  ASSERT_EQ(st.outcomes.size(), 2u);  // the ledger runs in name order
+  EXPECT_EQ(st.outcomes[0].id, bad.id);
+  EXPECT_EQ(st.outcomes[0].status, "solve-error");
+  EXPECT_EQ(st.outcomes[0].attempts, 1);
+  EXPECT_EQ(st.outcomes[1].id, good.id);
+  EXPECT_EQ(st.outcomes[1].status, "optimal");
+  EXPECT_TRUE(st.outcomes[1].verified);
+
+  std::ifstream in(dir + "/failed/a-too-many-sessions.reason.json");
+  ASSERT_TRUE(in.good());
+  const std::string reason((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_NE(reason.find("\"kind\": \"solve-error\""), std::string::npos)
+      << reason;
+  EXPECT_NE(reason.find("more sub-test sessions than modules"),
+            std::string::npos)
+      << reason;
+  EXPECT_TRUE(fs::exists(dir + "/failed/a-too-many-sessions.job"));
+  const auto failed =
+      read_result_file(dir + "/failed/a-too-many-sessions.result");
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->status, "solve-error");
+  const auto done = read_result_file(dir + "/done/b-healthy.result");
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->status, "optimal");
+  EXPECT_TRUE(fs::is_empty(dir + "/jobs"));
+  EXPECT_TRUE(fs::is_empty(dir + "/ckpt"));
 }
 
 const std::string kCorpus = ADVBIST_SOURCE_DIR "/tests/lp/corpus";

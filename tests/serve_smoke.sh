@@ -6,7 +6,10 @@
 #   2. start a serve and SIGTERM it mid-flight (drain),
 #   3. assert nothing was lost (every job is either done or still pending),
 #   4. restart the serve and assert every job finishes audit-verified,
-#   5. re-submit one model under a new id and assert a cache hit.
+#   5. re-submit one model under a new id and assert a cache hit,
+#   6. in a fresh spool, put a job whose solve throws (fig1 has 2 modules,
+#      so k=3 is out of range) ahead of a healthy one and assert the bad
+#      job is quarantined as solve-error while the healthy one completes.
 #
 # Usage: tests/serve_smoke.sh [path-to-advbist-binary]
 set -euo pipefail
@@ -18,7 +21,8 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 SPOOL="$(mktemp -d)"
-trap 'rm -rf "$SPOOL"' EXIT
+SPOOL2="$(mktemp -d)"
+trap 'rm -rf "$SPOOL" "$SPOOL2"' EXIT
 
 echo "== submit batch =="
 "$BIN" submit "$SPOOL" fig1 --k 1
@@ -69,5 +73,17 @@ echo "== same model under a new id is a cache hit =="
 "$BIN" submit "$SPOOL" tseng --k 2 --job tseng-k2-again
 "$BIN" serve "$SPOOL" --time 60 | tee "$SPOOL/serve3.log"
 grep -q 'cached' "$SPOOL/serve3.log"
+
+echo "== a throwing job is quarantined and the spool drains =="
+"$BIN" submit "$SPOOL2" fig1 --k 3
+"$BIN" submit "$SPOOL2" tseng --k 1 --job zz-after
+SERVE4_RC=0
+"$BIN" serve "$SPOOL2" --time 60 > "$SPOOL2/serve4.log" || SERVE4_RC=$?
+cat "$SPOOL2/serve4.log"
+[[ "$SERVE4_RC" -eq 1 ]]  # a failed job makes serve exit 1
+grep -q '"kind": "solve-error"' "$SPOOL2/failed/fig1-k3.reason.json"
+grep -q '^status=optimal$' "$SPOOL2/done/zz-after.result"
+grep -q '^verified=1$' "$SPOOL2/done/zz-after.result"
+[[ $(find "$SPOOL2/jobs" -name '*.job' | wc -l) -eq 0 ]]
 
 echo "serve_smoke: OK"

@@ -1,14 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "util/check.hpp"
-#include "util/fault_injector.hpp"
-#include "util/job_queue.hpp"
 #include "util/rng.hpp"
 #include "util/snapshot.hpp"
 #include "util/stopwatch.hpp"
@@ -168,50 +169,23 @@ TEST(Snapshot, FileRoundTripAndFrameChecks) {
   std::remove(path.c_str());
 }
 
-TEST(Backoff, DelaysAreDeterministicBoundedAndGrow) {
-  BackoffPolicy p;
-  p.base_seconds = 0.1;
-  p.max_seconds = 2.0;
-  p.seed = 17;
-  for (int attempt = 1; attempt <= 8; ++attempt) {
-    const double d = p.delay_seconds(99, attempt);
-    EXPECT_EQ(d, p.delay_seconds(99, attempt));  // replayable
-    EXPECT_GE(d, 0.05);                          // >= half the base step
-    EXPECT_LE(d, 2.0);                           // capped at max
-  }
-  // The exponential step dominates the jitter: attempt 5's floor (0.5 of
-  // a 1.6s step) clears attempt 1's ceiling (1.0 of a 0.1s step).
-  EXPECT_GT(p.delay_seconds(99, 5), p.delay_seconds(99, 1));
-  // Different jobs get different jitter (decorrelated retry storms).
-  EXPECT_NE(p.delay_seconds(1, 3), p.delay_seconds(2, 3));
-}
+TEST(Snapshot, AtomicWriteReplacesWholeAndFailsClean) {
+  const std::string path = testing::TempDir() + "atomic_util.txt";
+  const auto read_all = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  ASSERT_TRUE(write_file_atomic(path, "a much longer first version\n"));
+  ASSERT_TRUE(write_file_atomic(path, "short\n"));
+  EXPECT_EQ(read_all(path), "short\n");  // replaced whole, no old tail
 
-TEST(JobQueue, BoundedAdmissionRefusesHonestly) {
-  BoundedJobQueue q(2);
-  EXPECT_TRUE(q.try_push("a"));
-  EXPECT_FALSE(q.try_push("a"));  // duplicates refused
-  EXPECT_TRUE(q.try_push("b"));
-  EXPECT_TRUE(q.full());
-  EXPECT_FALSE(q.try_push("c"));  // full: refused, not dropped elsewhere
-  EXPECT_EQ(q.pop().value(), "a");
-  EXPECT_TRUE(q.try_push("c"));
-  EXPECT_EQ(q.pop().value(), "b");
-  EXPECT_EQ(q.pop().value(), "c");
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_EQ(q.shed_by_fault(), 0);
-}
-
-TEST(JobQueue, QueueAllocFaultShedsTheSlot) {
-  FaultInjector fi(5);
-  fi.set_period(FaultSite::kQueueAlloc, 1);  // refuse every admission
-  FaultInjector::install(&fi);
-  BoundedJobQueue q(4);
-  EXPECT_FALSE(q.try_push("a"));
-  EXPECT_FALSE(q.try_push("b"));
-  EXPECT_EQ(q.shed_by_fault(), 2);
-  EXPECT_EQ(q.size(), 0u);
-  FaultInjector::install(nullptr);
-  EXPECT_TRUE(q.try_push("a"));
+  const std::string missing =
+      testing::TempDir() + "no_such_dir_atomic/file.txt";
+  EXPECT_FALSE(write_file_atomic(missing, "x"));
+  EXPECT_FALSE(std::filesystem::exists(missing));
+  EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
+  std::remove(path.c_str());
 }
 
 }  // namespace
