@@ -78,13 +78,13 @@ PaulinBasis paulin_basis(int updates) {
   const int m = pb.lp->num_rows();
   const int total = pb.model.num_variables() + m;
   std::vector<char> basic(total, 0);
-  for (const int col : pb.lp->basis()) basic[col] = 1;
+  for (const int col : pb.lp->basis().header) basic[col] = 1;
   for (int done = 0, tries = 0; done < updates && tries < 1000 * updates;
        ++tries) {
     const int pos = rng.next_int(0, m - 1);
     const int col = rng.next_int(0, total - 1);
     if (basic[col]) continue;
-    const int leaving = pb.lp->basis()[pos];
+    const int leaving = pb.lp->basis().header[pos];
     if (!pb.lp->pivot_for_testing(pos, col)) continue;
     basic[leaving] = 0;
     basic[col] = 1;

@@ -156,6 +156,7 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.refactor_certify += s.refactor_certify;
   into.refactor_dual_ray += s.refactor_dual_ray;
   into.refactor_refresh += s.refactor_refresh;
+  into.refactor_set_basis += s.refactor_set_basis;
 }
 
 /// Approximate heap footprint of one pooled node, for the controller's
@@ -187,6 +188,10 @@ struct SearchContext {
   bool integral_obj = false;
   int num_workers = 1;
   std::size_t root_applied_cuts = 0;  ///< pool cuts already rows of cut_model
+  /// The root LP's optimal basis after strong branching, over the rows of
+  /// cut_model (root cuts included, in order). Worker and dive solvers
+  /// start from it instead of re-solving the root cold.
+  std::optional<lp::SimplexSolver::Basis> root_basis;
   util::Stopwatch watch;
 
   // --- node pool and termination (guarded by mutex) ---
@@ -382,7 +387,9 @@ struct SearchContext {
   /// One direction of a bounded strong-branching probe on the warm optimal
   /// basis of `lp`, whose LP optimum is `base`: bounds v to the branch
   /// (branch_bounds inside [lo, hi]), re-solves with the dual simplex under
-  /// the caller's ProbePass iteration cap, and restores [lo, hi]. An
+  /// the caller's ProbePass iteration cap, and restores [lo, hi] and the
+  /// basis, so every probe starts from the base optimum and `lp` ends at
+  /// it whatever the probe reached. An
   /// optimal probe records the exact per-unit degradation in the shared
   /// store at full reliability weight (a probe is an exact LP degradation,
   /// not a noisy estimate). On kInfeasible the branch holds no integer
@@ -392,10 +399,12 @@ struct SearchContext {
     const double xv = base.x[v];
     const double fl = std::floor(xv);
     const auto [plo, phi] = branch_bounds(up, fl, lo, hi);
+    const SimplexSolver::Basis start = lp.basis();
     lp.set_variable_bounds(v, plo, phi);
     const LpResult result = lp.solve_dual();
     lp_iterations.fetch_add(result.iterations);
     lp.set_variable_bounds(v, lo, hi);
+    lp.set_basis(start);
     if (result.status == LpStatus::kOptimal) {
       const double dist = up ? fl + 1.0 - xv : xv - fl;
       pseudocosts->record(v, up,
@@ -408,11 +417,11 @@ struct SearchContext {
 };
 
 /// One probe pass on `lp`: its re-solves are capped at kProbeLpIters, and
-/// the pass's dual solves and fallbacks are booked as probe work. Capped
-/// probes routinely "fall back" by running out of budget, which says
-/// nothing about the warm-start quality of NODE re-solves, so the reduce
-/// stage keeps them out of the dual_solves / dual_fallbacks diagnostic.
-/// Their iterations stay counted: they are real LP work.
+/// the pass's dual solves and fallbacks are booked as probe work. A probe
+/// that runs out of budget "falls back" without saying anything about the
+/// warm-start quality of NODE re-solves, so the reduce stage keeps probes
+/// out of the dual_solves / dual_fallbacks diagnostic. Their iterations
+/// stay counted: they are real LP work.
 class ProbePass {
  public:
   ProbePass(SearchContext& ctx, SimplexSolver& lp)
@@ -455,6 +464,7 @@ class Worker {
         root_ub_(ctx.root_ub),
         pool_consumed_(ctx.root_applied_cuts) {
     simplex_.set_controller(ctx.controller);
+    if (ctx.root_basis) simplex_.set_basis(*ctx.root_basis);
   }
 
   ~Worker() {
@@ -897,8 +907,9 @@ class Worker {
   /// most-integral fractional variable to its rounding and re-solve (dual
   /// warm re-solves are what make this affordable); an infeasible or
   /// cutoff-crossing fixing is repaired once by flipping to the opposite
-  /// integer before the dive gives up. Runs on a private warm-started
-  /// solver so the tree search's own simplex (and therefore the node
+  /// integer before the dive gives up. Runs on a private solver, built
+  /// once per worker from the root basis and warm from the previous dive
+  /// after that, so the tree search's own simplex (and therefore the node
   /// exploration order) is completely unaffected; the only side effect is
   /// a candidate incumbent.
   void dive(const LpResult& start) {
@@ -909,6 +920,7 @@ class Worker {
       dive_lp_ = std::make_unique<SimplexSolver>(reduced_,
                                                  simplex_options(opt));
       dive_lp_->set_controller(ctx_.controller);
+      if (ctx_.root_basis) dive_lp_->set_basis(*ctx_.root_basis);
     }
     // Mirror the node's bounds (they already fold in root rc fixings).
     for (int v = 0; v < n; ++v)
@@ -1487,9 +1499,10 @@ void seed_search(SearchContext& ctx, const Presolved& pre,
 
 /// The root stage's hand-off.
 struct Root {
-  /// The root LP solver. Strong branching probes on its warm optimal basis
-  /// instead of cold-solving the root a second time, and the exit audit
-  /// re-solves it on fresh factors.
+  /// The root LP solver. Strong branching probes on its warm optimal basis,
+  /// whose final state seeds every worker and dive solver
+  /// (SearchContext::root_basis), and the exit audit re-solves it on fresh
+  /// factors.
   std::optional<SimplexSolver> solver;
   LpResult result;  ///< most recent root LP result (kIterLimit until solved)
   double bound = -lp::kInfinity;  ///< root node bound after the cut loop
@@ -1675,6 +1688,8 @@ Exit strong_branch(SearchContext& ctx, Model& reduced, Root& root,
       ctx.controller->check() == util::StopReason::kNone &&
       root.result.status == LpStatus::kOptimal)
     infeasible = probe_root(ctx, reduced, *root.solver, root.result, stats);
+  if (root.result.status == LpStatus::kOptimal)
+    ctx.root_basis = root.solver->basis();
   accumulate(ctx.lp_stats, root.solver->stats());
   ctx.lp_scaling_active |= root.solver->scaling_active();
   if (infeasible) return SolveStatus::kInfeasible;
@@ -1855,6 +1870,7 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
   stats.lp_refactor_certify = ctx.lp_stats.refactor_certify;
   stats.lp_refactor_dual_ray = ctx.lp_stats.refactor_dual_ray;
   stats.lp_refactor_refresh = ctx.lp_stats.refactor_refresh;
+  stats.lp_refactor_set_basis = ctx.lp_stats.refactor_set_basis;
   stats.cuts_clique_separated = ctx.clique_separated.load();
   stats.cuts_cover_separated = ctx.cover_separated.load();
   if (ctx.cut_pool != nullptr) {
@@ -1979,8 +1995,9 @@ void audit(const SearchContext& ctx, const Model& original, Root& root,
     SimplexSolver& audit_lp = *root.solver;
     audit_lp.set_controller(nullptr);  // the audit itself always finishes
     audit_lp.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-    audit_lp.refresh_factorization();
-    ++sol.stats.lp_refactor_refresh;  // after the worker stats were folded
+    // Booked here: the worker stats were folded before the audit ran.
+    ++sol.stats.lp_refactor_refresh;
+    if (audit_lp.refresh_factorization()) ++sol.stats.lp_refactorizations;
     const LpResult alp = audit_lp.solve();
     sol.stats.audit_lp_iterations = alp.iterations;
     const double recorded = sol.stats.root_cut_bound;

@@ -317,6 +317,7 @@ struct Stats {
   long long lp_refactor_certify = 0;   ///< infeasibility certifications
   long long lp_refactor_dual_ray = 0;  ///< dual-ray re-verifications
   long long lp_refactor_refresh = 0;   ///< exit-audit refresh_factorization
+  long long lp_refactor_set_basis = 0;  ///< basis restores (set_basis)
   // --- exit audit ---
   bool audit_ran = false;         ///< the exit audit executed
   bool audit_incumbent_ok = false;  ///< incumbent re-verified on the original

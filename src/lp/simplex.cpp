@@ -313,18 +313,42 @@ std::vector<double> SimplexSolver::reduced_costs() const {
   return d;
 }
 
+void SimplexSolver::place_nonbasic(int j) {
+  const bool upper = vstat_[j] == kAtUpper
+                         ? std::isfinite(ub_[j])
+                         : !std::isfinite(lb_[j]) && std::isfinite(ub_[j]);
+  vstat_[j] = upper ? kAtUpper : kAtLower;
+  if (upper)
+    x_[j] = ub_[j];
+  else
+    x_[j] = std::isfinite(lb_[j]) ? lb_[j] : 0.0;  // free: pinned at 0
+}
+
+bool SimplexSolver::set_basis(const Basis& b) {
+  ADVBIST_REQUIRE(static_cast<int>(b.header.size()) == m_ &&
+                      static_cast<int>(b.status.size()) == total_,
+                  "basis taken at another LP shape");
+  for (const int col : b.header)
+    ADVBIST_REQUIRE(col >= 0 && col < total_ && b.status[col] == kBasic,
+                    "basis header names a nonbasic column");
+  basis_ = b.header;
+  vstat_ = b.status;
+  for (int j = 0; j < total_; ++j)
+    if (vstat_[j] != kBasic) place_nonbasic(j);
+  has_basis_ = true;
+  candidates_.clear();
+  price_cursor_ = 0;
+  ++stats_.refactor_set_basis;
+  const bool factored = refactorize();  // resets the Devex weights
+  if (!factored) cold_start();
+  compute_basic_values();
+  return factored;
+}
+
 void SimplexSolver::cold_start() {
   for (int v = 0; v < n_; ++v) {
-    if (std::isfinite(lb_[v])) {
-      vstat_[v] = kAtLower;
-      x_[v] = lb_[v];
-    } else if (std::isfinite(ub_[v])) {
-      vstat_[v] = kAtUpper;
-      x_[v] = ub_[v];
-    } else {
-      vstat_[v] = kAtLower;  // free variable pinned at 0
-      x_[v] = 0.0;
-    }
+    vstat_[v] = kAtLower;
+    place_nonbasic(v);
   }
   for (int r = 0; r < m_; ++r) {
     basis_[r] = n_ + r;

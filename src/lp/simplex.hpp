@@ -202,11 +202,31 @@ class SimplexSolver {
   /// all-slack basis.
   void invalidate_basis();
 
+  /// A basis as a value: the basic column of each row (structural index,
+  /// or n + row for a slack) and every column's status. It carries no
+  /// values and no factors, so it moves between solvers over the same
+  /// columns and rows, whatever their bounds and scaling.
+  struct Basis {
+    std::vector<int> header;          ///< size rows
+    std::vector<std::int8_t> status;  ///< size columns + rows
+  };
+  /// The current basis (the all-slack one before the first solve).
+  [[nodiscard]] Basis basis() const { return Basis{basis_, vstat_}; }
+  /// Installs `b`: each nonbasic goes on its current bound (a missing
+  /// bound sends it to the other one, a free column to 0), the basis is
+  /// refactorized and the basic values recomputed; Devex weights and
+  /// partial pricing reset. The next solve_dual() warm-starts from it.
+  /// Throws on a basis of another shape (rows added or deleted since it
+  /// was taken). Returns false if the basis was singular: the solver then
+  /// cold-starts.
+  bool set_basis(const Basis& b);
+
   /// Caps the pivots/flips of every subsequent solve()/solve_dual() call.
   /// Used by strong branching to bound each probing re-solve: a capped
-  /// solve that runs out returns kIterLimit (no objective) and leaves a
-  /// valid warm basis for the next call. Pass SimplexOptions{}.max_iterations
-  /// to restore the default.
+  /// solve that runs out returns kIterLimit (no objective) and stops on
+  /// whatever basis it reached, which is why probes restore the one they
+  /// started from (set_basis). Pass SimplexOptions{}.max_iterations to
+  /// restore the default.
   void set_max_iterations(int max_iterations) {
     opt_.max_iterations = max_iterations;
   }
@@ -346,6 +366,7 @@ class SimplexSolver {
     long long refactor_certify = 0;
     long long refactor_dual_ray = 0;  ///< dual ray re-verified on fresh factors
     long long refactor_refresh = 0;   ///< refresh_factorization() (exit audit)
+    long long refactor_set_basis = 0;  ///< set_basis() (restores, hand-offs)
 
     /// Mean nnz(L+U) / nnz(B) over all refactorizations (1.0 = no fill).
     [[nodiscard]] double fill_ratio() const {
@@ -374,10 +395,9 @@ class SimplexSolver {
   [[nodiscard]] std::vector<double> btran_for_testing(
       const std::vector<double>& cb) const;
   /// Dense column-major copy of the current basis matrix (m x m; column i
-  /// is the column of basis()[i]).
+  /// is the column of basis().header[i]).
   [[nodiscard]] std::vector<double> dense_basis_for_testing() const;
   [[nodiscard]] int num_rows() const { return m_; }
-  [[nodiscard]] const std::vector<int>& basis() const { return basis_; }
   /// Exchanges basis position `basis_pos` for nonbasic column `col`
   /// (structural index, or n + row for a slack) through one Forrest–Tomlin
   /// update; no refactorization, no primal step (the next solve recomputes
@@ -404,6 +424,9 @@ class SimplexSolver {
   enum Status : std::int8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
 
   void cold_start();
+  /// Puts nonbasic column j on the bound its status names, or on the other
+  /// bound when that one is infinite (a free column rests at 0).
+  void place_nonbasic(int j);
   /// Common tail of every fresh factor set (refactorization, cold start):
   /// builds U's row copy from its columns, resets the pivot order to the
   /// factorization order and drops the row etas and the update counters.

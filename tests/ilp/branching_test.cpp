@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/formulation.hpp"
@@ -170,6 +171,32 @@ TEST(BranchingProbes, ProbeSolvesStayOutOfTheDualSolveCount) {
     EXPECT_EQ(rel.stats.strong_branch_probed, 0);
     EXPECT_EQ(rel.stats.reliability_probed, 16);  // the depth-0 allowance
     EXPECT_EQ(rel.stats.lp_dual_solves, 1);
+  }
+}
+
+TEST(BranchingProbes, RootBasisSeedsTheFirstNodeAndTheAudit) {
+  // Probes restore the basis they started from, and the tree's first node
+  // starts from the root basis strong branching left: that node re-solves
+  // warm (no fall back to a cold primal solve) and the exit audit finds
+  // the root LP still at its optimum (no pivots). Two workers also read
+  // the shared root basis concurrently.
+  const hls::Benchmark bench = hls::benchmark_by_name("tseng");
+  core::FormulationOptions fo;
+  fo.include_bist = true;
+  fo.k = 3;
+  const core::Formulation f(bench.dfg, bench.modules, fo);
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Options opt;
+    opt.branch_priority = f.branch_priorities();
+    opt.node_limit = 1;
+    opt.num_threads = threads;
+    const Solution s = Solver(opt).solve(f.model());
+    EXPECT_EQ(s.stats.nodes, 1);
+    EXPECT_DOUBLE_EQ(s.stats.best_bound + f.objective_offset(), 1696.0);
+    EXPECT_EQ(s.stats.lp_dual_fallbacks, 0);
+    EXPECT_TRUE(s.stats.audit_bound_ok);
+    EXPECT_EQ(s.stats.audit_lp_iterations, 0);
   }
 }
 

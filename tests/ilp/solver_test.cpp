@@ -213,6 +213,38 @@ TEST(IlpSolver, RootLpSolvedWithEveryRootStageOff) {
   EXPECT_EQ(s.stats.strong_branch_probed, 0);
 }
 
+TEST(IlpSolver, RefactorizationCausesSumToTheTotal) {
+  // Every refactorization of a healthy proof has exactly one booked cause:
+  // the update cap, U growth, row deletions, certifications, dual rays,
+  // the audit refresh and basis restores. The audit's refresh happens
+  // after the worker totals were folded and must still join the total.
+  for (const char* circuit : {"fig1", "tseng"}) {
+    SCOPED_TRACE(circuit);
+    const hls::Benchmark bench = hls::benchmark_by_name(circuit);
+    core::FormulationOptions fo;
+    fo.include_bist = true;
+    fo.k = 2;
+    const core::Formulation f(bench.dfg, bench.modules, fo);
+    Options opt;
+    opt.branch_priority = f.branch_priorities();
+    const Solution s = Solver(opt).solve(f.model());
+    ASSERT_TRUE(s.is_optimal());
+    const Stats& st = s.stats;
+    EXPECT_EQ(st.lp_recovery_refactorize, 0);
+    EXPECT_EQ(st.lp_recovery_tighten, 0);
+    EXPECT_EQ(st.lp_recovery_cold, 0);
+    EXPECT_EQ(st.lp_recovery_exhausted, 0);
+    EXPECT_EQ(st.lp_refactor_stability, 0);
+    EXPECT_EQ(st.lp_refactor_refresh, 1);
+    EXPECT_GT(st.lp_refactor_set_basis, 0);
+    EXPECT_EQ(st.lp_refactor_update_cap + st.lp_refactor_u_growth +
+                  st.lp_refactor_stability + st.lp_refactor_delete_rows +
+                  st.lp_refactor_certify + st.lp_refactor_dual_ray +
+                  st.lp_refactor_refresh + st.lp_refactor_set_basis,
+              st.lp_refactorizations);
+  }
+}
+
 TEST(IlpSolver, BranchPriorityRespectedForCorrectness) {
   // Priorities must not change the optimum, only the search order.
   Model m;

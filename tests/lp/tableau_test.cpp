@@ -134,9 +134,10 @@ void check_all_pivot_rows(const SimplexSolver& s,
   }
   // Dense transposed basis (column-major B' has column i = row i of B).
   std::vector<double> bt(static_cast<std::size_t>(m) * m);
+  const std::vector<int> header = s.basis().header;
   for (int i = 0; i < m; ++i)
     for (int r = 0; r < m; ++r)
-      bt[static_cast<std::size_t>(r) * m + i] = col[s.basis()[i]][r];
+      bt[static_cast<std::size_t>(r) * m + i] = col[header[i]][r];
 
   for (int pos = 0; pos < m; ++pos) {
     std::vector<double> y(m, 0.0);
@@ -146,7 +147,7 @@ void check_all_pivot_rows(const SimplexSolver& s,
     unit[pos] = 1.0;
     std::vector<double> rho = s.btran_for_testing(unit);
     if (sf != nullptr) {
-      const int b = s.basis()[pos];
+      const int b = header[pos];
       const double c_pos = b < n ? sf->col[b] : 1.0 / sf->row[b - n];
       for (int r = 0; r < m; ++r) rho[r] *= c_pos * sf->row[r];
     }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "lp/simplex.hpp"
 #include "util/rng.hpp"
@@ -24,8 +25,9 @@ inline int apply_updates(SimplexSolver& s, int n, int count,
   for (int tries = 0; done < count && tries < 2000 * count; ++tries) {
     const int pos = rng.next_int(0, m - 1);
     const int col = rng.next_int(0, n + m - 1);
+    const std::vector<int> header = s.basis().header;
     bool basic = false;
-    for (const int b : s.basis()) basic = basic || b == col;
+    for (const int b : header) basic = basic || b == col;
     if (!basic && s.pivot_for_testing(pos, col)) ++done;
   }
   return done;

@@ -2,10 +2,12 @@
 // the warm-started solve must agree (status and objective) with a cold
 // solve of the same model. Covers the regression where a nonbasic variable
 // whose bound became infinite kept a stale vstat and was priced against
-// the wrong bound.
+// the wrong bound. The basis suite pins basis()/set_basis(), the probe
+// pattern of strong branching: save, probe, restore.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "lp/model.hpp"
@@ -157,6 +159,105 @@ TEST(WarmStart, RandomizedBoundSequencesMatchColdSolves) {
             << "trial " << trial << " step " << step;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// basis() / set_basis(): a probe that restores the basis it started from
+// leaves the solver exactly at the base optimum.
+// ---------------------------------------------------------------------------
+
+/// A fractional-knapsack-like LP whose optimum has several fractional
+/// basic variables: min -c'x s.t. two weight rows, x in [0, 1].
+Model probe_model() {
+  Model m;
+  const double cost[] = {-9, -7, -8, -6, -5, -7, -4, -6};
+  const double w1[] = {4, 3, 5, 2, 3, 4, 2, 3};
+  const double w2[] = {2, 4, 1, 3, 4, 2, 3, 1};
+  LinExpr r1, r2;
+  for (int v = 0; v < 8; ++v) {
+    m.add_variable(0, 1, cost[v], VarType::kContinuous, "");
+    r1.add(v, w1[v]);
+    r2.add(v, w2[v]);
+  }
+  m.add_constraint(std::move(r1), Sense::kLessEqual, 11.5);
+  m.add_constraint(std::move(r2), Sense::kLessEqual, 9.5);
+  return m;
+}
+
+/// The structural variables strictly between their bounds at `x`.
+std::vector<int> fractional(const std::vector<double>& x) {
+  std::vector<int> out;
+  for (int v = 0; v < static_cast<int>(x.size()); ++v)
+    if (x[v] > 1e-6 && x[v] < 1.0 - 1e-6) out.push_back(v);
+  return out;
+}
+
+/// Bounds v to 0, re-solves with the dual simplex, and restores v's
+/// bounds and the basis the probe started from.
+LpResult probe(SimplexSolver& s, int v) {
+  const SimplexSolver::Basis start = s.basis();
+  s.set_variable_bounds(v, 0, 0);
+  const LpResult r = s.solve_dual();
+  s.set_variable_bounds(v, 0, 1);
+  EXPECT_TRUE(s.set_basis(start));
+  return r;
+}
+
+TEST(WarmStart, SetBasisRestoresTheBaseOptimumAfterAProbe) {
+  const Model m = probe_model();
+  SimplexSolver s(m);
+  const LpResult base = s.solve();
+  ASSERT_EQ(base.status, LpStatus::kOptimal);
+  const std::vector<int> frac = fractional(base.x);
+  ASSERT_FALSE(frac.empty());
+
+  const LpResult moved = probe(s, frac.front());
+  ASSERT_EQ(moved.status, LpStatus::kOptimal);
+  EXPECT_GT(moved.iterations, 0);  // the probe really left the base
+  EXPECT_GT(moved.objective, base.objective + 1e-6);
+
+  const LpResult again = s.solve_dual();
+  ASSERT_EQ(again.status, LpStatus::kOptimal);
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_FALSE(again.dual_fallback);
+  EXPECT_NEAR(again.objective, base.objective, kTol);
+  for (int v = 0; v < m.num_variables(); ++v)
+    EXPECT_NEAR(again.x[v], base.x[v], kTol) << "x" << v;
+  EXPECT_EQ(s.stats().refactor_set_basis, 1);
+}
+
+TEST(WarmStart, ProbeAfterARestoredProbeMatchesTheProbeAlone) {
+  const Model m = probe_model();
+  SimplexSolver alone(m);
+  const LpResult base = alone.solve();
+  ASSERT_EQ(base.status, LpStatus::kOptimal);
+  const std::vector<int> frac = fractional(base.x);
+  ASSERT_GE(frac.size(), 2u);
+  const int a = frac[0], b = frac[1];
+  const LpResult b_alone = probe(alone, b);
+
+  SimplexSolver after(m);
+  ASSERT_EQ(after.solve().status, LpStatus::kOptimal);
+  const LpResult a_first = probe(after, a);
+  EXPECT_GT(a_first.iterations, 0);
+  const LpResult b_after = probe(after, b);
+
+  EXPECT_EQ(b_after.status, b_alone.status);
+  EXPECT_EQ(b_after.iterations, b_alone.iterations);
+  if (b_alone.status == LpStatus::kOptimal)
+    EXPECT_NEAR(b_after.objective, b_alone.objective, kTol);
+}
+
+TEST(WarmStart, SetBasisRejectsABasisOfAnotherShape) {
+  const Model m = probe_model();
+  SimplexSolver s(m);
+  ASSERT_EQ(s.solve().status, LpStatus::kOptimal);
+  const SimplexSolver::Basis before = s.basis();
+  s.add_rows({ConstraintDef{{Term{0, 1.0}, Term{1, 1.0}}, Sense::kLessEqual,
+                            1.5, "cut"}});
+  EXPECT_THROW(s.set_basis(before), std::invalid_argument);
+  // The rejected call left the solver usable.
+  EXPECT_EQ(s.solve_dual().status, LpStatus::kOptimal);
 }
 
 }  // namespace
