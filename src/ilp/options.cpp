@@ -102,9 +102,6 @@ const std::vector<OptionKey>& option_keys() {
       integer("strong-branch", "N", 0, INT_MAX,
               "root strong-branching candidates (default 12, 0 = off)",
               assign<&Options::strong_branch_vars>),
-      integer("rel-probes", "N", 0, INT_MAX,
-              "in-tree reliability probe budget (default 64, 0 = off)",
-              assign<&Options::reliability_probe_budget>),
       integer("mem-limit", "MB", 0, 1LL << 30,
               "node + cut pool memory budget (default 0 = unlimited)",
               [](Options& o, long long v) {

@@ -1,9 +1,9 @@
 // Lock-free pseudocost store shared by every branch & bound worker.
 //
 // Pseudocosts estimate the objective degradation per unit of branching on
-// a variable, from past branchings, seeded by root strong branching and
-// refreshed in-tree by reliability probes. record() is lock-free (atomic
-// fetch_add); estimates are relaxed-load averages, so two workers reading
+// a variable, from past branchings, seeded by root strong branching (the
+// tree itself never probes). record() is lock-free (atomic fetch_add);
+// estimates are relaxed-load averages, so two workers reading
 // concurrently may see marginally different snapshots — that only perturbs
 // the node exploration ORDER, never the proven optimum (the post-join
 // reduction stays deterministic across thread counts, pinned by
@@ -28,8 +28,8 @@ class PseudocostStore {
 
   /// Adds an observation with `weight` (> 1 counts it as that many
   /// observations towards reliability). Tree observations use weight 1;
-  /// strong-branch and reliability probes record with weight =
-  /// the solver's reliability threshold — a probe is an EXACT LP degradation, not a
+  /// root strong-branch probes record with weight = the solver's
+  /// reliability threshold — a probe is an EXACT LP degradation, not a
   /// noisy estimate, so it is trusted immediately instead of being blended
   /// away.
   void record(int var, bool up, double per_unit, int weight = 1) {
@@ -43,17 +43,16 @@ class PseudocostStore {
     }
   }
 
-  /// Observation count of one direction (relaxed): the reliability test
-  /// `count(v, up) <` the reliability threshold decides whether an in-tree
-  /// probe is worth spending budget on.
+  /// Observation count of one direction (relaxed), the weight estimate()
+  /// compares against its reliability threshold.
   [[nodiscard]] int count(int var, bool up) const {
     const Entry& e = entries_[var];
     return (up ? e.up_cnt : e.down_cnt).load(std::memory_order_relaxed);
   }
 
   /// Forgets one variable's history entirely. Called when a variable is
-  /// FIXED globally (infeasible strong-branch / reliability probe): a fixed
-  /// variable can never be branched on again, so keeping its entries only
+  /// FIXED globally (an infeasible strong-branch probe): a fixed variable
+  /// can never be branched on again, so keeping its entries only
   /// skews global_averages() — and through the blend, every unreliable
   /// variable's estimate — with degradations of branchings that can no
   /// longer happen.

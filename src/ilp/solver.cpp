@@ -71,8 +71,8 @@ namespace {
 
 /// Cut-pool capacity; least-active unapplied cuts are evicted beyond it.
 constexpr int kMaxPoolCuts = 1024;
-/// Simplex iteration cap per strong-branching or reliability probe
-/// re-solve (a probe that runs out is simply not recorded).
+/// Simplex iteration cap per strong-branching probe re-solve (a probe that
+/// runs out is simply not recorded).
 constexpr int kProbeLpIters = 200;
 /// Observations (across ALL workers; the store is shared) a
 /// variable+direction needs before its own pseudocost average is trusted
@@ -222,13 +222,8 @@ struct SearchContext {
   std::atomic<long long> clique_separated{0};
   std::atomic<long long> cover_separated{0};
 
-  // --- in-tree reliability branching (shared probe budget + accounting) ---
-  std::atomic<long long> reliability_budget{0};
-  std::atomic<long long> reliability_probed{0};
-  std::atomic<int> reliability_fixed{0};
-  std::atomic<int> reliability_tightened{0};
-  // Dual solves and fallbacks of probe passes (root strong branching and
-  // reliability probes alike), kept out of the warm-start diagnostic.
+  // Dual solves and fallbacks of the root strong-branching probe pass,
+  // kept out of the warm-start diagnostic.
   std::atomic<long long> probe_dual_solves{0};
   std::atomic<long long> probe_dual_fallbacks{0};
 
@@ -771,138 +766,6 @@ class Worker {
     ctx_.pseudocosts->record(node.branch_var, node.branch_up, per_unit);
   }
 
-  enum class ProbeOutcome { kContinue, kPrune, kStop, kDrop };
-
-  /// In-tree reliability branching: bounded dual-simplex probes on THIS
-  /// worker's warm node basis, for fractional candidates still below the
-  /// pseudocost reliability threshold. Each probe is SearchContext::probe,
-  /// the root strong-branching probe: an optimal one feeds the EXACT
-  /// degradation into the shared store at full reliability weight. An
-  /// infeasible probe tightens:
-  /// globally (broadcast through the fixing log, like rc fixing) when the
-  /// node still sits on the root box, node-locally otherwise — an empty
-  /// branch below a branched node proves nothing outside its subtree. The
-  /// probes draw on one GLOBAL budget whose per-node allowance decays with
-  /// depth (reliability_probe_allowance), so the whole tree shares a fixed
-  /// amount of probing and spends it near the root where branching
-  /// mistakes are costliest. On kContinue, `lp`, `bound` and `branch_var`
-  /// reflect any tightening-driven re-solve.
-  ProbeOutcome probe_reliability(Node& node, LpResult& lp, double& bound,
-                                 int& branch_var) {
-    PseudocostStore& pc = *ctx_.pseudocosts;
-    const int rel = kPseudocostReliability;
-    int allowance = reliability_probe_allowance(
-        ctx_.reliability_budget.load(std::memory_order_relaxed), node.depth);
-    if (allowance <= 0) return ProbeOutcome::kContinue;
-
-    // Unreliable fractional candidates, most fractional first (the root
-    // strong-branching order): they are both the likeliest branch picks
-    // and the ones a probe teaches the most about.
-    std::vector<Candidate> cands = fractional_candidates(*ctx_.model, lp.x);
-    std::erase_if(cands, [&](const Candidate& c) {
-      return pc.count(c.v, true) >= rel && pc.count(c.v, false) >= rel;
-    });
-    if (cands.empty()) return ProbeOutcome::kContinue;
-    std::sort(cands.begin(), cands.end(),
-              [](const Candidate& a, const Candidate& b) {
-                if (a.dist != b.dist) return a.dist > b.dist;
-                return a.v < b.v;
-              });
-
-    bool infeasible_node = false;
-    bool tightened_node = false;
-    {
-      const ProbePass pass(ctx_, simplex_);
-      for (const Candidate& c : cands) {
-        if (allowance <= 0 || infeasible_node || tightened_node) break;
-        const double fl = std::floor(lp.x[c.v]);
-        const double lo = simplex_.variable_lower(c.v);
-        const double hi = simplex_.variable_upper(c.v);
-        for (const bool up : {false, true}) {
-          if (allowance <= 0) break;
-          if (pc.count(c.v, up) >= rel) continue;
-          const auto [plo, phi] = branch_bounds(up, fl, lo, hi);
-          if (plo > phi) continue;
-          // One unit of the GLOBAL budget per probe solve. The decrement
-          // races benignly across workers: a brief overshoot costs a couple
-          // of capped LP solves, never correctness.
-          if (ctx_.reliability_budget.fetch_sub(
-                  1, std::memory_order_relaxed) <= 0) {
-            ctx_.reliability_budget.fetch_add(1, std::memory_order_relaxed);
-            allowance = 0;
-            break;
-          }
-          --allowance;
-          const LpStatus status = ctx_.probe(simplex_, lp, c.v, up, lo, hi);
-          ctx_.reliability_probed.fetch_add(1, std::memory_order_relaxed);
-          if (status == LpStatus::kInfeasible) {
-            const auto [nlo, nhi] = branch_bounds(!up, fl, lo, hi);
-            if (nlo > nhi) {  // both directions empty: so is the node region
-              infeasible_node = true;
-              break;
-            }
-            if (applied_.empty()) {
-              // The node still sits on the (rc-tightened) root box, so the
-              // empty branch is empty under the same improving-solution
-              // standard as rc fixing: broadcast the complement bound
-              // globally, exactly like the root strong-branching pass, and
-              // purge the fixed variable's pseudocost history.
-              std::lock_guard<std::mutex> lock(ctx_.mutex);
-              const double glo = std::max(ctx_.rc_lb[c.v], nlo);
-              const double ghi = std::min(ctx_.rc_ub[c.v], nhi);
-              if (glo <= ghi && (glo > ctx_.rc_lb[c.v] + kBoundEps ||
-                                 ghi < ctx_.rc_ub[c.v] - kBoundEps)) {
-                ctx_.rc_lb[c.v] = glo;
-                ctx_.rc_ub[c.v] = ghi;
-                ctx_.fixings.push_back(Change{c.v, glo, ghi});
-                ctx_.num_fixings.store(ctx_.fixings.size(),
-                                       std::memory_order_release);
-                ctx_.reliability_fixed.fetch_add(1, std::memory_order_relaxed);
-                pc.purge(c.v);
-              }
-            } else {
-              ctx_.reliability_tightened.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            }
-            // Either way the tightening holds on THIS node's region: fold it
-            // into the node's own bound changes so both children inherit it.
-            bool had_change = false;
-            for (Change& bc : node.changes)
-              if (bc.var == c.v) {
-                bc.lower = std::max(bc.lower, nlo);
-                bc.upper = std::min(bc.upper, nhi);
-                had_change = true;
-              }
-            if (!had_change) node.changes.push_back(Change{c.v, nlo, nhi});
-            applied_ = node.changes;
-            simplex_.set_variable_bounds(c.v, std::max(nlo, root_lb_[c.v]),
-                                         std::min(nhi, root_ub_[c.v]));
-            tightened_node = true;
-            break;  // the relaxation moved; probing stale fractions is noise
-          }
-          if (status != LpStatus::kOptimal && status != LpStatus::kIterLimit) {
-            // Aborted mid-probe (controller latch): stop probing quietly;
-            // the caller's normal controller checks handle the real stop.
-            allowance = 0;
-          }
-        }
-      }
-    }
-    if (infeasible_node) return ProbeOutcome::kPrune;
-    if (!tightened_node) return ProbeOutcome::kContinue;
-    // A tightening moved the relaxation: re-solve (uncapped) so branching
-    // works from the true node optimum.
-    lp = resolve_lp();
-    ctx_.lp_iterations.fetch_add(lp.iterations);
-    if (lp.status == LpStatus::kInfeasible) return ProbeOutcome::kPrune;
-    if (lp.status == LpStatus::kAborted) return ProbeOutcome::kStop;
-    if (lp.status != LpStatus::kOptimal) return ProbeOutcome::kDrop;
-    bound = ctx_.node_bound(lp.objective);
-    if (ctx_.prunable(bound)) return ProbeOutcome::kPrune;
-    branch_var = pick_branch(lp.x);
-    return ProbeOutcome::kContinue;
-  }
-
   /// Fractional diving primal heuristic. From the node relaxation, fix the
   /// most-integral fractional variable to its rounding and re-solve (dual
   /// warm re-solves are what make this affordable); an infeasible or
@@ -1082,29 +945,6 @@ class Worker {
         bound = ctx_.node_bound(lp.objective);
         if (ctx_.prunable(bound)) return;
         branch_var = pick_branch(lp.x);
-      }
-    }
-
-    // In-tree reliability branching: when the picked candidate's pseudocosts
-    // are still unreliable and the global probe budget has depth-decayed
-    // allowance left, spend bounded dual probes before trusting the pick.
-    if (branch_var >= 0 && opt.reliability_probe_budget > 0 &&
-        ctx_.reliability_budget.load(std::memory_order_relaxed) > 0) {
-      const int rel = kPseudocostReliability;
-      if (ctx_.pseudocosts->count(branch_var, true) < rel ||
-          ctx_.pseudocosts->count(branch_var, false) < rel) {
-        switch (probe_reliability(node, lp, bound, branch_var)) {
-          case ProbeOutcome::kPrune:
-            return;
-          case ProbeOutcome::kStop:
-            signal_stop(std::move(node));
-            return;
-          case ProbeOutcome::kDrop:
-            drop_node(node, "post-probe re-solve failure");
-            return;
-          case ProbeOutcome::kContinue:
-            break;
-        }
       }
     }
 
@@ -1465,7 +1305,7 @@ Exit presolve_stage(const Options& opt, const Model& original, Presolved& out,
 }
 
 /// Points the search context at the presolved models and seeds the root
-/// box, the reliability probe budget and the cutoff.
+/// box and the cutoff.
 void seed_search(SearchContext& ctx, const Presolved& pre,
                  const SolveCheckpoint* restored) {
   const Options& opt = *ctx.options;
@@ -1474,8 +1314,6 @@ void seed_search(SearchContext& ctx, const Presolved& pre,
   ctx.cut_model = &pre.reduced;
   ctx.graph = opt.use_clique_cuts ? &pre.graph : nullptr;
   ctx.integral_obj = model.objective_is_integral();
-  ctx.reliability_budget.store(std::max(0, opt.reliability_probe_budget),
-                               std::memory_order_relaxed);
   for (int v = 0; v < model.num_variables(); ++v) {
     ctx.root_lb.push_back(model.variable(v).lower);
     ctx.root_ub.push_back(model.variable(v).upper);
@@ -1882,9 +1720,6 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
     }
     stats.cuts_aged_out = ctx.cut_pool->aged_out();
   }
-  stats.reliability_probed = ctx.reliability_probed.load();
-  stats.reliability_fixed = ctx.reliability_fixed.load();
-  stats.reliability_tightened = ctx.reliability_tightened.load();
   stats.rc_fixed_incumbent = ctx.rc_fixed_incumbent;
 
   // Final checkpoint: any early stop persists the complete frontier —
@@ -2058,14 +1893,6 @@ double root_gap_closed(const Solution& sol) {
                     0.0, 1.0);
 }
 }  // namespace
-
-int reliability_probe_allowance(long long remaining, int depth) {
-  if (remaining <= 0) return 0;
-  const int halvings = depth < 0 ? 0 : depth / 2;
-  if (halvings >= 5) return 0;  // 16 >> 5 == 0: nothing from depth 10 on
-  const long long cap = 16LL >> halvings;
-  return static_cast<int>(std::min(remaining, cap));
-}
 
 Solver::Solver(Options options) : options_(std::move(options)) {}
 

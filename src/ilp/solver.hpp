@@ -5,7 +5,8 @@
 // basis stays dual-feasible, so a handful of weighted dual pivots replaces
 // a primal phase-1/phase-2 pass), pseudocost branching over a store SHARED
 // by all workers and seeded by bounded strong branching at the root (with
-// reliability thresholds before a per-variable average is trusted),
+// a reliability threshold before a per-variable average is trusted; the
+// tree itself never probes),
 // optional user priorities, a root rounding heuristic, and
 // integral-objective bound rounding (all ADVBIST objectives are transistor
 // counts, i.e. integers, so a node with LP bound 2151.2 proves nothing
@@ -130,18 +131,6 @@ struct Options {
   /// and a direction whose probe proves LP-infeasible fixes the variable
   /// the other way globally.
   int strong_branch_vars = 12;
-  /// Global budget of in-tree reliability probes (`--rel-probes N`, 0
-  /// disables). At a node whose branching candidates still have fewer than
-  /// 2 pseudocost observations, workers run iteration-capped dual-simplex
-  /// probes on the node's warm basis — the same bounded
-  /// probes as root strong branching, recorded at full reliability weight
-  /// — drawing from this shared budget. The per-node allowance decays
-  /// with depth (see reliability_probe_allowance): probes near the root
-  /// steer the whole subtree, probes at depth 20 steer almost nothing. An
-  /// infeasible probe direction tightens the variable the other way —
-  /// globally when the node carries no local bound changes (exactly the
-  /// root pass's fixing), node-locally otherwise.
-  int reliability_probe_budget = 64;
   // --- solve lifecycle (util::SolveController) ---
   /// Memory budget in bytes for the search bookkeeping (node pool + cut
   /// pool, cooperatively accounted; 0 = unlimited). Past 3/4 of the budget
@@ -239,8 +228,8 @@ struct Stats {
   long long cuts_clique_separated = 0;  ///< clique cuts found (pre-dedup)
   long long cuts_cover_separated = 0;   ///< cover cuts found (pre-dedup)
   /// Always 0: the Gomory and odd-cycle separators were removed. The four
-  /// counters (and lp_recovery_dense below) stay because the Table-2 bench
-  /// (t2bench/main.cpp) sums them.
+  /// counters (and lp_recovery_dense and reliability_probed below) stay
+  /// because the Table-2 bench (t2bench/main.cpp) sums them.
   long long cuts_gomory_separated = 0;
   long long cuts_odd_cycle_separated = 0;
   int cuts_clique_applied = 0;          ///< clique cuts appended to LPs
@@ -295,10 +284,9 @@ struct Stats {
   // --- root strong branching (seeds the shared pseudocost store) ---
   int strong_branch_probed = 0;  ///< bounded probe re-solves performed
   int strong_branch_fixed = 0;   ///< variables fixed by an infeasible probe
-  // --- in-tree reliability branching (Options::reliability_probe_budget) ---
-  long long reliability_probed = 0;  ///< bounded in-tree probe re-solves
-  int reliability_fixed = 0;  ///< global fixings from infeasible probes
-  int reliability_tightened = 0;  ///< node-local tightenings from probes
+  /// Always 0, like cuts_gomory_* above: in-tree reliability probing was
+  /// removed; the tree branches on the strong-branch-seeded pseudocosts.
+  long long reliability_probed = 0;
   // --- numerical-recovery escalation ladder, summed over workers (see
   // lp::SimplexSolver::Stats) ---
   long long lp_recovery_refactorize = 0;  ///< rung 0 recoveries
@@ -418,14 +406,5 @@ class Solver {
 
 /// Human-readable status name for logs and bench tables.
 std::string to_string(SolveStatus status);
-
-/// Per-node allowance of in-tree reliability probes: the shallower the
-/// node, the more of the remaining global budget it may spend (a probe at
-/// depth 0 steers the whole tree; one at depth 10+ steers almost nothing).
-/// Exactly min(remaining, 16 >> (depth/2)), i.e. 16 at depths 0-1, halving
-/// every two levels, 0 from depth 10 on — pinned by
-/// tests/ilp/branching_test.cpp so the decay schedule is a contract, not
-/// an implementation detail.
-[[nodiscard]] int reliability_probe_allowance(long long remaining, int depth);
 
 }  // namespace advbist::ilp

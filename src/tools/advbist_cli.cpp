@@ -378,12 +378,6 @@ int main(int argc, char** argv) {
             "     branching: %d strong-branch probes seeded the shared "
             "pseudocosts (%d variables fixed by infeasible probes)\n",
             st.strong_branch_probed, st.strong_branch_fixed);
-      if (st.reliability_probed > 0)
-        std::printf(
-            "     reliability: %lld in-tree probes on unreliable pseudocosts "
-            "(%d variables fixed, %d bounds tightened)\n",
-            st.reliability_probed, st.reliability_fixed,
-            st.reliability_tightened);
       if (st.cuts_clique_applied + st.cuts_cover_applied > 0 ||
           st.probing_fixed > 0 || st.rc_fixed_root + st.rc_fixed_incumbent > 0)
         std::printf(
@@ -444,6 +438,12 @@ int main(int argc, char** argv) {
         std::ofstream out(verilog_path);
         out << bist::export_verilog(design.dfg, design.modules,
                                     r.design.datapath, r.design.bist, vo);
+        out.close();
+        if (!out) {
+          std::fprintf(stderr, "advbist: cannot write %s\n",
+                       verilog_path.c_str());
+          return 1;
+        }
         std::printf("wrote %s\n", verilog_path.c_str());
       }
       return 0;

@@ -416,7 +416,6 @@ Options cut_determinism_options(const core::Formulation& f, bool cuts) {
     opt.use_cover_cuts = false;
     opt.use_probing = false;
     opt.use_rc_fixing = false;
-    opt.reliability_probe_budget = 0;
     opt.cut_rounds = 0;
     opt.cut_node_interval = 0;
   }

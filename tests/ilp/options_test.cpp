@@ -63,6 +63,9 @@ TEST(OptionTable, EveryKeyAcceptsItsRangeEndsAndRejectsOneStepPast) {
   }
   Options o;
   EXPECT_EQ(set_option(o, "bogus", "1"), "unknown option 'bogus'");
+  // A removed knob is unknown like any other (in-tree reliability probing).
+  EXPECT_EQ(set_option(o, "rel-probes", "64"),
+            "unknown option 'rel-probes'");
   EXPECT_FALSE(set_option(o, "", "1").empty());
   EXPECT_FALSE(set_option(o, "--time", "1").empty());  // keys have no dashes
 }
@@ -94,8 +97,6 @@ TEST(OptionTable, EachKeySetsItsField) {
       {"rcfix", "0", [](const Options& o) { return !o.use_rc_fixing; }},
       {"strong-branch", "0",
        [](const Options& o) { return o.strong_branch_vars == 0; }},
-      {"rel-probes", "9",
-       [](const Options& o) { return o.reliability_probe_budget == 9; }},
       {"mem-limit", "3",
        [](const Options& o) {
          return o.memory_limit_bytes == 3u * 1024 * 1024;
