@@ -141,6 +141,7 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.primal_phase1_iterations += s.primal_phase1_iterations;
   into.primal_phase2_iterations += s.primal_phase2_iterations;
   into.dual_bound_flips += s.dual_bound_flips;
+  into.perturbation_cleanup_pivots += s.perturbation_cleanup_pivots;
   into.devex_resets += s.devex_resets;
   into.rows_deleted += s.rows_deleted;
   into.peak_rows = std::max(into.peak_rows, s.peak_rows);
@@ -1696,6 +1697,8 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
   stats.lp_rows_deleted = ctx.lp_stats.rows_deleted;
   stats.lp_peak_rows = ctx.lp_stats.peak_rows;
   stats.lp_devex_resets = ctx.lp_stats.devex_resets;
+  stats.lp_perturbation_cleanup_pivots =
+      ctx.lp_stats.perturbation_cleanup_pivots;
   stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
   stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
   stats.lp_recovery_cold = ctx.lp_stats.recovery_cold;

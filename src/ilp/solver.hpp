@@ -281,6 +281,10 @@ struct Stats {
   /// dual solve is normal; one per dual pivot means the weights never
   /// accumulate and Devex has silently degraded to Dantzig.
   long long lp_devex_resets = 0;
+  /// Primal pivots that followed removing the dual cost perturbation at an
+  /// optimal dual finish, summed over workers (see lp::SimplexSolver::
+  /// Stats::perturbation_cleanup_pivots; part of the primal counts).
+  long long lp_perturbation_cleanup_pivots = 0;
   // --- root strong branching (seeds the shared pseudocost store) ---
   int strong_branch_probed = 0;  ///< bounded probe re-solves performed
   int strong_branch_fixed = 0;   ///< variables fixed by an infeasible probe

@@ -12,7 +12,21 @@ namespace advbist::lp {
 
 namespace {
 constexpr double kInf = kInfinity;
+
+/// Relative size of the dual cost perturbation (see simplex.hpp).
+constexpr double kCostPerturbation = 5e-7;
+
+/// Deterministic factor in [0.5, 1] for column j: an integer hash of the
+/// index, so neighbouring columns get unrelated shifts and tied ratios
+/// come apart.
+double perturbation_factor(int j) {
+  std::uint32_t h = static_cast<std::uint32_t>(j) * 0x9E3779B1u;
+  h ^= h >> 15;
+  h *= 0x85EBCA77u;
+  h ^= h >> 13;
+  return 0.5 + 0.5 * (static_cast<double>(h) / 4294967295.0);
 }
+}  // namespace
 
 SimplexSolver::SimplexSolver(const Model& model, Options options)
     : opt_(options), cfg_markowitz_tol_(options.markowitz_tol) {
@@ -1434,6 +1448,22 @@ bool SimplexSolver::restore_dual_feasibility() {
   return true;
 }
 
+void SimplexSolver::perturb_costs() {
+  for (int j = 0; j < total_; ++j) {
+    if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
+    // A free column's reduced cost must stay zero: no direction is
+    // dual-feasible for it.
+    if (!std::isfinite(lb_[j]) && !std::isfinite(ub_[j])) continue;
+    double shift =
+        kCostPerturbation * (1.0 + std::abs(cost_[j])) * perturbation_factor(j);
+    if (vstat_[j] == kAtUpper) shift = -shift;
+    cost_[j] += shift;
+    dual_d_[j] += shift;  // y depends on basic costs only
+  }
+}
+
+void SimplexSolver::remove_perturbation() { cost_.swap(dual_cost_); }
+
 void SimplexSolver::ensure_dual_weights() {
   if (dual_w_valid_ && static_cast<int>(dual_w_.size()) == m_) return;
   dual_w_.assign(m_, 1.0);  // the all-ones reference framework
@@ -1692,7 +1722,12 @@ LpResult SimplexSolver::solve_dual() {
   iters_at_last_trouble_ = -1;
   opt_.markowitz_tol = cfg_markowitz_tol_;  // undo any rung-1 tighten
 
+  // Every exit below calls remove_perturbation() exactly once before it
+  // returns or hands the basis to the primal path (an exit taken before
+  // perturb_costs() swaps two equal vectors).
+  dual_cost_ = cost_;
   auto fallback = [&] {
+    remove_perturbation();
     ++stats_.dual_fallbacks;
     LpResult r = run_primal();
     r.dual_fallback = true;
@@ -1705,6 +1740,7 @@ LpResult SimplexSolver::solve_dual() {
 
   compute_dual_reduced_costs();
   if (!restore_dual_feasibility()) return fallback();
+  perturb_costs();
   compute_basic_values();
 
   constexpr int kDualDegenerateCap = 2000;
@@ -1720,6 +1756,7 @@ LpResult SimplexSolver::solve_dual() {
   for (;;) {
     if (iterations_ >= opt_.max_iterations) return fallback();
     if (poll_abort()) {
+      remove_perturbation();
       ++stats_.aborted_solves;
       LpResult result;
       finalize_result(result, LpStatus::kAborted);
@@ -1765,6 +1802,7 @@ LpResult SimplexSolver::solve_dual() {
         compute_dual_reduced_costs();
         continue;
       }
+      remove_perturbation();
       LpResult result;
       finalize_result(result, LpStatus::kInfeasible);
       return result;
@@ -1779,9 +1817,15 @@ LpResult SimplexSolver::solve_dual() {
     compute_basic_values();
   }
 
-  // Primal-feasible and dual-feasible: the primal loop verifies optimality
-  // (in the clean case, zero further pivots) and assembles the result.
-  return run_primal();
+  // Primal-feasible and dual-feasible under the perturbed costs: the
+  // primal loop verifies optimality under the true ones (zero pivots when
+  // the perturbation hid no wrong-sign reduced cost) and assembles the
+  // result.
+  remove_perturbation();
+  LpResult result = run_primal();
+  stats_.perturbation_cleanup_pivots +=
+      result.phase1_iterations + result.phase2_iterations;
+  return result;
 }
 
 void SimplexSolver::delete_rows(const std::vector<int>& rows) {
@@ -1897,15 +1941,17 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
 }
 
 double SimplexSolver::dual_reduced_cost_drift_for_testing() const {
-  if (!has_basis_ || static_cast<int>(dual_d_.size()) != total_) return 0.0;
+  if (!has_basis_ || static_cast<int>(dual_d_.size()) != total_ ||
+      static_cast<int>(dual_cost_.size()) != total_)
+    return 0.0;
   std::vector<double> cb(m_);
-  for (int i = 0; i < m_; ++i) cb[i] = cost_[basis_[i]];
+  for (int i = 0; i < m_; ++i) cb[i] = dual_cost_[basis_[i]];
   std::vector<double> y;
   btran(cb, y);
   double worst = 0.0;
   for (int j = 0; j < total_; ++j) {
     if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
-    const double fresh = reduced_cost(j, y, cost_);
+    const double fresh = reduced_cost(j, y, dual_cost_);
     worst = std::max(worst, std::abs(dual_d_[j] - fresh));
   }
   return worst;

@@ -81,6 +81,23 @@
 //    basis is provably nonsingular and still dual-feasible — so the
 //    factorization stops paying for dead cuts.
 //
+//  * Dual cost perturbation. The 0/1 covering relaxations here are very
+//    dual degenerate: without help well over half of all dual pivots have
+//    ratio theta = 0 and leave the objective where it was. After the
+//    entry flips, solve_dual() shifts the cost of every nonbasic non-fixed
+//    column (free columns excepted) by about 5e-7 (1 + |c_j|), times a
+//    factor in [0.5, 1] hashed from the column index, in the direction
+//    that makes its reduced cost strictly dual-feasible (Koberstein 2005,
+//    §6.2; Huangfu & Hall 2018). The ties break and nearly every dual
+//    pivot moves the objective. Every exit — optimal, dual ray, abort,
+//    iteration cap, primal fallback — restores the original costs first.
+//    An optimal dual finish then runs the primal phase-2 certificate on the
+//    true costs, whose pivots (Stats::perturbation_cleanup_pivots) remove
+//    any reduced cost the shift left with the wrong sign. A dual ray is a
+//    statement about bounds, not costs. So objectives, points,
+//    reduced_costs() and infeasibility verdicts stay exact. The shift is
+//    deterministic and unconditional: there is no option for it.
+//
 //  * Dual row pricing. Picking the leaving row by raw bound violation
 //    (Dantzig-like) is blind to the geometry: on the massively degenerate
 //    0/1 relaxations seen here it walks long chains of near-useless pivots.
@@ -329,6 +346,11 @@ class SimplexSolver {
     /// Nonbasic bounds flipped by the dual path: dual-feasibility
     /// restoration at entry plus bound-flipping ratio-test flips.
     long long dual_bound_flips = 0;
+    /// Primal pivots (phase 1 + phase 2, bound flips included) of the
+    /// certificate that follows an optimal dual finish once the cost
+    /// perturbation is removed. Part of primal_phase*_iterations too; the
+    /// primal fallback's pivots are not counted here.
+    long long perturbation_cleanup_pivots = 0;
     /// Devex weight resets to the all-ones reference framework
     /// (refactorization, primal pivots, cold start, row add/delete,
     /// framework degradation). A reset per dual solve is normal churn; a
@@ -412,7 +434,9 @@ class SimplexSolver {
   }
 
   /// Testing hook: max |incrementally maintained dual_d_ - freshly
-  /// recomputed reduced cost| over the nonbasic non-fixed columns.
+  /// recomputed reduced cost| over the nonbasic non-fixed columns, both
+  /// under the costs the last solve_dual() ran on (its perturbed costs,
+  /// kept after the exit restored the originals).
   /// Meaningful right after a solve_dual() that finished on the dual path
   /// with a zero-pivot primal certificate (primal pivots do not maintain
   /// dual_d_); the drift suite checks that precondition. Fixed columns are
@@ -520,6 +544,14 @@ class SimplexSolver {
   /// variable cannot flip (infinite opposite bound): the basis cannot be
   /// made dual-feasible by flipping and solve_dual must fall back.
   bool restore_dual_feasibility();
+  /// Dual cost perturbation (see the header comment): shifts the cost and
+  /// dual_d_ entry of every nonbasic column with a finite bound to rest on
+  /// and a nonzero range, away from zero in its dual-feasible direction.
+  /// dual_cost_ must already hold the original costs.
+  void perturb_costs();
+  /// Swaps the original costs back into cost_; the perturbed ones stay in
+  /// dual_cost_ for the drift hook.
+  void remove_perturbation();
   /// One dual pivot: leaving row by Devex weights, entering
   /// column by a bound-flipping dual ratio test over the BTRANed pivot
   /// row. Returns 0 = pivoted, 1 = primal feasible (dual optimal),
@@ -640,6 +672,10 @@ class SimplexSolver {
   std::vector<double> dual_d_;      // reduced costs, size total_
   std::vector<double> dual_rho_;    // BTRANed leaving row, size m_
   std::vector<double> dual_unit_;   // e_r scratch for the rho BTRAN
+  // Inside solve_dual the original costs while cost_ carries the
+  // perturbation; after it, the costs that solve ran on (what dual_d_ was
+  // maintained against).
+  std::vector<double> dual_cost_;
   /// Candidate entering columns of one dual ratio test.
   struct DualCandidate {
     int col;
