@@ -142,6 +142,8 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.primal_phase2_iterations += s.primal_phase2_iterations;
   into.dual_bound_flips += s.dual_bound_flips;
   into.perturbation_cleanup_pivots += s.perturbation_cleanup_pivots;
+  into.cutoff_stops += s.cutoff_stops;
+  into.rays_certified += s.rays_certified;
   into.devex_resets += s.devex_resets;
   into.rows_deleted += s.rows_deleted;
   into.peak_rows = std::max(into.peak_rows, s.peak_rows);
@@ -284,6 +286,17 @@ struct SearchContext {
     const double cut = cutoff.load(std::memory_order_relaxed);
     if (!std::isfinite(cut)) return false;
     return integral_obj ? bound >= cut - 0.5 : bound >= cut - kBoundEps;
+  }
+  /// The node LP objective from which on prunable() holds: every z >= it
+  /// has prunable(node_bound(z)). Node re-solves stop there
+  /// (solve_dual's objective limit), so pruning keeps one rule.
+  [[nodiscard]] double prune_limit() const {
+    const double cut = cutoff.load(std::memory_order_relaxed);
+    if (!std::isfinite(cut)) return lp::kInfinity;
+    // Integral: node_bound(z) = ceil(z - kIntEps) reaches the first integer
+    // at or above cut - 0.5 once z passes the integer below it by kIntEps.
+    return integral_obj ? std::ceil(cut - 0.5) - 1.0 + 2.0 * kIntEps
+                        : cut - kBoundEps;
   }
   /// Objective threshold a solution must beat to be worth keeping; the
   /// basis of every reduced-cost fixing decision.
@@ -650,9 +663,11 @@ class Worker {
   /// One node LP re-solve through the dual simplex (the warm basis stays
   /// dual-feasible across branching bound changes and slack-basic row
   /// appends; lp::SimplexSolver falls back to the primal path itself when
-  /// it is not) — followed by cut-row aging.
+  /// it is not) — followed by cut-row aging. The solve stops with kCutoff
+  /// once a certified bound reaches the prune limit: the node is pruned
+  /// and the rest of its LP would be thrown away.
   LpResult resolve_lp() {
-    LpResult lp = simplex_.solve_dual();
+    LpResult lp = simplex_.solve_dual(ctx_.prune_limit());
     if (lp.status == LpStatus::kIterLimit) {
       // A warm re-solve that burned the whole iteration budget is almost
       // always a mangled warm basis (degenerate stalling after bound
@@ -885,6 +900,11 @@ class Worker {
     LpResult lp = resolve_lp();
     ctx_.lp_iterations.fetch_add(lp.iterations);
     if (lp.status == LpStatus::kInfeasible) return;
+    if (lp.status == LpStatus::kCutoff) {
+      // Pruned on a certified bound; it is the degradation observed.
+      record_pseudocost(node, lp.objective);
+      return;
+    }
     if (lp.status == LpStatus::kAborted) {
       // The controller tripped mid-LP: the node is unexplored — return it
       // to the pool so the final best-bound reduction still sees it.
@@ -932,7 +952,10 @@ class Worker {
         if (separate_at(lp.x) == 0) break;
         lp = resolve_lp();
         ctx_.lp_iterations.fetch_add(lp.iterations);
-        if (lp.status == LpStatus::kInfeasible) return;  // cuts are valid
+        // Cuts are valid: an infeasible or cut-off LP prunes the node.
+        if (lp.status == LpStatus::kInfeasible ||
+            lp.status == LpStatus::kCutoff)
+          return;
         if (lp.status == LpStatus::kAborted) {
           signal_stop(std::move(node));
           return;
@@ -1699,6 +1722,8 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
   stats.lp_devex_resets = ctx.lp_stats.devex_resets;
   stats.lp_perturbation_cleanup_pivots =
       ctx.lp_stats.perturbation_cleanup_pivots;
+  stats.lp_cutoff_stops = ctx.lp_stats.cutoff_stops;
+  stats.lp_rays_certified = ctx.lp_stats.rays_certified;
   stats.lp_recovery_refactorize = ctx.lp_stats.recovery_refactorize;
   stats.lp_recovery_tighten = ctx.lp_stats.recovery_tighten;
   stats.lp_recovery_cold = ctx.lp_stats.recovery_cold;

@@ -285,6 +285,12 @@ struct Stats {
   /// optimal dual finish, summed over workers (see lp::SimplexSolver::
   /// Stats::perturbation_cleanup_pivots; part of the primal counts).
   long long lp_perturbation_cleanup_pivots = 0;
+  /// Node re-solves stopped at the prune limit on a certified bound,
+  /// summed over workers (see lp::SimplexSolver::Stats::cutoff_stops).
+  long long lp_cutoff_stops = 0;
+  /// Dual rays certified as infeasibility proofs on the current factors,
+  /// with no refactorization (lp::SimplexSolver::Stats::rays_certified).
+  long long lp_rays_certified = 0;
   // --- root strong branching (seeds the shared pseudocost store) ---
   int strong_branch_probed = 0;  ///< bounded probe re-solves performed
   int strong_branch_fixed = 0;   ///< variables fixed by an infeasible probe
@@ -307,7 +313,7 @@ struct Stats {
   long long lp_refactor_stability = 0;   ///< update stability check failed
   long long lp_refactor_delete_rows = 0;  ///< cut-row deletion rebuilds
   long long lp_refactor_certify = 0;   ///< infeasibility certifications
-  long long lp_refactor_dual_ray = 0;  ///< dual-ray re-verifications
+  long long lp_refactor_dual_ray = 0;  ///< rays that failed the in-place check
   long long lp_refactor_refresh = 0;   ///< exit-audit refresh_factorization
   long long lp_refactor_set_basis = 0;  ///< basis restores (set_basis)
   // --- exit audit ---

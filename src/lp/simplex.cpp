@@ -1151,19 +1151,26 @@ bool SimplexSolver::pivot(int entering, int leaving_row, double t,
 
   // Move the entering variable and update basic values. The value scans
   // below skip w's exact zeros, so they walk only the FTRAN result's true
-  // support.
-  x_[entering] += entering_dir * t;
+  // support. dual_obj_ follows every value change as c_j * dx_j.
+  const double step = entering_dir * t;
+  double dobj = cost_[entering] * step;
+  x_[entering] += step;
   if (t > 0.0) {
     for (int i = 0; i < m_; ++i) {
       if (w[i] == 0.0) continue;
-      x_[basis_[i]] -= entering_dir * t * w[i];
+      const int b = basis_[i];
+      const double dx = step * w[i];
+      x_[b] -= dx;
+      dobj -= cost_[b] * dx;
     }
   }
 
   if (leaving_row < 0) {
     // Bound flip: entering stays nonbasic at its opposite bound.
     vstat_[entering] = (entering_dir > 0) ? kAtUpper : kAtLower;
-    x_[entering] = (entering_dir > 0) ? ub_[entering] : lb_[entering];
+    const double flipped = (entering_dir > 0) ? ub_[entering] : lb_[entering];
+    dual_obj_ += dobj + cost_[entering] * (flipped - x_[entering]);
+    x_[entering] = flipped;
     ++stats_.bound_flips;
     ++iterations_;
     return true;
@@ -1171,7 +1178,10 @@ bool SimplexSolver::pivot(int entering, int leaving_row, double t,
 
   const int leaving = basis_[leaving_row];
   // Snap the leaving variable exactly onto its bound to stop drift.
-  x_[leaving] = (leaving_status == kAtLower) ? lb_[leaving] : ub_[leaving];
+  const double snap =
+      (leaving_status == kAtLower) ? lb_[leaving] : ub_[leaving];
+  dual_obj_ += dobj + cost_[leaving] * (snap - x_[leaving]);
+  x_[leaving] = snap;
   vstat_[leaving] = (leaving_status == kAtLower) ? kAtLower : kAtUpper;
 
   basis_[leaving_row] = entering;
@@ -1464,6 +1474,54 @@ void SimplexSolver::perturb_costs() {
 
 void SimplexSolver::remove_perturbation() { cost_.swap(dual_cost_); }
 
+void SimplexSolver::sync_dual_objective() {
+  double z = 0.0;
+  for (int j = 0; j < total_; ++j) z += cost_[j] * x_[j];
+  dual_obj_ = z;
+}
+
+double SimplexSolver::box_dual_bound(std::vector<double>& y,
+                                     const std::vector<double>* cost) const {
+  // Each term's rounding error is a few ulps of the magnitudes that went
+  // into it; `mag` gathers them, and 1e-12 of it covers the sum by orders
+  // of magnitude at these sizes. A reduced cost within that noise of zero
+  // counts as zero, so a basic column with an infinite bound (true reduced
+  // cost zero) cannot turn the bound into -inf on rounding alone.
+  constexpr double kRounding = 1e-12;
+  double bound = 0.0;
+  double mag = 0.0;
+  // min over [lo, hi] of d * x for reduced cost d, `scale` its noise.
+  const auto box_min = [&](double d, double scale, double lo, double hi) {
+    if (std::abs(d) <= kRounding * scale) d = 0.0;
+    if (d == 0.0) return 0.0;
+    const double at = d > 0.0 ? lo : hi;
+    if (!std::isfinite(at)) return -kInf;
+    mag += (std::abs(d) + scale) * std::abs(at);
+    return d * at;
+  };
+  for (int r = 0; r < m_; ++r) {
+    // A <= row's slack lives in [0, inf) and needs y_r <= 0, a >= row's in
+    // (-inf, 0] needs y_r >= 0; an equality row's y_r is free.
+    const int slack = n_ + r;
+    if (!std::isfinite(ub_[slack])) y[r] = std::min(y[r], 0.0);
+    if (!std::isfinite(lb_[slack])) y[r] = std::max(y[r], 0.0);
+    bound += y[r] * rhs_[r];
+    mag += std::abs(y[r] * rhs_[r]);
+    bound += box_min(-y[r], std::abs(y[r]), lb_[slack], ub_[slack]);
+  }
+  for (int j = 0; j < n_; ++j) {
+    double d = cost != nullptr ? (*cost)[j] : 0.0;
+    double scale = std::abs(d);
+    for (int p = col_start_[j]; p < col_start_[j + 1]; ++p) {
+      const double ya = y[col_row_[p]] * col_val_[p];
+      d -= ya;
+      scale += std::abs(ya);
+    }
+    bound += box_min(d, scale, lb_[j], ub_[j]);
+  }
+  return bound - kRounding * (1.0 + mag);
+}
+
 void SimplexSolver::ensure_dual_weights() {
   if (dual_w_valid_ && static_cast<int>(dual_w_.size()) == m_) return;
   dual_w_.assign(m_, 1.0);  // the all-ones reference framework
@@ -1566,7 +1624,10 @@ int SimplexSolver::iterate_dual() {
       continue;
     dual_cands_.push_back(DualCandidate{j, ratio, at});
   }
-  if (dual_cands_.empty()) return 2;  // dual ray: primal infeasible
+  if (dual_cands_.empty()) {
+    dual_ray_sign_ = sgn;
+    return 2;  // dual ray: primal infeasible
+  }
 
   // --- bound-flipping ratio test: walk the breakpoints in dual-step order;
   // a boxed candidate whose full flip still leaves the leaving variable
@@ -1658,6 +1719,7 @@ int SimplexSolver::iterate_dual() {
       }
       x_[j] = nv;
       const double dx = nv - old;
+      dual_obj_ += cost_[j] * dx;
       if (j < n_) {
         for (int p = col_start_[j]; p < col_start_[j + 1]; ++p)
           dual_fcol_[col_row_[p]] += col_val_[p] * dx;
@@ -1666,8 +1728,11 @@ int SimplexSolver::iterate_dual() {
       }
     }
     ftran_vec(dual_fcol_);
-    for (int i = 0; i < m_; ++i)
-      if (dual_fcol_[i] != 0.0) x_[basis_[i]] -= dual_fcol_[i];
+    for (int i = 0; i < m_; ++i) {
+      if (dual_fcol_[i] == 0.0) continue;
+      x_[basis_[i]] -= dual_fcol_[i];
+      dual_obj_ -= cost_[basis_[i]] * dual_fcol_[i];
+    }
     stats_.dual_bound_flips += static_cast<long long>(dual_flips_.size());
   }
 
@@ -1711,7 +1776,7 @@ int SimplexSolver::iterate_dual() {
   return 0;
 }
 
-LpResult SimplexSolver::solve_dual() {
+LpResult SimplexSolver::solve_dual(double limit) {
   ++stats_.dual_solves;
   iterations_ = 0;
   iter_phase1_ = 0;
@@ -1733,6 +1798,13 @@ LpResult SimplexSolver::solve_dual() {
     r.dual_fallback = true;
     return r;
   };
+  // An exit that reports no point, taken after remove_perturbation().
+  auto stop = [&](LpStatus status, double objective) {
+    LpResult r;
+    r.objective = objective;
+    finalize_result(r, status);
+    return r;
+  };
 
   // No warm basis to be dual-feasible about: the primal cold start is the
   // right tool.
@@ -1742,6 +1814,7 @@ LpResult SimplexSolver::solve_dual() {
   if (!restore_dual_feasibility()) return fallback();
   perturb_costs();
   compute_basic_values();
+  sync_dual_objective();
 
   constexpr int kDualDegenerateCap = 2000;
   // Stall cap: a healthy warm dual re-solve finishes in a small multiple of
@@ -1752,15 +1825,17 @@ LpResult SimplexSolver::solve_dual() {
   // while there is still budget left for it to finish honestly.
   const long long dual_stall_cap = 2000 + 20LL * (m_ + n_);
   bool infeasibility_reverified = false;
+  // The tracked objective that triggers the next certification attempt.
+  // After a bound that fell short, the objective must first climb by the
+  // shortfall, so a near miss is not re-certified on every pivot.
+  double next_check = limit;
 
   for (;;) {
     if (iterations_ >= opt_.max_iterations) return fallback();
     if (poll_abort()) {
       remove_perturbation();
       ++stats_.aborted_solves;
-      LpResult result;
-      finalize_result(result, LpStatus::kAborted);
-      return result;
+      return stop(LpStatus::kAborted, 0.0);
     }
     if (refactor_due()) {
       if (!refactorize()) {
@@ -1779,33 +1854,56 @@ LpResult SimplexSolver::solve_dual() {
       // pivot_tol-filtered) this is what keeps the incrementally maintained
       // reduced costs honest — tests/lp/dual_simplex_test.cpp pins the drift.
       compute_dual_reduced_costs();
+      sync_dual_objective();
     }
     const int rc = iterate_dual();
     if (rc == 0) {
       if (degenerate_run_ > kDualDegenerateCap) return fallback();
       if (iter_dual_ > dual_stall_cap) return fallback();
       infeasibility_reverified = false;
+      if (dual_obj_ >= next_check) {
+        // Certify on the true costs: BTRAN them on the current factors and
+        // take the box-dual bound of the duals they give.
+        remove_perturbation();
+        cb_.resize(m_);
+        for (int i = 0; i < m_; ++i) cb_[i] = cost_[basis_[i]];
+        btran(cb_, duals_);
+        const double bound = box_dual_bound(duals_, &cost_);
+        if (bound >= limit) {
+          ++stats_.cutoff_stops;
+          return stop(LpStatus::kCutoff, bound);
+        }
+        remove_perturbation();  // re-perturb and go on
+        next_check = std::isfinite(bound) ? dual_obj_ + (limit - bound) : kInf;
+      }
       continue;
     }
     if (rc == 1) break;  // primal feasible: let the primal loop certify
     if (rc == 2) {
-      // Re-verify the dual ray on a fresh factorization before trusting it
-      // (the pivot row and reduced costs may carry update drift).
-      if (!infeasibility_reverified) {
-        infeasibility_reverified = true;
-        ++stats_.refactor_dual_ray;
-        if (!refactorize()) {
-          cold_start();
-          return fallback();
-        }
-        compute_basic_values();
-        compute_dual_reduced_costs();
-        continue;
+      // The ray y = sgn * e_r' B^-1 is a Farkas proof when its zero-cost
+      // box-dual bound is positive: no point in the box satisfies the rows.
+      // It holds whatever the factors' drift, so a passing ray needs no
+      // refactorization.
+      for (double& v : dual_rho_) v *= dual_ray_sign_;
+      if (box_dual_bound(dual_rho_, nullptr) > opt_.feas_tol) {
+        ++stats_.rays_certified;
+        remove_perturbation();
+        return stop(LpStatus::kInfeasible, 0.0);
       }
-      remove_perturbation();
-      LpResult result;
-      finalize_result(result, LpStatus::kInfeasible);
-      return result;
+      // A ray that fails the check is re-derived once on a fresh
+      // factorization (the pivot row may carry update drift). One that
+      // fails again proves nothing: the primal path decides.
+      if (infeasibility_reverified) return fallback();
+      infeasibility_reverified = true;
+      ++stats_.refactor_dual_ray;
+      if (!refactorize()) {
+        cold_start();
+        return fallback();
+      }
+      compute_basic_values();
+      compute_dual_reduced_costs();
+      sync_dual_objective();
+      continue;
     }
     // rc == 3: numerical trouble — climb the recovery ladder, then rebuild
     // the dual state on the recovered basis. A rung that had to cold-start
@@ -1815,6 +1913,7 @@ LpResult SimplexSolver::solve_dual() {
     compute_dual_reduced_costs();
     if (!restore_dual_feasibility()) return fallback();
     compute_basic_values();
+    sync_dual_objective();
   }
 
   // Primal-feasible and dual-feasible under the perturbed costs: the

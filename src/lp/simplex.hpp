@@ -89,14 +89,33 @@
 //    factor in [0.5, 1] hashed from the column index, in the direction
 //    that makes its reduced cost strictly dual-feasible (Koberstein 2005,
 //    §6.2; Huangfu & Hall 2018). The ties break and nearly every dual
-//    pivot moves the objective. Every exit — optimal, dual ray, abort,
-//    iteration cap, primal fallback — restores the original costs first.
-//    An optimal dual finish then runs the primal phase-2 certificate on the
-//    true costs, whose pivots (Stats::perturbation_cleanup_pivots) remove
+//    pivot moves the objective. Every exit — optimal, dual ray, cutoff,
+//    abort, iteration cap, primal fallback — restores the original costs
+//    first. An optimal dual finish then runs the primal phase-2
+//    certificate on the true costs, whose pivots (Stats::perturbation_cleanup_pivots) remove
 //    any reduced cost the shift left with the wrong sign. A dual ray is a
 //    statement about bounds, not costs. So objectives, points,
 //    reduced_costs() and infeasibility verdicts stay exact. The shift is
 //    deterministic and unconditional: there is no option for it.
+//
+//  * Objective limit and certificates. solve_dual(limit) tracks the
+//    (perturbed) dual objective c'x of the current basic solution as it
+//    rises: pivot() and the ratio test's bound flips add c_j * dx_j beside
+//    the value updates they make anyway, and the value is re-synced exactly
+//    wherever the dual state is rebuilt. Once it passes the limit, the
+//    perturbation comes off, the true basic costs are BTRANed on the
+//    current factors, and the box-dual bound of the resulting y is computed
+//    from the stored columns and bounds (Neumaier & Shcherbina 2004):
+//        y'b + sum_j min over [l_j, u_j] of (c_j - y'a_j) x_j,
+//    with y clamped to the sign a one-sided row's slack admits. Weak
+//    duality makes it a lower bound for ANY y, so the factors' accuracy
+//    only decides how tight it is, never whether it is valid. At or above
+//    the limit the solve ends kCutoff; below, the perturbation goes back on
+//    and the solve continues. The same kernel with zero costs checks a dual
+//    ray y = +-e_r' B^-1 as a Farkas certificate: a bound above feas_tol
+//    proves the LP infeasible with no refactorization. A ray that fails is
+//    re-derived once on fresh factors, and one that fails again goes to
+//    the primal path.
 //
 //  * Dual row pricing. Picking the leaving row by raw bound violation
 //    (Dantzig-like) is blind to the geometry: on the massively degenerate
@@ -144,6 +163,11 @@ enum class LpStatus {
   /// cancellation, memory). No objective/point is reported; the warm basis
   /// stays valid for a later re-solve.
   kAborted,
+  /// solve_dual(limit) only: the LP optimum is proven >= limit. `objective`
+  /// is the certified lower bound that proved it (>= limit, <= the true
+  /// optimum up to rounding); no point is reported and the warm basis
+  /// stays valid for a later re-solve.
+  kCutoff,
 };
 
 struct LpResult {
@@ -321,7 +345,16 @@ class SimplexSolver {
   /// variable) or the dual path hits numerical trouble, the primal path
   /// finishes the solve and the result is flagged dual_fallback. Either way
   /// the returned status/objective matches solve().
-  LpResult solve_dual();
+  ///
+  /// `limit` is an objective cutoff: once the dual objective passes it and
+  /// a box-dual bound on the original columns and bounds certifies
+  /// optimum >= limit, the solve stops with kCutoff (see LpStatus). With
+  /// the default, or when no certificate reaches the limit, the solve runs
+  /// to its usual answer. A kInfeasible verdict of the dual path is a dual
+  /// ray that passed the same check with zero costs, on the current
+  /// factors or, after one failure, on fresh ones; a ray that fails twice
+  /// hands the solve to the primal path.
+  LpResult solve_dual(double limit = kInfinity);
 
   /// Cumulative factorization/pivot counters (never reset; cheap to keep).
   struct Stats {
@@ -351,6 +384,11 @@ class SimplexSolver {
     /// perturbation is removed. Part of primal_phase*_iterations too; the
     /// primal fallback's pivots are not counted here.
     long long perturbation_cleanup_pivots = 0;
+    /// solve_dual(limit) calls that ended kCutoff on a certified bound.
+    long long cutoff_stops = 0;
+    /// Dual rays certified as Farkas proofs on the current factors (no
+    /// refactorization; refactor_dual_ray counts the ones that failed).
+    long long rays_certified = 0;
     /// Devex weight resets to the all-ones reference framework
     /// (refactorization, primal pivots, cold start, row add/delete,
     /// framework degradation). A reset per dual solve is normal churn; a
@@ -386,7 +424,9 @@ class SimplexSolver {
     long long refactor_delete_rows = 0;  ///< delete_rows rebuild
     /// A phase-1 infeasibility verdict re-derived on fresh factors.
     long long refactor_certify = 0;
-    long long refactor_dual_ray = 0;  ///< dual ray re-verified on fresh factors
+    /// A dual ray that failed the in-place check, re-derived on fresh
+    /// factors.
+    long long refactor_dual_ray = 0;
     long long refactor_refresh = 0;   ///< refresh_factorization() (exit audit)
     long long refactor_set_basis = 0;  ///< set_basis() (restores, hand-offs)
 
@@ -443,6 +483,15 @@ class SimplexSolver {
   /// excluded by design: they can neither enter nor flip, and their
   /// reduced costs are refreshed at every solve entry.
   [[nodiscard]] double dual_reduced_cost_drift_for_testing() const;
+
+  /// Testing hook: the certificate kernel of solve_dual's limit stop and
+  /// ray check, the box-dual bound of `y` (one entry per row) over the
+  /// current bounds, under the model's costs or, with `with_costs` false,
+  /// zero costs. Weak duality makes it <= the LP optimum for ANY y.
+  [[nodiscard]] double box_dual_bound_for_testing(std::vector<double> y,
+                                                  bool with_costs) const {
+    return box_dual_bound(y, with_costs ? &cost_ : nullptr);
+  }
 
  private:
   enum Status : std::int8_t { kAtLower = 0, kAtUpper = 1, kBasic = 2 };
@@ -550,12 +599,23 @@ class SimplexSolver {
   /// dual_cost_ must already hold the original costs.
   void perturb_costs();
   /// Swaps the original costs back into cost_; the perturbed ones stay in
-  /// dual_cost_ for the drift hook.
+  /// dual_cost_ for the drift hook. A second call re-perturbs.
   void remove_perturbation();
+  /// dual_obj_ = c'x over every column, exactly (one pass).
+  void sync_dual_objective();
+  /// Box-dual bound of `y` over the current bounds (see the header
+  /// comment): y'b + sum_j min over [l_j, u_j] of (c_j - y'a_j) x_j, slack
+  /// columns included, with y first clamped in place to the sign each
+  /// one-sided row admits. `cost` null means zero costs (the Farkas check
+  /// of a dual ray). A rounding allowance is subtracted; -inf when a
+  /// reduced cost faces an infinite bound.
+  double box_dual_bound(std::vector<double>& y,
+                        const std::vector<double>* cost) const;
   /// One dual pivot: leaving row by Devex weights, entering
   /// column by a bound-flipping dual ratio test over the BTRANed pivot
   /// row. Returns 0 = pivoted, 1 = primal feasible (dual optimal),
-  /// 2 = primal infeasible (dual ray), 3 = numerical trouble.
+  /// 2 = primal infeasible (dual ray: dual_rho_ * dual_ray_sign_ is the
+  /// Farkas candidate), 3 = numerical trouble.
   int iterate_dual();
   /// Re-initializes the dual pricing weights to the all-ones reference
   /// framework when they are missing or stale.
@@ -672,6 +732,13 @@ class SimplexSolver {
   std::vector<double> dual_d_;      // reduced costs, size total_
   std::vector<double> dual_rho_;    // BTRANed leaving row, size m_
   std::vector<double> dual_unit_;   // e_r scratch for the rho BTRAN
+  // Sign of the leaving row's violation when iterate_dual found a ray:
+  // -1 below its lower bound, +1 above its upper one.
+  int dual_ray_sign_ = 0;
+  // c'x of the current basic solution under cost_, maintained by pivot()
+  // and the ratio test's flips; exact only right after
+  // sync_dual_objective(), and read only by solve_dual's limit check.
+  double dual_obj_ = 0.0;
   // Inside solve_dual the original costs while cost_ carries the
   // perturbation; after it, the costs that solve ran on (what dual_d_ was
   // maintained against).

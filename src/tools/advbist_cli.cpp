@@ -370,10 +370,12 @@ int main(int argc, char** argv) {
         std::printf(
             "     dual: %lld re-solves (%lld fell back to primal), %lld "
             "bound flips, %lld pricing resets, %lld perturbation cleanup "
-            "pivots, %lld cut rows aged out of the LPs (peak %d rows)\n",
+            "pivots, %lld cutoff stops, %lld rays certified in place, %lld "
+            "cut rows aged out of the LPs (peak %d rows)\n",
             st.lp_dual_solves, st.lp_dual_fallbacks, st.lp_bound_flips,
             st.lp_devex_resets, st.lp_perturbation_cleanup_pivots,
-            st.lp_rows_deleted, st.lp_peak_rows);
+            st.lp_cutoff_stops, st.lp_rays_certified, st.lp_rows_deleted,
+            st.lp_peak_rows);
       if (st.strong_branch_probed > 0)
         std::printf(
             "     branching: %d strong-branch probes seeded the shared "

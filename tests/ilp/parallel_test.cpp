@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/formulation.hpp"
+#include "cutoff_proofs.hpp"
 #include "hls/benchmarks.hpp"
 #include "ilp/solver.hpp"
 #include "lp/model.hpp"
@@ -186,6 +187,10 @@ TEST(ParallelSolver, FullSolvePaulinDeterministicAcrossThreadCounts) {
                     "thread counts on one core; always-on in the CI "
                     "long-determinism job)";
   expect_full_solve_deterministic("paulin", 24.0 * 3600.0);
+}
+
+TEST(ParallelSolver, CutoffStopsKeepEveryProof) {
+  expect_cutoff_stops_keep_every_proof(2);
 }
 
 TEST(ParallelSolver, SharedPseudocostsKeepReductionDeterministic) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/formulation.hpp"
+#include "cutoff_proofs.hpp"
 #include "hls/benchmarks.hpp"
 #include "ilp/solver.hpp"
 #include "lp/model.hpp"
@@ -243,6 +244,10 @@ TEST(IlpSolver, RefactorizationCausesSumToTheTotal) {
                   st.lp_refactor_refresh + st.lp_refactor_set_basis,
               st.lp_refactorizations);
   }
+}
+
+TEST(IlpSolver, CutoffStopsKeepEveryProof) {
+  expect_cutoff_stops_keep_every_proof(1);
 }
 
 TEST(IlpSolver, BranchPriorityRespectedForCorrectness) {

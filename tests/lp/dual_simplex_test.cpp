@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -108,6 +109,20 @@ ConstraintDef random_row(util::Rng& rng, int n) {
   return c;
 }
 
+/// One bound change of the seeded re-solve sweeps: fix, relax, tighten
+/// from below, or open the top of a random column.
+std::pair<double, double> random_bound_change(util::Rng& rng, const Model& m,
+                                              int var) {
+  const double orig_ub = m.variable(var).upper;
+  switch (rng.next_int(0, 4)) {
+    case 0: return {0.0, 0.0};
+    case 1: return {orig_ub, orig_ub};
+    case 2: return {0.0, orig_ub};
+    case 3: return {1.0, orig_ub};
+    default: return {0.0, kInfinity};
+  }
+}
+
 /// Runs the seeded bound-change differential sweep and returns the total
 /// dual pivot count. Every step must agree with a warm-started primal solve
 /// and a cold solve of the same model.
@@ -127,15 +142,7 @@ long long run_bound_sequences() {
 
     for (int step = 0; step < 10; ++step) {
       const int var = rng.next_int(0, n - 1);
-      const double orig_ub = m.variable(var).upper;
-      std::pair<double, double> next;
-      switch (rng.next_int(0, 4)) {
-        case 0: next = {0.0, 0.0}; break;          // fix at lower
-        case 1: next = {orig_ub, orig_ub}; break;  // fix at upper
-        case 2: next = {0.0, orig_ub}; break;      // relax to original
-        case 3: next = {1.0, orig_ub}; break;      // tighten from below
-        default: next = {0.0, kInfinity}; break;   // open the top
-      }
+      const std::pair<double, double> next = random_bound_change(rng, m, var);
       bounds[var] = next;
       dual.set_variable_bounds(var, next.first, next.second);
       primal.set_variable_bounds(var, next.first, next.second);
@@ -178,8 +185,11 @@ TEST(DualSimplex, RandomizedBoundSequencesMatchPrimalAndCold) {
   // refactorization cap went from 50 to 100 updates: the update arithmetic
   // and the refactorization points move the Devex resets; then from 103
   // when solve_dual began perturbing the nonbasic costs, which breaks the
-  // ratio-0 ties in another order.)
-  EXPECT_EQ(devex, 105);
+  // ratio-0 ties in another order; then from 105 when a dual ray that
+  // passes its Farkas check on the current factors stopped being
+  // re-derived on a refactorization, which kept the Devex weights and the
+  // updated factors the later re-solves start from.)
+  EXPECT_EQ(devex, 99);
 }
 
 TEST(DualSimplex, AddAndDeleteRowSequencesMatchCold) {
@@ -284,18 +294,28 @@ TEST(DualSimplex, AppendedViolatedRowResolvesWithoutFallback) {
   EXPECT_GE(d.dual_iterations, 1);
 }
 
-TEST(DualSimplex, InfeasibleBoundChangeDetectedOnDualPath) {
-  //  x + y >= 4 with both variables boxed into [0,1] has no feasible point.
+/// x + y >= 4 over x, y in [0, 3].
+Model covering_pair() {
   Model m;
   const int x = m.add_variable(0, 3, 1, VarType::kContinuous, "x");
   const int y = m.add_variable(0, 3, 1, VarType::kContinuous, "y");
   m.add_constraint(LinExpr().add(x, 1).add(y, 1), Sense::kGreaterEqual, 4);
-  SimplexSolver solver(m);
-  ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
+  return m;
+}
 
-  solver.set_variable_bounds(x, 0, 1);
-  solver.set_variable_bounds(y, 0, 1);
-  EXPECT_EQ(solver.solve_dual().status, LpStatus::kInfeasible);
+/// Solves a solver over covering_pair(), then boxes both variables into
+/// [0, 1], which leaves no feasible point.
+SimplexSolver& box_out_covering_pair(SimplexSolver& solver) {
+  EXPECT_EQ(solver.solve().status, LpStatus::kOptimal);
+  solver.set_variable_bounds(0, 0, 1);
+  solver.set_variable_bounds(1, 0, 1);
+  return solver;
+}
+
+TEST(DualSimplex, InfeasibleBoundChangeDetectedOnDualPath) {
+  SimplexSolver solver(covering_pair());
+  EXPECT_EQ(box_out_covering_pair(solver).solve_dual().status,
+            LpStatus::kInfeasible);
 }
 
 TEST(DualSimplex, DualInfeasibleWarmStartFallsBackToPrimal) {
@@ -824,28 +844,36 @@ TEST(DualSimplex, PerturbationCleanupPivotsRestoreTheTrueOptimum) {
 
 /// x_v in [1, 3] with mixed-sign costs under one budget row. Every
 /// structural column sits at 1 or more, so a cost that a dual solve left
-/// perturbed shows up in any later objective.
-Model budget_lp() {
+/// perturbed shows up in any later objective. With `rescue` a seventh,
+/// cost-free column enters the row with coefficient -5e-10 and range
+/// [0, rescue]: too small an entry to pivot on, yet one that can absorb a
+/// violation of 5e-10 * rescue.
+Model budget_lp(double rescue = 0.0) {
   Model m;
   const double costs[] = {-3, -2, -1, -4, -2, 1};
   LinExpr e;
   for (const double c : costs)
     e.add(m.add_variable(1, 3, c, VarType::kContinuous, ""), 1.0);
+  if (rescue > 0.0)
+    e.add(m.add_variable(0, rescue, 0, VarType::kContinuous, ""), -5e-10);
   m.add_constraint(std::move(e), Sense::kLessEqual, 12);
   return m;
 }
 
 TEST(DualSimplex, EveryDualExitLeavesTheCostsUnperturbed) {
-  // Each way out of solve_dual after the perturbation went in — dual ray,
-  // controller abort, iteration cap, primal fallback — must put the
-  // original costs back: a solve() that follows on the same solver, over
-  // the original bounds, lands on a fresh solver's objective.
+  // Each way out of solve_dual after the perturbation went in — certified
+  // dual ray, objective-limit cutoff, controller abort, iteration cap,
+  // primal fallback — must put the original costs back: a solve() that
+  // follows on the same solver, over the original bounds, lands on a fresh
+  // solver's objective.
   const Model m = budget_lp();
-  const int n = m.num_variables();
   const LpResult fresh = SimplexSolver(m).solve();
   ASSERT_EQ(fresh.status, LpStatus::kOptimal);
-  auto expect_unperturbed = [&](SimplexSolver& s, const char* exit) {
-    for (int v = 0; v < n; ++v) s.set_variable_bounds(v, 1, 3);
+  // `columns` > 6: the rescue column of budget_lp(rescue) is fixed at 0.
+  auto expect_unperturbed = [&](SimplexSolver& s, const char* exit,
+                                int columns = 6) {
+    for (int v = 0; v < columns; ++v)
+      s.set_variable_bounds(v, v < 6 ? 1 : 0, v < 6 ? 3 : 0);
     const LpResult r = s.solve();
     ASSERT_EQ(r.status, LpStatus::kOptimal) << exit;
     EXPECT_NEAR(r.objective, fresh.objective, exact_tol(fresh.objective))
@@ -857,13 +885,35 @@ TEST(DualSimplex, EveryDualExitLeavesTheCostsUnperturbed) {
   };
 
   {
+    // The ray is a Farkas proof on the factors in hand: no refactorization.
     SimplexSolver s(m);
     ASSERT_EQ(s.solve().status, LpStatus::kOptimal);
     make_infeasible(s);
     const LpResult r = s.solve_dual();
     ASSERT_EQ(r.status, LpStatus::kInfeasible);
     ASSERT_FALSE(r.dual_fallback);
-    expect_unperturbed(s, "dual ray");
+    ASSERT_EQ(s.stats().rays_certified, 1);
+    ASSERT_EQ(s.stats().refactor_dual_ray, 0);
+    expect_unperturbed(s, "certified dual ray");
+  }
+  {
+    // Forcing the +1-cost column to 3 overdraws the budget; the dual
+    // pivots that repair it raise the objective past a limit just under
+    // the new optimum.
+    SimplexSolver s(m);
+    ASSERT_EQ(s.solve().status, LpStatus::kOptimal);
+    SimplexSolver cold(m);
+    cold.set_variable_bounds(5, 3, 3);
+    const LpResult c = cold.solve();
+    ASSERT_EQ(c.status, LpStatus::kOptimal);
+    s.set_variable_bounds(5, 3, 3);
+    const LpResult r = s.solve_dual(c.objective - 1e-3);
+    ASSERT_EQ(r.status, LpStatus::kCutoff);
+    ASSERT_GE(r.objective, c.objective - 1e-3);
+    ASSERT_LE(r.objective, c.objective + exact_tol(c.objective));
+    ASSERT_TRUE(r.x.empty());
+    ASSERT_EQ(s.stats().cutoff_stops, 1);
+    expect_unperturbed(s, "cutoff");
   }
   {
     SimplexSolver s(m);
@@ -886,9 +936,12 @@ TEST(DualSimplex, EveryDualExitLeavesTheCostsUnperturbed) {
     expect_unperturbed(s, "iteration cap");
   }
   {
-    // The dual ray's re-verification refactorizes; forced singular, it
-    // cold-starts and hands the solve to the primal path.
-    SimplexSolver s(m);
+    // A ray that fails its check is re-derived on fresh factors; forced
+    // singular, that refactorization cold-starts and hands the solve to the
+    // primal path. The rescue column (range 4e9) absorbs 2 of the 1.5 the
+    // ray's row is short, so the ray's box-dual bound is negative.
+    const Model mr = budget_lp(4e9);
+    SimplexSolver s(mr);
     ASSERT_EQ(s.solve().status, LpStatus::kOptimal);
     make_infeasible(s);
     util::FaultInjector fi(1);
@@ -896,11 +949,154 @@ TEST(DualSimplex, EveryDualExitLeavesTheCostsUnperturbed) {
     util::FaultInjector::install(&fi);
     const LpResult r = s.solve_dual();
     util::FaultInjector::install(nullptr);
-    ASSERT_EQ(r.status, LpStatus::kInfeasible);
     ASSERT_TRUE(r.dual_fallback);
+    ASSERT_EQ(s.stats().rays_certified, 0);
     ASSERT_GE(s.stats().refactor_dual_ray, 1);
-    expect_unperturbed(s, "primal fallback");
+    expect_unperturbed(s, "primal fallback", mr.num_variables());
   }
+}
+
+/// Runs seeded warm re-solve sweeps, each solve_dual under an objective
+/// limit below, at or above the cold optimum z*, and checks every answer
+/// against the cold solve: kCutoff only when z* >= limit, with a bound in
+/// [limit, z*]; otherwise the cold status and objective. No feasible LP
+/// may get a certified ray. Counts the cutoffs. With `fault` installed
+/// around the warm solves only the certificates are checked: a fault
+/// schedule may exhaust the recovery ladder (kIterLimit).
+int run_limit_sweeps(std::uint64_t seed, util::FaultInjector* fault) {
+  util::Rng rng(seed);
+  const double offsets[] = {-1.0, -1e-3, 0.0, 1e-3, 1.0};
+  int cutoffs = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const Model m = random_lp(rng);
+    const int n = m.num_variables();
+    SimplexSolver solver(m);
+    solver.solve();
+    std::vector<std::pair<double, double>> bounds(n);
+    for (int v = 0; v < n; ++v)
+      bounds[v] = {m.variable(v).lower, m.variable(v).upper};
+    for (int step = 0; step < 10; ++step) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " step " +
+                   std::to_string(step));
+      const int var = rng.next_int(0, n - 1);
+      bounds[var] = random_bound_change(rng, m, var);
+      solver.set_variable_bounds(var, bounds[var].first, bounds[var].second);
+      const LpResult c = cold_solve(m, bounds);
+      const double offset = offsets[rng.next_int(0, 4)];
+      const double z = c.objective;
+      const double limit = c.status == LpStatus::kOptimal
+                               ? z + offset * (1.0 + std::abs(z))
+                               : offset;
+      const long long stops = solver.stats().cutoff_stops;
+      const long long rays = solver.stats().rays_certified;
+      util::FaultInjector::install(fault);
+      const LpResult d = solver.solve_dual(limit);
+      util::FaultInjector::install(nullptr);
+      if (d.status == LpStatus::kCutoff) {
+        ++cutoffs;
+        EXPECT_EQ(solver.stats().cutoff_stops, stops + 1);
+        EXPECT_TRUE(d.x.empty());
+        EXPECT_GE(d.objective, limit);
+        // An infeasible LP's optimum is +inf: any limit may be certified.
+        if (c.status == LpStatus::kOptimal) {
+          EXPECT_GE(z, limit);
+          EXPECT_LE(d.objective, z + exact_tol(z));
+        } else {
+          EXPECT_EQ(c.status, LpStatus::kInfeasible);
+        }
+        continue;
+      }
+      EXPECT_EQ(solver.stats().cutoff_stops, stops);
+      if (c.status == LpStatus::kOptimal)
+        EXPECT_EQ(solver.stats().rays_certified, rays);
+      if (fault != nullptr) continue;
+      EXPECT_EQ(d.status, c.status);
+      if (c.status == LpStatus::kOptimal && d.status == LpStatus::kOptimal)
+        EXPECT_NEAR(d.objective, z, exact_tol(z));
+    }
+    if (::testing::Test::HasFailure()) break;
+  }
+  return cutoffs;
+}
+
+TEST(DualSimplex, ObjectiveLimitStopIsACertifiedBound) {
+  EXPECT_GT(run_limit_sweeps(24601ULL, nullptr), 20);
+}
+
+TEST(DualSimplex, BoxDualBoundHoldsForAnyDuals) {
+  // Weak duality, whatever y is: random duals of either sign never bound a
+  // feasible LP above its optimum, and with zero costs never above 0 (no
+  // false Farkas proof). Clamping y to the sign a one-sided row admits is
+  // what keeps an arbitrary y valid.
+  util::Rng rng(6151ULL);
+  int finite = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Model m = random_lp(rng);
+    SimplexSolver solver(m);
+    const LpResult c = solver.solve();
+    if (c.status != LpStatus::kOptimal) continue;
+    for (int draw = 0; draw < 20; ++draw) {
+      std::vector<double> y(m.num_constraints());
+      for (double& v : y) v = rng.next_int(-40, 40) / 8.0;
+      const double bound = solver.box_dual_bound_for_testing(y, true);
+      EXPECT_LE(bound, c.objective + exact_tol(c.objective))
+          << "trial " << trial << " draw " << draw;
+      EXPECT_LE(solver.box_dual_bound_for_testing(y, false), 0.0)
+          << "trial " << trial << " draw " << draw;
+      if (std::isfinite(bound)) ++finite;
+    }
+  }
+  EXPECT_GT(finite, 100);
+}
+
+TEST(DualSimplex, RayIsCertifiedOnTheCurrentFactors) {
+  {
+    SimplexSolver solver(covering_pair());
+    const LpResult r = box_out_covering_pair(solver).solve_dual();
+    EXPECT_EQ(r.status, LpStatus::kInfeasible);
+    EXPECT_FALSE(r.dual_fallback);
+    EXPECT_EQ(solver.stats().rays_certified, 1);
+    EXPECT_EQ(solver.stats().refactor_dual_ray, 0);
+  }
+  // Seeded warm re-solves: every infeasible one is proven by a ray the
+  // current factors certify.
+  util::Rng rng(8260726ULL);
+  int infeasible = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const Model m = random_lp(rng);
+    const int n = m.num_variables();
+    SimplexSolver solver(m);
+    solver.solve();
+    std::vector<std::pair<double, double>> bounds(n);
+    for (int v = 0; v < n; ++v)
+      bounds[v] = {m.variable(v).lower, m.variable(v).upper};
+    for (int step = 0; step < 10; ++step) {
+      const int var = rng.next_int(0, n - 1);
+      bounds[var] = random_bound_change(rng, m, var);
+      solver.set_variable_bounds(var, bounds[var].first, bounds[var].second);
+      const long long rays = solver.stats().rays_certified;
+      const LpResult d = solver.solve_dual();
+      const LpResult c = cold_solve(m, bounds);
+      ASSERT_EQ(d.status, c.status) << "trial " << trial << " step " << step;
+      if (d.status != LpStatus::kInfeasible || d.dual_fallback) continue;
+      ++infeasible;
+      EXPECT_EQ(solver.stats().rays_certified, rays + 1)
+          << "trial " << trial << " step " << step;
+    }
+    EXPECT_EQ(solver.stats().refactor_dual_ray, 0) << "trial " << trial;
+  }
+  EXPECT_GT(infeasible, 50);
+}
+
+TEST(DualSimplex, CertificatesHoldUnderPerturbedUpdates) {
+  // Every other Forrest–Tomlin update gets its diagonal perturbed: the
+  // factors the certificates are computed on drift, but a box-dual bound is
+  // valid for any y, so no cutoff may claim more than the true optimum and
+  // no feasible LP may be certified infeasible.
+  util::FaultInjector fi(5);
+  fi.set_period(util::FaultSite::kEtaPerturb, 2);
+  EXPECT_GT(run_limit_sweeps(31337ULL, &fi), 10);
+  EXPECT_GT(fi.fired(util::FaultSite::kEtaPerturb), 0);
 }
 
 }  // namespace
