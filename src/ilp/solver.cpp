@@ -160,6 +160,7 @@ void accumulate(lp::SimplexSolver::Stats& into,
   into.refactor_dual_ray += s.refactor_dual_ray;
   into.refactor_refresh += s.refactor_refresh;
   into.refactor_set_basis += s.refactor_set_basis;
+  into.set_basis_cached += s.set_basis_cached;
 }
 
 /// Approximate heap footprint of one pooled node, for the controller's
@@ -1737,6 +1738,7 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
   stats.lp_refactor_dual_ray = ctx.lp_stats.refactor_dual_ray;
   stats.lp_refactor_refresh = ctx.lp_stats.refactor_refresh;
   stats.lp_refactor_set_basis = ctx.lp_stats.refactor_set_basis;
+  stats.lp_set_basis_cached = ctx.lp_stats.set_basis_cached;
   stats.cuts_clique_separated = ctx.clique_separated.load();
   stats.cuts_cover_separated = ctx.cover_separated.load();
   if (ctx.cut_pool != nullptr) {

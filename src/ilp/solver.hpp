@@ -316,6 +316,9 @@ struct Stats {
   long long lp_refactor_dual_ray = 0;  ///< rays that failed the in-place check
   long long lp_refactor_refresh = 0;   ///< exit-audit refresh_factorization
   long long lp_refactor_set_basis = 0;  ///< basis restores (set_basis)
+  /// Basis restores that copied back cached factors of the same basis
+  /// instead of refactorizing (not counted in lp_refactorizations).
+  long long lp_set_basis_cached = 0;
   // --- exit audit ---
   bool audit_ran = false;         ///< the exit audit executed
   bool audit_incumbent_ok = false;  ///< incumbent re-verified on the original

@@ -311,6 +311,7 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
   // weights (the row dimension changed).
   candidates_.clear();
   dual_w_valid_ = false;
+  restore_cache_.header.clear();  // factors of the old matrix
 }
 
 std::vector<double> SimplexSolver::reduced_costs() const {
@@ -352,9 +353,38 @@ bool SimplexSolver::set_basis(const Basis& b) {
   has_basis_ = true;
   candidates_.clear();
   price_cursor_ = 0;
-  ++stats_.refactor_set_basis;
-  const bool factored = refactorize();  // resets the Devex weights
-  if (!factored) cold_start();
+  FactorCache& fc = restore_cache_;
+  bool factored = true;
+  if (!fc.header.empty() && fc.header == basis_ &&
+      fc.markowitz_tol == opt_.markowitz_tol) {
+    ++stats_.set_basis_cached;
+    perm_ = fc.perm;
+    cperm_ = fc.cperm;
+    l_start_ = fc.l_start;
+    l_idx_ = fc.l_idx;
+    l_val_ = fc.l_val;
+    u_diag_ = fc.u_diag;
+    ucol_ = fc.ucol;
+    reset_updates();
+    dual_w_valid_ = false;  // as a refactorization would
+  } else {
+    ++stats_.refactor_set_basis;
+    factored = refactorize();  // resets the Devex weights
+    if (factored) {
+      fc.header = basis_;
+      fc.markowitz_tol = opt_.markowitz_tol;
+      fc.perm = perm_;
+      fc.cperm = cperm_;
+      fc.l_start = l_start_;
+      fc.l_idx = l_idx_;
+      fc.l_val = l_val_;
+      fc.u_diag = u_diag_;
+      fc.ucol = ucol_;
+    } else {
+      fc.header.clear();
+      cold_start();
+    }
+  }
   compute_basic_values();
   return factored;
 }
@@ -553,6 +583,8 @@ bool SimplexSolver::refactorize() {
   w.colpos.assign(m, -1);
   w.colq.clear();
   w.rowq.clear();
+  w.active.resize(m);
+  for (int j = 0; j < m; ++j) w.active[j] = j;
   w.wrow.assign(m, 0.0);
   w.mark.assign(m, 0);
   w.hit.assign(m, 0);
@@ -765,13 +797,19 @@ bool SimplexSolver::refactorize() {
 
     // Phase B: Markowitz search over the bump. Examine a handful of
     // smallest-count active columns; fall back to a full scan when none of
-    // them yields an admissible pivot.
+    // them yields an admissible pivot. Both walk the ascending list of
+    // unpivoted columns, which this walk compacts: the singleton phases
+    // pivot most columns without touching it, so the first bump step pays
+    // O(m) once and later ones only the bump's width.
     if (pr < 0) {
       constexpr int kCandidates = 4;
       int cand[kCandidates];
       int ncand = 0;
-      for (int j = 0; j < m; ++j) {
+      std::size_t live = 0;
+      for (std::size_t q = 0; q < w.active.size(); ++q) {
+        const int j = w.active[q];
         if (w.colpos[j] >= 0) continue;
+        w.active[live++] = j;
         int at = ncand;
         for (; at > 0 && w.colcount[cand[at - 1]] > w.colcount[j]; --at) {
         }
@@ -780,6 +818,7 @@ bool SimplexSolver::refactorize() {
         for (int q = ncand - 1; q > at; --q) cand[q] = cand[q - 1];
         cand[at] = j;
       }
+      w.active.resize(live);
       long long best_cost = 0;
       double best_val = 0.0;
       long long best_any = -1;  // cheapest cost the threshold may have vetoed
@@ -801,10 +840,7 @@ bool SimplexSolver::refactorize() {
       for (int q = 0; q < ncand; ++q) consider(cand[q], scan_column(cand[q]));
       if (pr < 0) {
         // None of the low-count candidates was admissible: full sweep.
-        for (int j = 0; j < m; ++j) {
-          if (w.colpos[j] >= 0) continue;
-          consider(j, scan_column(j));
-        }
+        for (const int j : w.active) consider(j, scan_column(j));
       }
       if (pr < 0) return false;  // no admissible pivot anywhere: singular
       // Diagnostic: the stability threshold forced a strictly costlier
@@ -2027,6 +2063,7 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
   candidates_.clear();
   price_cursor_ = 0;
   dual_w_valid_ = false;  // basis positions shifted: weights are stale
+  restore_cache_.header.clear();  // factors of the old matrix
   stats_.rows_deleted += del;
 
   if (has_basis_) {

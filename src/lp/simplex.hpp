@@ -257,6 +257,10 @@ class SimplexSolver {
   /// bound sends it to the other one, a free column to 0), the basis is
   /// refactorized and the basic values recomputed; Devex weights and
   /// partial pricing reset. The next solve_dual() warm-starts from it.
+  /// The factors of the last refactorizing call are kept: installing the
+  /// same header again (a probe restoring its start) copies them back in
+  /// O(m + nnz(L + U)), bit-identical to a refactorization, unless
+  /// add_rows/delete_rows or another markowitz_tol came in between.
   /// Throws on a basis of another shape (rows added or deleted since it
   /// was taken). Returns false if the basis was singular: the solver then
   /// cold-starts.
@@ -429,6 +433,10 @@ class SimplexSolver {
     long long refactor_dual_ray = 0;
     long long refactor_refresh = 0;   ///< refresh_factorization() (exit audit)
     long long refactor_set_basis = 0;  ///< set_basis() (restores, hand-offs)
+    /// set_basis() calls that copied back the factors an earlier call
+    /// built for the same basis instead of refactorizing (not part of
+    /// refactorizations, so not a cause above).
+    long long set_basis_cached = 0;
 
     /// Mean nnz(L+U) / nnz(B) over all refactorizations (1.0 = no fill).
     [[nodiscard]] double fill_ratio() const {
@@ -704,6 +712,20 @@ class SimplexSolver {
   long long u_nnz_ = 0;         // live off-diagonal U entries
   long long u_nnz_factor_ = 0;  // ... right after the last refactorization
 
+  // The fresh factors set_basis() built last, kept for a later restore of
+  // the same basis: the factorization is a deterministic function of the
+  // basis header, the matrix and markowitz_tol, so copying them back
+  // equals refactorizing. The header is empty while nothing is cached;
+  // add_rows and delete_rows, which change the matrix, clear it.
+  struct FactorCache {
+    std::vector<int> header;
+    double markowitz_tol = 0.0;
+    std::vector<int> perm, cperm, l_start, l_idx;
+    std::vector<double> l_val, u_diag;
+    PackedLists ucol;
+  };
+  FactorCache restore_cache_;
+
   // Forrest–Tomlin row etas, oldest first: row eta e subtracts
   // sum_p ft_val_[p] * v[ft_idx_[p]] (p in ft_start_[e] .. ft_start_[e+1])
   // from v[ft_slot_[e]].
@@ -787,6 +809,9 @@ class SimplexSolver {
     std::vector<int> rowcount, colcount;
     std::vector<int> rowpos, colpos;  // pivot step, -1 while active
     std::vector<int> colq, rowq;      // singleton candidate stacks
+    // Unpivoted columns in ascending order, with pivoted ones dropped
+    // lazily by the bump search that walks it.
+    std::vector<int> active;
     // Scatter of the current pivot row during elimination.
     std::vector<double> wrow;
     std::vector<char> mark, hit;

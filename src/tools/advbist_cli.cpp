@@ -361,11 +361,12 @@ int main(int argc, char** argv) {
             "     refactor causes: %lld update cap, %lld U growth, %lld "
             "stability, %lld row deletions, %lld infeasibility "
             "certifications, %lld dual rays, %lld audit refreshes, %lld "
-            "basis restores\n",
+            "basis restores (+%lld from cached factors)\n",
             st.lp_refactor_update_cap, st.lp_refactor_u_growth,
             st.lp_refactor_stability, st.lp_refactor_delete_rows,
             st.lp_refactor_certify, st.lp_refactor_dual_ray,
-            st.lp_refactor_refresh, st.lp_refactor_set_basis);
+            st.lp_refactor_refresh, st.lp_refactor_set_basis,
+            st.lp_set_basis_cached);
       if (st.lp_dual_solves > 0)
         std::printf(
             "     dual: %lld re-solves (%lld fell back to primal), %lld "

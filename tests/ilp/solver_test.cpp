@@ -238,6 +238,9 @@ TEST(IlpSolver, RefactorizationCausesSumToTheTotal) {
     EXPECT_EQ(st.lp_refactor_stability, 0);
     EXPECT_EQ(st.lp_refactor_refresh, 1);
     EXPECT_GT(st.lp_refactor_set_basis, 0);
+    // Probe restores of an unchanged base copy cached factors; those are
+    // no refactorization and no cause.
+    EXPECT_GT(st.lp_set_basis_cached, 0);
     EXPECT_EQ(st.lp_refactor_update_cap + st.lp_refactor_u_growth +
                   st.lp_refactor_stability + st.lp_refactor_delete_rows +
                   st.lp_refactor_certify + st.lp_refactor_dual_ray +

@@ -3,13 +3,16 @@
 // solve of the same model. Covers the regression where a nonbasic variable
 // whose bound became infinite kept a stale vstat and was priced against
 // the wrong bound. The basis suite pins basis()/set_basis(), the probe
-// pattern of strong branching: save, probe, restore.
+// pattern of strong branching: save, probe, restore, and the factors a
+// restore of the same basis copies back instead of refactorizing.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
+#include "core/formulation.hpp"
+#include "hls/benchmarks.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "util/rng.hpp"
@@ -246,6 +249,92 @@ TEST(WarmStart, ProbeAfterARestoredProbeMatchesTheProbeAlone) {
   EXPECT_EQ(b_after.iterations, b_alone.iterations);
   if (b_alone.status == LpStatus::kOptimal)
     EXPECT_NEAR(b_after.objective, b_alone.objective, kTol);
+}
+
+/// The LP relaxation of a Table-2 BIST model: large enough that its
+/// optimal bases need a real bump elimination, not just singletons.
+Model table2_model(const char* circuit, int k) {
+  const hls::Benchmark b = hls::benchmark_by_name(circuit);
+  core::FormulationOptions fo;
+  fo.include_bist = true;
+  fo.k = k;
+  return core::Formulation(b.dfg, b.modules, fo).model();
+}
+
+/// Bounds v to 0, re-solves with the dual simplex, and restores v's
+/// bounds, the bounds `model` gives it.
+LpResult probe_down(SimplexSolver& s, const Model& model, int v) {
+  s.set_variable_bounds(v, 0, 0);
+  const LpResult r = s.solve_dual();
+  s.set_variable_bounds(v, model.variable(v).lower, model.variable(v).upper);
+  return r;
+}
+
+TEST(WarmStart, CachedRestoreMatchesAFreshSetBasisBitForBit) {
+  const Model m = table2_model("paulin", 2);
+  SimplexSolver cached(m);
+  const LpResult base = cached.solve();
+  ASSERT_EQ(base.status, LpStatus::kOptimal);
+  const std::vector<int> frac = fractional(base.x);
+  ASSERT_GE(frac.size(), 3u);
+  const SimplexSolver::Basis start = cached.basis();
+
+  // The first restore refactorizes; the second copies its factors back.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_GT(probe_down(cached, m, frac[i]).iterations, 0);
+    ASSERT_TRUE(cached.set_basis(start));
+  }
+  EXPECT_EQ(cached.stats().refactor_set_basis, 1);
+  EXPECT_EQ(cached.stats().set_basis_cached, 1);
+
+  SimplexSolver fresh(m);
+  ASSERT_TRUE(fresh.set_basis(start));
+  EXPECT_EQ(fresh.stats().set_basis_cached, 0);
+
+  const LpResult a = probe_down(cached, m, frac[2]);
+  const LpResult b = probe_down(fresh, m, frac[2]);
+  ASSERT_EQ(a.status, b.status);
+  EXPECT_GT(a.iterations, 0);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.dual_iterations, b.dual_iterations);
+  EXPECT_EQ(a.phase2_iterations, b.phase2_iterations);
+  EXPECT_EQ(a.objective, b.objective);  // bit for bit, not within a tolerance
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(cached.basis().header, fresh.basis().header);
+}
+
+TEST(WarmStart, RowChangesDropTheCachedFactors) {
+  const Model m = probe_model();
+  SimplexSolver s(m);
+  const LpResult base = s.solve();
+  ASSERT_EQ(base.status, LpStatus::kOptimal);
+  const SimplexSolver::Basis start = s.basis();
+  ASSERT_TRUE(s.set_basis(start));
+  ASSERT_TRUE(s.set_basis(start));
+  EXPECT_EQ(s.stats().refactor_set_basis, 1);
+  EXPECT_EQ(s.stats().set_basis_cached, 1);
+
+  // A cut that stays slack-basic, appended and deleted again: the matrix
+  // and the header come back as they were, but the rows changed in
+  // between, so the next restore refactorizes.
+  s.add_rows({ConstraintDef{{Term{0, 1.0}}, Sense::kLessEqual, 5.0, "cut"}});
+  ASSERT_TRUE(s.added_row_slack_basic(0));
+  s.delete_rows({m.num_constraints()});
+  ASSERT_TRUE(s.set_basis(start));
+  EXPECT_EQ(s.stats().refactor_set_basis, 2);
+  EXPECT_EQ(s.stats().set_basis_cached, 1);
+
+  // A basis taken after add_rows is refactorized too, then cached.
+  s.add_rows({ConstraintDef{{Term{1, 1.0}}, Sense::kLessEqual, 5.0, "cut"}});
+  const SimplexSolver::Basis grown = s.basis();
+  ASSERT_TRUE(s.set_basis(grown));
+  ASSERT_TRUE(s.set_basis(grown));
+  EXPECT_EQ(s.stats().refactor_set_basis, 3);
+  EXPECT_EQ(s.stats().set_basis_cached, 2);
+  const LpResult again = s.solve_dual();
+  ASSERT_EQ(again.status, LpStatus::kOptimal);
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_NEAR(again.objective, base.objective, kTol);
 }
 
 TEST(WarmStart, SetBasisRejectsABasisOfAnotherShape) {
