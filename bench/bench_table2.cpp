@@ -176,9 +176,12 @@ int main() {
       if (!so.solver.checkpoint_path.empty())
         std::remove(so.solver.checkpoint_path.c_str());
       rows.push_back(circuit_row(name, k, threads, r));
-      overhead_row.push_back(bench::overhead_cell(
-          bist::overhead_percent(r.design.area, ref.design.area),
-          r.hit_limit));
+      overhead_row.push_back(
+          r.has_design && ref.has_design
+              ? bench::overhead_cell(
+                    bist::overhead_percent(r.design.area, ref.design.area),
+                    r.hit_limit)
+              : "-*");
       time_row.push_back(util::format_duration(r.seconds));
       std::fflush(stdout);
     }

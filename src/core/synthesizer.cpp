@@ -82,6 +82,7 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
     result.best_bound =
         solution.stats.best_bound + formulation.objective_offset();
     result.design = formulation.decode(solution);
+    result.has_design = true;
     return result;
   }
 
@@ -100,12 +101,17 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
     result.design.bist = seed->bist;
     result.design.datapath = seed->datapath;
     result.design.area = seed->area;
+    result.has_design = true;
     return result;
   }
-  ADVBIST_REQUIRE(false, "synthesis failed: " +
-                             ilp::to_string(solution.status) + " for " +
-                             dfg_.name());
-  return result;  // unreachable
+  // A limit stop with nothing to stand behind: no design within the limit,
+  // but the bound the search proved. A completed search that found nothing
+  // means the model is wrong, which is a bug, not a result.
+  ADVBIST_REQUIRE(result.hit_limit, "synthesis failed: " +
+                                        ilp::to_string(solution.status) +
+                                        " for " + dfg_.name());
+  result.best_bound = solution.stats.best_bound + formulation.objective_offset();
+  return result;
 }
 
 FormulationOptions Synthesizer::formulation_options() const {

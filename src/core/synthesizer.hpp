@@ -25,6 +25,11 @@ struct SynthesisResult {
   /// True when the ILP hit its limit before any incumbent and the result is
   /// the seeding heuristic's design instead.
   bool from_heuristic_fallback = false;
+  /// False for a "no design within the limit" result: the ILP hit its
+  /// limit before any incumbent and no fitting baseline could stand in
+  /// (the reference never has one). `design` is then empty, `objective` 0,
+  /// and `best_bound` the proven lower bound.
+  bool has_design = false;
 
   [[nodiscard]] bool is_optimal() const {
     return status == ilp::SolveStatus::kOptimal;

@@ -226,10 +226,10 @@ struct SearchContext {
   std::atomic<long long> clique_separated{0};
   std::atomic<long long> cover_separated{0};
 
-  // Dual solves and fallbacks of the root strong-branching probe pass,
-  // kept out of the warm-start diagnostic.
-  std::atomic<long long> probe_dual_solves{0};
-  std::atomic<long long> probe_dual_fallbacks{0};
+  // Dual solves and fallbacks of the root LP's cold solve and of the root
+  // strong-branching probe pass, kept out of the warm-start diagnostic.
+  std::atomic<long long> root_dual_solves{0};
+  std::atomic<long long> root_dual_fallbacks{0};
 
   // --- incumbent ---
   std::atomic<double> cutoff{lp::kInfinity};
@@ -427,7 +427,7 @@ struct SearchContext {
 };
 
 /// One probe pass on `lp`: its re-solves are capped at kProbeLpIters, and
-/// the pass's dual solves and fallbacks are booked as probe work. A probe
+/// the pass's dual solves and fallbacks are booked as root work. A probe
 /// that runs out of budget "falls back" without saying anything about the
 /// warm-start quality of NODE re-solves, so the reduce stage keeps probes
 /// out of the dual_solves / dual_fallbacks diagnostic. Their iterations
@@ -443,8 +443,8 @@ class ProbePass {
   }
   ~ProbePass() {
     lp_.set_max_iterations(lp::SimplexOptions{}.max_iterations);
-    ctx_.probe_dual_solves.fetch_add(lp_.stats().dual_solves - dual_solves_);
-    ctx_.probe_dual_fallbacks.fetch_add(lp_.stats().dual_fallbacks -
+    ctx_.root_dual_solves.fetch_add(lp_.stats().dual_solves - dual_solves_);
+    ctx_.root_dual_fallbacks.fetch_add(lp_.stats().dual_fallbacks -
                                         dual_fallbacks_);
   }
   ProbePass(const ProbePass&) = delete;
@@ -676,7 +676,7 @@ class Worker {
       // all-slack basis before the caller forfeits the subtree's proof.
       ctx_.lp_iterations.fetch_add(lp.iterations);
       simplex_.invalidate_basis();
-      lp = simplex_.solve();
+      lp = simplex_.solve_dual(ctx_.prune_limit());
     }
     age_cut_rows();
     return lp;
@@ -1370,12 +1370,17 @@ struct Root {
   LpResult result;  ///< most recent root LP result (kIterLimit until solved)
   double bound = -lp::kInfinity;  ///< root node bound after the cut loop
 
-  /// Builds the root LP solver over `reduced` and solves it from scratch.
+  /// Builds the root LP solver over `reduced` and solves it from the slack
+  /// basis with the dual simplex (no phase 1 on these covering models,
+  /// whose slack basis is dual feasible). A cold solve says nothing about
+  /// warm starts, so it is booked as root work, not in lp_dual_solves.
   void solve(SearchContext& ctx, const Model& reduced) {
     solver.emplace(reduced, Worker::simplex_options(*ctx.options));
     solver->set_controller(ctx.controller);
-    result = solver->solve();
+    result = solver->solve_dual();
     ctx.lp_iterations.fetch_add(result.iterations);
+    ctx.root_dual_solves.fetch_add(1);
+    if (result.dual_fallback) ctx.root_dual_fallbacks.fetch_add(1);
   }
 };
 
@@ -1713,9 +1718,9 @@ void reduce(SearchContext& ctx, const SolveCheckpoint* restored,
       ctx.lp_stats.primal_phase2_iterations;
   stats.lp_dual_iterations = ctx.lp_stats.dual_iterations;
   stats.lp_dual_solves =
-      ctx.lp_stats.dual_solves - ctx.probe_dual_solves.load();
+      ctx.lp_stats.dual_solves - ctx.root_dual_solves.load();
   stats.lp_dual_fallbacks =
-      ctx.lp_stats.dual_fallbacks - ctx.probe_dual_fallbacks.load();
+      ctx.lp_stats.dual_fallbacks - ctx.root_dual_fallbacks.load();
   stats.lp_bound_flips =
       ctx.lp_stats.bound_flips + ctx.lp_stats.dual_bound_flips;
   stats.lp_rows_deleted = ctx.lp_stats.rows_deleted;

@@ -1479,6 +1479,11 @@ bool SimplexSolver::restore_dual_feasibility() {
   for (int j = 0; j < total_; ++j) {
     if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
     const double d = dual_d_[j];
+    // A free column rests at 0 as "at lower": any nonzero reduced cost is
+    // wrong-signed and no flip can repair it.
+    if (!std::isfinite(lb_[j]) && !std::isfinite(ub_[j]) &&
+        std::abs(d) > opt_.opt_tol)
+      return false;
     if (vstat_[j] == kAtLower && d < -opt_.opt_tol) {
       if (!std::isfinite(ub_[j])) return false;
       vstat_[j] = kAtUpper;
@@ -1842,12 +1847,18 @@ LpResult SimplexSolver::solve_dual(double limit) {
     return r;
   };
 
-  // No warm basis to be dual-feasible about: the primal cold start is the
-  // right tool.
-  if (!has_basis_) return fallback();
+  // No warm basis: start from the slack basis. Its reduced costs are the
+  // costs themselves, so the entry flips make it dual feasible unless a
+  // column's cost points at an infinite bound; such a model goes to the
+  // primal path from the untouched slack basis, as solve() would.
+  const bool cold = !has_basis_;
+  if (cold) cold_start();
 
   compute_dual_reduced_costs();
-  if (!restore_dual_feasibility()) return fallback();
+  if (!restore_dual_feasibility()) {
+    if (cold) cold_start();  // undo the flips made before the failure
+    return fallback();
+  }
   perturb_costs();
   compute_basic_values();
   sync_dual_objective();

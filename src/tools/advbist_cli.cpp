@@ -322,30 +322,50 @@ int main(int argc, char** argv) {
         ref.hit_limit ? " (budget hit, bound " +
                             util::format_fixed(ref.best_bound, 0) + ")"
                       : "";
-    std::printf("%s: %d registers, %d modules, reference area %d%s\n",
-                design.dfg.name().c_str(), ref.design.area.num_registers,
-                design.modules.num_modules(), ref.design.area.total(),
-                ref_limit.c_str());
+    if (ref.has_design)
+      std::printf("%s: %d registers, %d modules, reference area %d%s\n",
+                  design.dfg.name().c_str(), ref.design.area.num_registers,
+                  design.modules.num_modules(), ref.design.area.total(),
+                  ref_limit.c_str());
+    else
+      std::printf("%s: %d modules, no reference design within the limit%s\n",
+                  design.dfg.name().c_str(), design.modules.num_modules(),
+                  ref_limit.c_str());
+    // " (+x%)" against the reference area, or nothing without a reference.
+    const auto overhead = [&](const bist::AreaBreakdown& area) {
+      return ref.has_design
+                 ? " (+" +
+                       util::format_fixed(
+                           bist::overhead_percent(area, ref.design.area), 1) +
+                       "%)"
+                 : std::string();
+    };
 
     auto report = [&](const core::SynthesisResult& r, int sessions) {
-      // A limit-hit row is only bounded: print its bound and gap with it.
-      const std::string limit =
-          r.hit_limit
-              ? ", bound " + util::format_fixed(r.best_bound, 0) + ", gap " +
-                    util::format_fixed(100.0 * (r.objective - r.best_bound) /
-                                           r.objective,
-                                       1) +
-                    "%"
-              : "";
-      std::printf(
-          "k=%d: area %d (+%.1f%%) T=%d S=%d B=%d C=%d mux=%d %s (%s, %lld "
-          "nodes%s)\n",
-          sessions, r.design.area.total(),
-          bist::overhead_percent(r.design.area, ref.design.area),
-          r.design.area.tpgs, r.design.area.srs, r.design.area.bilbos,
-          r.design.area.cbilbos, r.design.area.mux_inputs,
-          r.hit_limit ? "*" : "", ilp::to_string(r.status).c_str(), r.nodes,
-          limit.c_str());
+      if (!r.has_design) {
+        std::printf("k=%d: no design within the limit * (%s, %lld nodes, "
+                    "bound %s)\n",
+                    sessions, ilp::to_string(r.status).c_str(), r.nodes,
+                    util::format_fixed(r.best_bound, 0).c_str());
+      } else {
+        // A limit-hit row is only bounded: print its bound and gap with it.
+        const std::string limit =
+            r.hit_limit
+                ? ", bound " + util::format_fixed(r.best_bound, 0) + ", gap " +
+                      util::format_fixed(100.0 * (r.objective - r.best_bound) /
+                                             r.objective,
+                                         1) +
+                      "%"
+                : "";
+        std::printf(
+            "k=%d: area %d%s T=%d S=%d B=%d C=%d mux=%d %s (%s, %lld "
+            "nodes%s)\n",
+            sessions, r.design.area.total(), overhead(r.design.area).c_str(),
+            r.design.area.tpgs, r.design.area.srs, r.design.area.bilbos,
+            r.design.area.cbilbos, r.design.area.mux_inputs,
+            r.hit_limit ? "*" : "", ilp::to_string(r.status).c_str(), r.nodes,
+            limit.c_str());
+      }
       const ilp::Stats& st = r.solver_stats;
       if (st.lp_refactorizations > 0)
         std::printf(
@@ -436,6 +456,11 @@ int main(int argc, char** argv) {
     if (cmd == "synth") {
       const core::SynthesisResult r = synth.synthesize_bist(k);
       report(r, k);
+      if (!verilog_path.empty() && !r.has_design) {
+        std::fprintf(stderr, "advbist: no design to write to %s\n",
+                     verilog_path.c_str());
+        return 1;
+      }
       if (!verilog_path.empty()) {
         bist::VerilogOptions vo;
         vo.module_name = design.dfg.name() + "_bist";
@@ -464,10 +489,9 @@ int main(int argc, char** argv) {
         const auto r = baselines::run_baseline(method, design.dfg,
                                                design.modules, sessions,
                                                bist::CostModel::paper_8bit());
-        std::printf("%-7s area %d (+%.1f%%) T=%d S=%d B=%d C=%d mux=%d\n",
-                    method, r.area.total(),
-                    bist::overhead_percent(r.area, ref.design.area),
-                    r.area.tpgs, r.area.srs, r.area.bilbos, r.area.cbilbos,
+        std::printf("%-7s area %d%s T=%d S=%d B=%d C=%d mux=%d\n", method,
+                    r.area.total(), overhead(r.area).c_str(), r.area.tpgs,
+                    r.area.srs, r.area.bilbos, r.area.cbilbos,
                     r.area.mux_inputs);
       }
       return 0;

@@ -113,6 +113,28 @@ TEST(Synthesizer, WidthScalingScalesArea) {
   EXPECT_EQ(r16.design.area.total(), 2 * r8.design.area.total());
 }
 
+TEST(Synthesizer, LimitStopWithoutAnyDesignReportsItsBound) {
+  // One node is not enough for the paulin reference to find an incumbent,
+  // and the reference has no baseline to fall back on: the result is "no
+  // design within the limit" with the root bound, not a failure. The BIST
+  // row at the same limit still stands on its seeding baseline.
+  const hls::Benchmark b = hls::benchmark_by_name("paulin");
+  SynthesizerOptions o = quick();
+  o.solver.node_limit = 1;
+  o.solver.num_threads = 1;
+  const Synthesizer synth(b.dfg, b.modules, o);
+  const SynthesisResult ref = synth.synthesize_reference();
+  EXPECT_FALSE(ref.has_design);
+  EXPECT_TRUE(ref.hit_limit);
+  EXPECT_EQ(ref.status, ilp::SolveStatus::kNoSolutionFound);
+  EXPECT_EQ(ref.design.area.total(), 0);
+  EXPECT_GT(ref.best_bound, 0.0);
+  EXPECT_LE(ref.best_bound, 1520.0);  // the proven reference area
+  const SynthesisResult k2 = synth.synthesize_bist(2);
+  EXPECT_TRUE(k2.has_design);
+  EXPECT_GE(k2.design.area.total(), 2112);
+}
+
 /// True when the sessions are numbered in order of their lowest module,
 /// the one labeling the symsess_ rows admit.
 bool sessions_in_canonical_order(const bist::BistAssignment& bist) {

@@ -3,7 +3,9 @@
 // fig1, tseng and paulin at k = 1 and 2, solved through the synthesizer
 // (baseline-seeded cutoff, branch priorities), must prove their pinned
 // areas and pass the exit audit while node re-solves stop at the prune
-// limit on certified bounds.
+// limit on certified bounds. A row proven at its root node has no node
+// re-solve to stop, so the stop count is required of every row with more
+// than one node and of all rows together.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@ inline void expect_cutoff_stops_keep_every_proof(int threads) {
   const Row rows[] = {{"fig1", 1, 1236},  {"fig1", 2, 1056},
                       {"tseng", 1, 2036}, {"tseng", 2, 1856},
                       {"paulin", 1, 2632}, {"paulin", 2, 2112}};
+  long long stops = 0;
   for (const Row& row : rows) {
     SCOPED_TRACE(std::string(row.circuit) + " k=" + std::to_string(row.k));
     const hls::Benchmark b = hls::benchmark_by_name(row.circuit);
@@ -36,8 +39,10 @@ inline void expect_cutoff_stops_keep_every_proof(int threads) {
     EXPECT_EQ(r.design.area.total(), row.area);
     EXPECT_TRUE(r.solver_stats.audit_incumbent_ok);
     EXPECT_TRUE(r.solver_stats.audit_bound_ok);
-    EXPECT_GT(r.solver_stats.lp_cutoff_stops, 0);
+    if (r.nodes > 1) EXPECT_GT(r.solver_stats.lp_cutoff_stops, 0);
+    stops += r.solver_stats.lp_cutoff_stops;
   }
+  EXPECT_GT(stops, 0);
 }
 
 }  // namespace advbist::ilp

@@ -11,7 +11,9 @@
 // the numerical-recovery ladder under forced singular factorizations, and
 // the dual cost perturbation: exact objectives and reduced-cost signs after
 // it is removed, its cleanup pivots, and the original costs back on every
-// exit path.
+// exit path. A solve_dual() with no basis starts on the slack basis: it
+// must match solve() with no primal pivot, and fall back to the primal
+// path exactly when the entry flips cannot make that basis dual feasible.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/formulation.hpp"
+#include "hls/benchmarks.hpp"
+#include "lp/instance_gen.hpp"
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "update_chain.hpp"
@@ -336,6 +341,89 @@ TEST(DualSimplex, DualInfeasibleWarmStartFallsBackToPrimal) {
   EXPECT_TRUE(d.dual_fallback);
   EXPECT_NEAR(d.objective, -10.0, kTol);
   EXPECT_EQ(solver.stats().dual_fallbacks, 1);
+}
+
+/// A fresh solver's solve_dual() against a fresh solver's solve(): same
+/// status and objective, reached on the dual path alone.
+void expect_cold_dual_matches_primal(const Model& m) {
+  SimplexSolver primal(m);
+  SimplexSolver dual(m);
+  const LpResult p = primal.solve();
+  const LpResult d = dual.solve_dual();
+  ASSERT_EQ(d.status, p.status);
+  EXPECT_FALSE(d.dual_fallback);
+  EXPECT_EQ(dual.stats().dual_fallbacks, 0);
+  EXPECT_EQ(d.phase1_iterations, 0);
+  EXPECT_EQ(d.phase2_iterations, 0);
+  if (p.status == LpStatus::kOptimal)
+    EXPECT_NEAR(d.objective, p.objective, 1e-9 * (1.0 + std::abs(p.objective)));
+}
+
+TEST(DualSimplex, ColdDualStartMatchesPrimalWithNoPrimalPivot) {
+  util::Rng rng(20251019ULL);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("random_lp trial " + std::to_string(trial));
+    expect_cold_dual_matches_primal(random_lp(rng));
+  }
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    GenOptions g;
+    g.seed = seed;
+    SCOPED_TRACE(instance_name(g));
+    expect_cold_dual_matches_primal(generate_instance(g));
+  }
+  for (const char* circuit : {"fig1", "tseng", "paulin"}) {
+    const hls::Benchmark b = hls::benchmark_by_name(circuit);
+    for (int k = 0; k <= 2; ++k) {
+      SCOPED_TRACE(std::string(circuit) + " k=" + std::to_string(k));
+      core::FormulationOptions fo;
+      fo.include_bist = k > 0;
+      fo.k = std::max(k, 1);
+      expect_cold_dual_matches_primal(
+          core::Formulation(b.dfg, b.modules, fo).model());
+    }
+  }
+}
+
+TEST(DualSimplex, ColdDualStartFallsBackWhenFlipsCannotRepairACost) {
+  // min -x - y s.t. x + y <= 4, y in [0, 1]: x has a negative cost and no
+  // upper bound to flip to. min x s.t. x + y >= 1, y in [0, 1]: the free
+  // x rests at 0 with a positive reduced cost, which no flip repairs.
+  // Both go to the primal path from the untouched slack basis, so the
+  // fallback retraces solve() pivot for pivot.
+  Model unbounded_cost;
+  {
+    const int x = unbounded_cost.add_variable(0, kInfinity, -1,
+                                              VarType::kContinuous, "x");
+    const int y = unbounded_cost.add_variable(0, 1, -1, VarType::kContinuous,
+                                              "y");
+    unbounded_cost.add_constraint(LinExpr().add(x, 1).add(y, 1),
+                                  Sense::kLessEqual, 4);
+  }
+  Model free_column;
+  {
+    const int x = free_column.add_variable(-kInfinity, kInfinity, 1,
+                                           VarType::kContinuous, "x");
+    const int y = free_column.add_variable(0, 1, 0, VarType::kContinuous, "y");
+    free_column.add_constraint(LinExpr().add(x, 1).add(y, 1),
+                               Sense::kGreaterEqual, 1);
+  }
+  const std::pair<const Model*, double> cases[] = {{&unbounded_cost, -4.0},
+                                                   {&free_column, 0.0}};
+  for (const auto& [m, optimum] : cases) {
+    SCOPED_TRACE(optimum);
+    SimplexSolver primal(*m);
+    SimplexSolver dual(*m);
+    const LpResult p = primal.solve();
+    const LpResult d = dual.solve_dual();
+    ASSERT_EQ(d.status, LpStatus::kOptimal);
+    EXPECT_TRUE(d.dual_fallback);
+    EXPECT_EQ(dual.stats().dual_fallbacks, 1);
+    EXPECT_EQ(d.dual_iterations, 0);
+    EXPECT_NEAR(d.objective, optimum, kTol);
+    EXPECT_EQ(d.objective, p.objective);
+    EXPECT_EQ(d.iterations, p.iterations);
+    EXPECT_EQ(d.x, p.x);
+  }
 }
 
 TEST(DualSimplex, DegenerateWarmStartStaysExact) {
