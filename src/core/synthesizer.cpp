@@ -76,11 +76,11 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
   result.solver_stats = solution.stats;
   result.hit_limit =
       solution.stats.termination != util::StopReason::kNone;
+  result.best_bound =
+      solution.stats.best_bound + formulation.objective_offset();
 
   if (solution.has_solution()) {
     result.objective = solution.objective + formulation.objective_offset();
-    result.best_bound =
-        solution.stats.best_bound + formulation.objective_offset();
     result.design = formulation.decode(solution);
     result.has_design = true;
     return result;
@@ -94,8 +94,6 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
     result.status = result.hit_limit ? ilp::SolveStatus::kFeasible
                                      : ilp::SolveStatus::kOptimal;
     result.objective = seed->area.total();
-    result.best_bound =
-        solution.stats.best_bound + formulation.objective_offset();
     result.design.registers = seed->registers;
     result.design.ports = seed->ports;
     result.design.bist = seed->bist;
@@ -110,7 +108,6 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
   ADVBIST_REQUIRE(result.hit_limit, "synthesis failed: " +
                                         ilp::to_string(solution.status) +
                                         " for " + dfg_.name());
-  result.best_bound = solution.stats.best_bound + formulation.objective_offset();
   return result;
 }
 

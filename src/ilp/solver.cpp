@@ -445,7 +445,7 @@ class ProbePass {
     lp_.set_max_iterations(lp::SimplexOptions{}.max_iterations);
     ctx_.root_dual_solves.fetch_add(lp_.stats().dual_solves - dual_solves_);
     ctx_.root_dual_fallbacks.fetch_add(lp_.stats().dual_fallbacks -
-                                        dual_fallbacks_);
+                                       dual_fallbacks_);
   }
   ProbePass(const ProbePass&) = delete;
   ProbePass& operator=(const ProbePass&) = delete;

@@ -24,7 +24,8 @@
 //    (rowcount-1)*(colcount-1) subject to a relative threshold
 //    |a_rc| >= markowitz_tol * max|a_*c| for stability. Row and column
 //    counts are maintained incrementally; only the active submatrix is
-//    updated, so the cost is proportional to fill, not m^2. A basis the
+//    updated, and the bump's pivot search walks a list of the unpivoted
+//    columns, so the cost is proportional to fill, not m^2. A basis the
 //    elimination flags as singular goes to the numerical-recovery ladder
 //    (a tighter threshold, then the all-slack cold-start basis).
 //    tests/lp/factorization_diff_test.cpp pins the factors against a
@@ -47,7 +48,9 @@
 //    — when the updated diagonal disagrees with the pivot element times
 //    the replaced diagonal (the two are equal in exact arithmetic). A
 //    basis unchanged across warm-started re-solves is never refactorized
-//    again; Stats counts every refactorization cause.
+//    again, and set_basis() keeps the factors it built last, so a probe
+//    that restores its starting basis copies them back instead of
+//    refactorizing; Stats counts every refactorization cause.
 //
 //  * Pricing. A candidate list + cyclic block scan replaces full Dantzig
 //    pricing: iterate() first re-prices the surviving candidates from the
@@ -76,10 +79,14 @@
 //    the full primal phase-1/phase-2 pass. Wrong-sign reduced costs of
 //    boxed nonbasics are repaired at entry by bound flips; anything the
 //    flips cannot repair, plus numerical trouble and dual degeneracy, falls
-//    back to the primal path, so solve_dual() is always exact. delete_rows
-//    removes aged-out cut rows whose slack stayed basic — the remaining
-//    basis is provably nonsingular and still dual-feasible — so the
-//    factorization stops paying for dead cuts.
+//    back to the primal path, so solve_dual() is always exact. With no
+//    basis, solve_dual() starts from the slack basis: its reduced costs
+//    are the costs, which the flips make dual feasible whenever every
+//    cost points at a finite bound (true of the min-area covering models
+//    here, so their cold LPs need no phase 1; Koberstein 2005, §6).
+//    delete_rows removes aged-out cut rows whose slack stayed basic — the
+//    remaining basis is provably nonsingular and still dual-feasible — so
+//    the factorization stops paying for dead cuts.
 //
 //  * Dual cost perturbation. The 0/1 covering relaxations here are very
 //    dual degenerate: without help well over half of all dual pivots have
@@ -343,12 +350,15 @@ class SimplexSolver {
   /// branch & bound re-solve pattern: after a bound change (or add_rows,
   /// whose cut rows enter slack-basic) the old optimal basis stays
   /// dual-feasible, so a handful of dual pivots replaces a full primal
-  /// phase-1/phase-2 pass. Boxed nonbasic variables whose reduced cost has
-  /// the wrong sign are first flipped to their other bound (restoring dual
-  /// feasibility for free); if that is impossible (free or one-sided
-  /// variable) or the dual path hits numerical trouble, the primal path
-  /// finishes the solve and the result is flagged dual_fallback. Either way
-  /// the returned status/objective matches solve().
+  /// phase-1/phase-2 pass. Without a basis (first solve, or after
+  /// invalidate_basis) it starts from the slack basis. Boxed nonbasic
+  /// variables whose reduced cost has the wrong sign are first flipped to
+  /// their other bound (restoring dual feasibility for free); if that is
+  /// impossible (free or one-sided variable) or the dual path hits
+  /// numerical trouble, the primal path finishes the solve — from the
+  /// slack basis again on a cold start, exactly as solve() would — and the
+  /// result is flagged dual_fallback. Either way the returned
+  /// status/objective matches solve().
   ///
   /// `limit` is an objective cutoff: once the dual objective passes it and
   /// a box-dual bound on the original columns and bounds certifies
