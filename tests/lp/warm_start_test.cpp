@@ -272,8 +272,12 @@ LpResult probe_down(SimplexSolver& s, const Model& model, int v) {
 
 TEST(WarmStart, CachedRestoreMatchesAFreshSetBasisBitForBit) {
   const Model m = table2_model("paulin", 2);
-  SimplexSolver cached(m);
-  const LpResult base = cached.solve();
+  // A small update cap makes the probes refactorize mid-solve, so every
+  // factor array has changed by the time the cached copy comes back.
+  SimplexOptions so;
+  so.refactor_every = 4;
+  SimplexSolver cached(m, so);
+  const LpResult base = cached.solve_dual();
   ASSERT_EQ(base.status, LpStatus::kOptimal);
   const std::vector<int> frac = fractional(base.x);
   ASSERT_GE(frac.size(), 3u);
@@ -287,12 +291,20 @@ TEST(WarmStart, CachedRestoreMatchesAFreshSetBasisBitForBit) {
   EXPECT_EQ(cached.stats().refactor_set_basis, 1);
   EXPECT_EQ(cached.stats().set_basis_cached, 1);
 
-  SimplexSolver fresh(m);
+  SimplexSolver fresh(m, so);
   ASSERT_TRUE(fresh.set_basis(start));
   EXPECT_EQ(fresh.stats().set_basis_cached, 0);
 
+  // Same pivots means no recovery either: stale update state left by a
+  // restore shows up as a pivot check failure and an extra refactorization.
+  const long long cached_before = cached.stats().refactorizations;
+  const long long fresh_before = fresh.stats().refactorizations;
   const LpResult a = probe_down(cached, m, frac[2]);
   const LpResult b = probe_down(fresh, m, frac[2]);
+  EXPECT_EQ(cached.stats().refactorizations - cached_before,
+            fresh.stats().refactorizations - fresh_before);
+  EXPECT_EQ(cached.stats().recovery_refactorize, 0);
+  EXPECT_EQ(cached.updates_since_refactor(), fresh.updates_since_refactor());
   ASSERT_EQ(a.status, b.status);
   EXPECT_GT(a.iterations, 0);
   EXPECT_EQ(a.iterations, b.iterations);
