@@ -456,12 +456,12 @@ int main(int argc, char** argv) {
     if (cmd == "synth") {
       const core::SynthesisResult r = synth.synthesize_bist(k);
       report(r, k);
-      if (!verilog_path.empty() && !r.has_design) {
-        std::fprintf(stderr, "advbist: no design to write to %s\n",
-                     verilog_path.c_str());
-        return 1;
-      }
       if (!verilog_path.empty()) {
+        if (!r.has_design) {
+          std::fprintf(stderr, "advbist: no design to write to %s\n",
+                       verilog_path.c_str());
+          return 1;
+        }
         bist::VerilogOptions vo;
         vo.module_name = design.dfg.name() + "_bist";
         std::ofstream out(verilog_path);
