@@ -135,6 +135,28 @@ TEST(Synthesizer, LimitStopWithoutAnyDesignReportsItsBound) {
   EXPECT_GE(k2.design.area.total(), 2112);
 }
 
+TEST(Synthesizer, SerialTrajectoryIsPinned) {
+  // The serial search is deterministic, so one small solve's traced
+  // counters pin the whole trajectory: a change to any pivot choice (the
+  // Markowitz bump search, the dual ratio test, Devex pricing) or to the
+  // branching order moves at least one of them. A change meant to leave
+  // the trajectory alone must leave every number here as it is; one that
+  // moves it on purpose re-measures them and says so.
+  const hls::Benchmark b = hls::benchmark_by_name("tseng");
+  SynthesizerOptions o;
+  o.solver.num_threads = 1;
+  const SynthesisResult r = Synthesizer(b.dfg, b.modules, o).synthesize_bist(3);
+  ASSERT_EQ(r.status, ilp::SolveStatus::kOptimal);
+  EXPECT_EQ(r.design.area.total(), 1856);
+  const ilp::Stats& st = r.solver_stats;
+  EXPECT_EQ(st.nodes, 343);
+  EXPECT_EQ(st.lp_iterations, 9072);
+  EXPECT_EQ(st.lp_dual_iterations, 9072);
+  EXPECT_EQ(st.lp_refactorizations, 88);
+  EXPECT_EQ(st.lp_bound_flips, 1213);
+  EXPECT_EQ(st.lp_cutoff_stops, 172);
+}
+
 /// True when the sessions are numbered in order of their lowest module,
 /// the one labeling the symsess_ rows admit.
 bool sessions_in_canonical_order(const bist::BistAssignment& bist) {
