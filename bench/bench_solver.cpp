@@ -146,6 +146,49 @@ void BM_Refactorize(benchmark::State& state) {
 }
 BENCHMARK(BM_Refactorize);
 
+void BM_DualResolve(benchmark::State& state) {
+  // The strong-branching probe on the dual simplex layer: from the paulin
+  // k=2 root LP basis, fix one fractional column at a bound, re-solve with
+  // solve_dual(), then restore the bounds and the basis (set_basis copies
+  // back the cached factors). The columns and bounds cycle, so the time
+  // covers PRICE, the ratio test, FTRAN/BTRAN and the LU update.
+  const hls::Benchmark b = hls::benchmark_by_name("paulin");
+  core::FormulationOptions fo;
+  fo.include_bist = true;
+  fo.k = 2;
+  const lp::Model model = core::Formulation(b.dfg, b.modules, fo).model();
+  lp::SimplexSolver lp(model);
+  const lp::LpResult root = lp.solve_dual();
+  const lp::SimplexSolver::Basis basis = lp.basis();
+  lp.set_basis(basis);  // cache the root factors, as the probes do
+  std::vector<int> fractional;
+  for (int v = 0; v < model.num_variables(); ++v)
+    if (root.x[v] > 1e-6 && root.x[v] < 1.0 - 1e-6) fractional.push_back(v);
+  if (fractional.empty()) {
+    state.SkipWithError("the root LP is integral");
+    return;
+  }
+  long long probes = 0;
+  long long iterations = 0;
+  for (auto _ : state) {
+    const int v = fractional[probes % fractional.size()];
+    const double lo = lp.variable_lower(v);
+    const double hi = lp.variable_upper(v);
+    const double at = (probes / fractional.size()) % 2 == 0 ? lo : hi;
+    lp.set_variable_bounds(v, at, at);
+    const lp::LpResult r = lp.solve_dual();
+    benchmark::DoNotOptimize(r.objective);
+    iterations += r.iterations;
+    lp.set_variable_bounds(v, lo, hi);
+    lp.set_basis(basis);
+    ++probes;
+  }
+  state.counters["rows"] = lp.num_rows();
+  state.counters["pivots"] = benchmark::Counter(
+      static_cast<double>(iterations) / static_cast<double>(probes));
+}
+BENCHMARK(BM_DualResolve);
+
 void BM_BranchAndBoundKnapsack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   util::Rng rng(13);

@@ -26,6 +26,19 @@ double perturbation_factor(int j) {
   h ^= h >> 13;
   return 0.5 + 0.5 * (static_cast<double>(h) / 4294967295.0);
 }
+
+/// Ascending positions of v's nonzeros. The FTRAN results here are about
+/// 40% dense, so the gather takes no branch per entry.
+void collect_nonzeros(const std::vector<double>& v, std::vector<int>& nz) {
+  const int n = static_cast<int>(v.size());
+  nz.resize(n);
+  int count = 0;
+  for (int i = 0; i < n; ++i) {
+    nz[count] = i;
+    count += v[i] != 0.0;
+  }
+  nz.resize(count);
+}
 }  // namespace
 
 SimplexSolver::SimplexSolver(const Model& model, Options options)
@@ -302,9 +315,13 @@ void SimplexSolver::add_rows(const std::vector<ConstraintDef>& rows_in) {
     } else {
       l_start_.resize(m_ + 1, l_start_[old_m]);
     }
+    // The border entries may fill L columns that were empty. The new U
+    // slots (unit diagonal, empty column) are no-ops and stay off u_work_.
+    build_l_work(l_work_);
   } else {
     has_basis_ = false;  // next solve() cold-starts at the new size
   }
+  build_nonbasic();  // the new slacks are basic; only positions grow
 
   // Appended cut rows reset the partial-pricing state (the candidate list's
   // scores are stale against the new duals anyway) and the dual pricing
@@ -350,6 +367,7 @@ bool SimplexSolver::set_basis(const Basis& b) {
   vstat_ = b.status;
   for (int j = 0; j < total_; ++j)
     if (vstat_[j] != kBasic) place_nonbasic(j);
+  build_nonbasic();
   has_basis_ = true;
   candidates_.clear();
   price_cursor_ = 0;
@@ -398,6 +416,7 @@ void SimplexSolver::cold_start() {
     basis_[r] = n_ + r;
     vstat_[n_ + r] = kBasic;
   }
+  build_nonbasic();
   // The all-slack basis is the identity: trivial factors, no updates.
   l_start_.assign(m_ + 1, 0);
   l_idx_.clear();
@@ -488,12 +507,36 @@ void SimplexSolver::reset_updates() {
   u_nnz_factor_ = u_nnz_;
   u_order_.resize(m_);
   for (int s = 0; s < m_; ++s) u_order_[s] = s;
+  build_l_work(l_work_);
+  build_u_work(u_work_);
   ft_slot_.clear();
   ft_start_.assign(1, 0);
   ft_idx_.clear();
   ft_val_.clear();
   spike_col_ = -1;
   pivots_since_refactor_ = 0;
+}
+
+void SimplexSolver::build_l_work(std::vector<int>& out) const {
+  out.clear();
+  for (int k = 0; k < m_; ++k)
+    if (l_start_[k + 1] > l_start_[k]) out.push_back(k);
+}
+
+void SimplexSolver::build_u_work(std::vector<int>& out) const {
+  out.clear();
+  for (const int s : u_order_)
+    if (!u_slot_trivial(s)) out.push_back(s);
+}
+
+void SimplexSolver::build_nonbasic() {
+  nonbasic_.clear();
+  nonbasic_pos_.assign(total_, -1);
+  for (int j = 0; j < total_; ++j) {
+    if (vstat_[j] == kBasic) continue;
+    nonbasic_pos_[j] = static_cast<int>(nonbasic_.size());
+    nonbasic_.push_back(j);
+  }
 }
 
 void SimplexSolver::compute_basic_values() {
@@ -894,8 +937,8 @@ void SimplexSolver::ftran_vec(std::vector<double>& v,
   std::vector<double>& w = work_;
   w.resize(m_);
   for (int i = 0; i < m_; ++i) w[i] = v[perm_[i]];
-  // L solve (unit lower), sparse columns, skipping zero positions.
-  for (int k = 0; k < m_; ++k) {
+  // L solve (unit lower) over the slots with a non-empty L column.
+  for (const int k : l_work_) {
     const double wk = w[k];
     if (wk == 0.0) continue;
     for (int p = l_start_[k]; p < l_start_[k + 1]; ++p)
@@ -910,9 +953,10 @@ void SimplexSolver::ftran_vec(std::vector<double>& v,
     w[ft_slot_[e]] = acc;
   }
   if (spike != nullptr) spike->assign(w.begin(), w.end());
-  // U solve, last slot of the pivot order first.
-  for (int pos = m_ - 1; pos >= 0; --pos) {
-    const int k = u_order_[pos];
+  // U solve, last slot of the pivot order first, over the slots that are
+  // not a unit diagonal with an empty column.
+  for (auto it = u_work_.rbegin(); it != u_work_.rend(); ++it) {
+    const int k = *it;
     if (w[k] == 0.0) continue;
     const double wk = w[k] / u_diag_[k];
     w[k] = wk;
@@ -935,6 +979,8 @@ void SimplexSolver::ftran(int col, std::vector<double>& w) {
   }
   ftran_vec(w, &spike_);
   spike_col_ = col;
+  collect_nonzeros(w, wcol_nz_);
+  collect_nonzeros(spike_, spike_nz_);
 }
 
 void SimplexSolver::btran_upper(std::vector<double>& q) const {
@@ -963,7 +1009,8 @@ void SimplexSolver::btran(const std::vector<double>& cb,
   q.resize(m_);
   for (int k = 0; k < m_; ++k) q[k] = cb[cperm_[k]];
   btran_upper(q);
-  for (int j = m_ - 1; j >= 0; --j) {
+  for (auto it = l_work_.rbegin(); it != l_work_.rend(); ++it) {
+    const int j = *it;
     double acc = q[j];
     for (int p = l_start_[j]; p < l_start_[j + 1]; ++p)
       acc -= q[l_idx_[p]] * l_val_[p];
@@ -1162,7 +1209,8 @@ int SimplexSolver::iterate(bool phase1, bool bland) {
   else
     degenerate_run_ = 0;
 
-  if (!pivot(entering, leaving_row, t_max, dir, w, leaving_status)) return 3;
+  if (!pivot(entering, leaving_row, t_max, dir, w, wcol_nz_, leaving_status))
+    return 3;
   // A primal pivot (fallback, phase 1 repair, or the phase-2 certificate)
   // moves the basis outside the dual pricing framework: reset it.
   dual_w_valid_ = false;
@@ -1175,6 +1223,7 @@ int SimplexSolver::iterate(bool phase1, bool bland) {
 
 bool SimplexSolver::pivot(int entering, int leaving_row, double t,
                           int entering_dir, const std::vector<double>& w,
+                          const std::vector<int>& w_nz,
                           Status leaving_status) {
   // A basis change first updates the factors: an update that fails its
   // stability check rejects the pivot before anything has moved.
@@ -1185,15 +1234,13 @@ bool SimplexSolver::pivot(int entering, int leaving_row, double t,
     if (!update_factors(leaving_row, w[leaving_row])) return false;
   }
 
-  // Move the entering variable and update basic values. The value scans
-  // below skip w's exact zeros, so they walk only the FTRAN result's true
-  // support. dual_obj_ follows every value change as c_j * dx_j.
+  // Move the entering variable and update basic values over w's nonzeros,
+  // in ascending order. dual_obj_ follows every value change as c_j * dx_j.
   const double step = entering_dir * t;
   double dobj = cost_[entering] * step;
   x_[entering] += step;
   if (t > 0.0) {
-    for (int i = 0; i < m_; ++i) {
-      if (w[i] == 0.0) continue;
+    for (const int i : w_nz) {
       const int b = basis_[i];
       const double dx = step * w[i];
       x_[b] -= dx;
@@ -1222,6 +1269,11 @@ bool SimplexSolver::pivot(int entering, int leaving_row, double t,
 
   basis_[leaving_row] = entering;
   vstat_[entering] = kBasic;
+  // The nonbasic list: the leaving column takes the entering one's place.
+  const int at = nonbasic_pos_[entering];
+  nonbasic_[at] = leaving;
+  nonbasic_pos_[leaving] = at;
+  nonbasic_pos_[entering] = -1;
   ++stats_.basis_pivots;
   ++iterations_;
   return true;
@@ -1282,25 +1334,37 @@ bool SimplexSolver::update_factors(int leaving_row, double alpha) {
 
   // 3. Row k0 leaves U; the spike replaces column k0 (whose old entries
   // leave their rows).
-  for (int p = urow_.start[k0]; p < urow_.start[k0] + urow_.len[k0]; ++p)
-    ucol_.erase(urow_.idx[p], k0);
+  // A column that loses its last entry and has a unit diagonal became a
+  // no-op of the U pass and leaves u_work_.
+  const auto drop_from_u_work = [&](int s) {
+    u_work_.erase(std::find(u_work_.begin(), u_work_.end(), s));
+  };
+  for (int p = urow_.start[k0]; p < urow_.start[k0] + urow_.len[k0]; ++p) {
+    const int c = urow_.idx[p];
+    ucol_.erase(c, k0);
+    if (u_slot_trivial(c)) drop_from_u_work(c);
+  }
   u_nnz_ -= urow_.len[k0];
   urow_.len[k0] = 0;
+  const bool k0_listed = !u_slot_trivial(k0);
   for (int p = ucol_.start[k0]; p < ucol_.start[k0] + ucol_.len[k0]; ++p)
     urow_.erase(ucol_.idx[p], k0);
   u_nnz_ -= ucol_.len[k0];
   ucol_.renew(k0, 0);
-  for (int i = 0; i < m_; ++i) {
-    if (i == k0 || spike_[i] == 0.0) continue;
+  for (const int i : spike_nz_) {
+    if (i == k0) continue;
     ucol_.push(k0, i, spike_[i]);
     urow_.push(i, k0, spike_[i]);
     ++u_nnz_;
   }
   u_diag_[k0] = diag;
 
-  // 4. k0 becomes the last slot of the pivot order.
+  // 4. k0 becomes the last slot of the pivot order, and of u_work_ unless
+  // its new column is a no-op too.
   u_order_.erase(u_order_.begin() + p0);
   u_order_.push_back(k0);
+  if (k0_listed) drop_from_u_work(k0);
+  if (!u_slot_trivial(k0)) u_work_.push_back(k0);
   ++pivots_since_refactor_;
   return true;
 }
@@ -1570,7 +1634,8 @@ void SimplexSolver::ensure_dual_weights() {
   ++stats_.devex_resets;
 }
 
-void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w) {
+void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w,
+                                        const std::vector<int>& w_nz) {
   if (!dual_w_valid_) return;
   const double wr = w[r];
   if (wr == 0.0) {
@@ -1581,13 +1646,12 @@ void SimplexSolver::update_dual_weights(int r, const std::vector<double>& w) {
   // framework; the update needs only the FTRANed entering column already
   // in hand. Monotone (max), so a degraded framework is detected by
   // weight growth and restarted rather than silently trusted. The loop
-  // skips w's exact zeros by value, so it already walks only the FTRAN
-  // result's true support.
+  // walks w's nonzeros only.
   const double inv_wr2 = 1.0 / (wr * wr);
   const double ref = dual_w_[r];
   double worst = 0.0;
-  for (int i = 0; i < m_; ++i) {
-    if (i == r || w[i] == 0.0) continue;
+  for (const int i : w_nz) {
+    if (i == r) continue;
     const double cand = w[i] * w[i] * inv_wr2 * ref;
     if (cand > dual_w_[i]) dual_w_[i] = cand;
     if (dual_w_[i] > worst) worst = dual_w_[i];
@@ -1639,9 +1703,12 @@ int SimplexSolver::iterate_dual() {
   // update at pivot_tol, so such columns drifted from their true reduced
   // costs by theta*alpha per pivot (flushed only at the next
   // refactorization); tests/lp/dual_simplex_test.cpp pins the fix.
+  // The walk visits the nonbasic list in its own order; dual_row_'s order
+  // does not matter, and the ratio test below pops candidates in the
+  // strict (ratio, col) order whatever order they arrived in.
   const double drop_tol = 1e-4 * opt_.pivot_tol;
-  for (int j = 0; j < total_; ++j) {
-    if (vstat_[j] == kBasic || lb_[j] == ub_[j]) continue;
+  for (const int j : nonbasic_) {
+    if (lb_[j] == ub_[j]) continue;
     double a;
     if (j < n_) {
       a = 0.0;
@@ -1810,8 +1877,9 @@ int SimplexSolver::iterate_dual() {
   // FTRANed entering column. (It must see the old factors; a pivot the
   // factor update then rejects leaves stale weights and dual state, which
   // the recovery ladder rebuilds.)
-  update_dual_weights(r, w);
-  if (!pivot(chosen, r, t, dir, w, sgn < 0 ? kAtLower : kAtUpper)) return 3;
+  update_dual_weights(r, w, wcol_nz_);
+  if (!pivot(chosen, r, t, dir, w, wcol_nz_, sgn < 0 ? kAtLower : kAtUpper))
+    return 3;
   ++iter_dual_;
   dual_d_[leaving] = -sgn * theta;  // the leaving variable's new reduced cost
   return 0;
@@ -2067,6 +2135,7 @@ void SimplexSolver::delete_rows(const std::vector<int>& rows) {
 
   m_ = nm;
   total_ = n_ + m_;
+  build_nonbasic();  // slack indices above a deleted row moved down
   perm_.resize(m_);
   cperm_.resize(m_);
   u_diag_.resize(m_);
@@ -2128,10 +2197,33 @@ bool SimplexSolver::pivot_for_testing(int basis_pos, int col) {
   for (const double v : wcol_) wmax = std::max(wmax, std::abs(v));
   if (std::abs(wcol_[basis_pos]) <= std::max(opt_.pivot_tol, 0.1 * wmax))
     return false;
-  if (!pivot(col, basis_pos, 0.0, +1, wcol_, rest)) return false;
+  if (!pivot(col, basis_pos, 0.0, +1, wcol_, wcol_nz_, rest)) return false;
   candidates_.clear();
   dual_w_valid_ = false;
   return true;
+}
+
+bool SimplexSolver::work_lists_match_for_testing() const {
+  if (!has_basis_) return true;
+  std::vector<int> fresh;
+  build_l_work(fresh);
+  if (fresh != l_work_) return false;
+  build_u_work(fresh);
+  if (fresh != u_work_) return false;
+  if (static_cast<int>(nonbasic_pos_.size()) != total_) return false;
+  int nonbasic = 0;
+  for (int j = 0; j < total_; ++j) {
+    const int at = nonbasic_pos_[j];
+    if (vstat_[j] == kBasic) {
+      if (at != -1) return false;
+      continue;
+    }
+    ++nonbasic;
+    if (at < 0 || at >= static_cast<int>(nonbasic_.size()) ||
+        nonbasic_[at] != j)
+      return false;
+  }
+  return nonbasic == static_cast<int>(nonbasic_.size());
 }
 
 std::vector<double> SimplexSolver::ftran_for_testing(

@@ -40,9 +40,21 @@
 //    slot to the end of the pivot order, and eliminates the slot's old U
 //    row with one sparse row eta. FTRAN is L -> row etas -> U (in pivot
 //    order); BTRAN is U' -> row etas reversed -> L'. On the Table-2 models
-//    a spike carries a handful of nonzeros and a row eta about two, so an
-//    update costs O(m + nnz(spike)) and the solves stay about as cheap as
-//    right after a refactorization. Refactorization fires on
+//    a spike carries a handful of nonzeros and a row eta about two, so the
+//    solves stay about as cheap as right after a refactorization. Their
+//    passes walk work lists instead of every slot: FTRAN's L pass and
+//    BTRAN's L' pass the slots with a non-empty L column, FTRAN's U pass
+//    U's pivot order without the slots that have a unit diagonal and an
+//    empty U column (a slack-heavy basis has about 2 factor nonzeros per
+//    row, so most slots are such no-ops). Every slot skipped is an exact
+//    no-op, so the arithmetic and its order are those of a full walk. The
+//    lists are built with the factors; the update keeps the U list
+//    current (k0 moves to its end; a column that empties leaves it). The
+//    update itself costs O(m) for locating and moving k0 in the pivot
+//    order and for the row elimination's walk, plus O(nnz(spike)): the
+//    pivot FTRAN records the nonzeros of the entering column and of its
+//    spike in ascending order, and the spike push, the Devex update and
+//    the basic value update walk those lists. Refactorization fires on
 //    `refactor_every` updates, on U growing past a fixed multiple of its
 //    post-factorization size, and — through the numerical-recovery ladder
 //    — when the updated diagonal disagrees with the pivot element times
@@ -142,9 +154,13 @@
 //    Stats::devex_resets and pinned by tests/lp/dual_simplex_test.cpp.
 //
 //  * Dual ratio test. alpha_j = rho' a_j is priced for the BTRANed pivot
-//    row rho by one column-major pass over the nonbasic columns. (The
-//    pivot rows here average ~19% nonzeros, so an indexed walk over a
-//    row-wise copy of A measured no faster and is not used.)
+//    row rho by one column-major pass over the nonbasic columns. The pass
+//    walks a maintained list of them (pivot() swaps the leaving column into
+//    the entering one's slot) instead of testing the status of all n + m
+//    columns; its order is free, because the ratio test pops candidates in
+//    the strict (ratio, column) order. (The pivot rows here average ~20%
+//    nonzeros, so an indexed walk over a row-wise copy of A measured no
+//    faster and is not used.)
 //
 // Problem sizes in this project are a few thousand rows/columns; the sparse
 // factorization keeps the refactorization cost proportional to fill while
@@ -486,6 +502,10 @@ class SimplexSolver {
   /// and bench chains stay well conditioned, a leaving variable with no
   /// finite bound to rest on, and an update failing its stability check.
   bool pivot_for_testing(int basis_pos, int col);
+  /// True when the maintained work lists (l_work_, u_work_, the nonbasic
+  /// list and its positions) equal their rebuild from the factors and the
+  /// basis; the nonbasic list is compared as a set. True without a basis.
+  [[nodiscard]] bool work_lists_match_for_testing() const;
   /// Forrest–Tomlin updates applied since the last refactorization.
   [[nodiscard]] int updates_since_refactor() const {
     return pivots_since_refactor_;
@@ -520,8 +540,19 @@ class SimplexSolver {
   void place_nonbasic(int j);
   /// Common tail of every fresh factor set (refactorization, cold start):
   /// builds U's row copy from its columns, resets the pivot order to the
-  /// factorization order and drops the row etas and the update counters.
+  /// factorization order, builds the factor work lists and drops the row
+  /// etas and the update counters.
   void reset_updates();
+  /// The slots whose L column is non-empty, ascending (see l_work_).
+  void build_l_work(std::vector<int>& out) const;
+  /// U's pivot order without its no-op slots (see u_work_).
+  void build_u_work(std::vector<int>& out) const;
+  /// A U slot the U pass can skip: unit diagonal, empty column.
+  [[nodiscard]] bool u_slot_trivial(int s) const {
+    return ucol_.len[s] == 0 && u_diag_[s] == 1.0;
+  }
+  /// Rebuilds nonbasic_ and nonbasic_pos_ from vstat_.
+  void build_nonbasic();
   void compute_basic_values();
   /// Rebuilds the LU factors from basis_ by Markowitz elimination; false
   /// if the basis is singular (or a fault injector forces that verdict).
@@ -551,7 +582,9 @@ class SimplexSolver {
   void ftran_vec(std::vector<double>& v,
                  std::vector<double>* spike = nullptr) const;
   /// w = B^{-1} a_col for a (structural or slack) column; saves the spike
-  /// that the pivot on `col` feeds to the Forrest–Tomlin update.
+  /// that the pivot on `col` feeds to the Forrest–Tomlin update, and the
+  /// ascending nonzero lists of both (wcol_nz_, spike_nz_) that the pivot
+  /// walks. Only the pivot paths call it; other solves use ftran_vec.
   void ftran(int col, std::vector<double>& w);
   /// y' = cb' B^{-1}: cb is indexed by basis position, y by original row.
   void btran(const std::vector<double>& cb, std::vector<double>& y) const;
@@ -582,11 +615,13 @@ class SimplexSolver {
   int iterate(bool phase1, bool bland);
 
   /// Forrest–Tomlin update plus basis exchange (or a bound flip when
-  /// leaving_row < 0). Returns false when the update failed its stability
-  /// check: the pivot is not made — basis, values and factors unchanged —
-  /// and the caller reports numerical trouble to the recovery ladder.
+  /// leaving_row < 0); `w_nz` lists w's nonzeros in ascending order.
+  /// Returns false when the update failed its stability check: the pivot
+  /// is not made — basis, values and factors unchanged — and the caller
+  /// reports numerical trouble to the recovery ladder.
   bool pivot(int entering, int leaving_row, double t, int entering_dir,
-             const std::vector<double>& w, Status leaving_status);
+             const std::vector<double>& w, const std::vector<int>& w_nz,
+             Status leaving_status);
   /// Forrest–Tomlin update for the pivot that replaced basis position
   /// `leaving_row`, using the spike saved by ftran(); `alpha` is the pivot
   /// element. Returns false, factors untouched, when the stability check
@@ -639,10 +674,10 @@ class SimplexSolver {
   /// framework when they are missing or stale.
   void ensure_dual_weights();
   /// Devex weight update after a dual pivot with leaving row r and
-  /// FTRANed entering column w (pivot element w[r]). w is exactly zero off
-  /// its support, so the weight loop value-skips and costs O(nnz), never
-  /// O(m) of multiplies.
-  void update_dual_weights(int r, const std::vector<double>& w);
+  /// FTRANed entering column w (pivot element w[r]); the loop walks w's
+  /// nonzero list `w_nz` and costs O(nnz(w)).
+  void update_dual_weights(int r, const std::vector<double>& w,
+                           const std::vector<int>& w_nz);
 
   // --- problem data (immutable except bounds and appended cut rows) ---
   int n_ = 0;          // structural variables
@@ -671,6 +706,12 @@ class SimplexSolver {
   std::vector<int> basis_;          // size m_: column basic in each row
   std::vector<std::int8_t> vstat_;  // size total_
   std::vector<double> x_;           // size total_
+  // The nonbasic columns in no set order, and each column's index in that
+  // list (-1 while basic): the dual PRICE walks it instead of all n + m
+  // columns. pivot() swaps the leaving column into the entering one's
+  // place; set_basis, cold_start, add_rows and delete_rows rebuild it.
+  std::vector<int> nonbasic_;
+  std::vector<int> nonbasic_pos_;  // size total_
   bool has_basis_ = false;
   int pivots_since_refactor_ = 0;
   int iterations_ = 0;
@@ -719,6 +760,15 @@ class SimplexSolver {
   PackedLists ucol_, urow_;
   std::vector<double> u_diag_;  // U diagonal by slot, size m_
   std::vector<int> u_order_;    // U's pivot order: slots, first to last
+  // Factor work lists. l_work_ holds the slots whose L column is
+  // non-empty, ascending: FTRAN's L pass and BTRAN's L' pass walk it.
+  // u_work_ is u_order_ without the slots that have a unit diagonal and an
+  // empty U column: FTRAN's U pass walks it backwards. Every slot left out
+  // is an exact no-op of its pass. reset_updates() builds both, add_rows
+  // rebuilds l_work_, and update_factors() keeps u_work_ equal to its
+  // rebuild (a slot whose column empties leaves it; k0 moves to its end).
+  std::vector<int> l_work_;
+  std::vector<int> u_work_;
   long long u_nnz_ = 0;         // live off-diagonal U entries
   long long u_nnz_factor_ = 0;  // ... right after the last refactorization
 
@@ -748,6 +798,11 @@ class SimplexSolver {
   std::vector<double> spike_;
   int spike_col_ = -1;
   std::vector<double> ft_row_;
+  // Ascending nonzero positions of wcol_ and of spike_, filled by ftran():
+  // the Devex update and pivot()'s value update walk wcol_nz_, the
+  // update's spike push walks spike_nz_.
+  std::vector<int> wcol_nz_;
+  std::vector<int> spike_nz_;
 
   // --- partial pricing state ---
   std::vector<int> candidates_;  // surviving candidate columns
