@@ -76,11 +76,11 @@ SynthesisResult Synthesizer::run(const Formulation& formulation,
   result.solver_stats = solution.stats;
   result.hit_limit =
       solution.stats.termination != util::StopReason::kNone;
-  result.best_bound =
-      solution.stats.best_bound + formulation.objective_offset();
+  result.objective_offset = formulation.objective_offset();
+  result.best_bound = solution.stats.best_bound + result.objective_offset;
 
   if (solution.has_solution()) {
-    result.objective = solution.objective + formulation.objective_offset();
+    result.objective = solution.objective + result.objective_offset;
     result.design = formulation.decode(solution);
     result.has_design = true;
     return result;

@@ -17,6 +17,9 @@ struct SynthesisResult {
   ilp::SolveStatus status = ilp::SolveStatus::kNoSolutionFound;
   double objective = 0.0;     ///< ILP objective + offset (transistors)
   double best_bound = 0.0;    ///< proven lower bound (+ offset)
+  /// The formulation's constant objective term (the register area): add
+  /// it to a bound in solver_stats to read it in transistors.
+  double objective_offset = 0.0;
   double seconds = 0.0;
   long long nodes = 0;
   bool hit_limit = false;     ///< the paper's "*" marker (time/node limit)
