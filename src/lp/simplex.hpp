@@ -45,9 +45,8 @@
 //    passes walk work lists instead of every slot: FTRAN's L pass and
 //    BTRAN's L' pass the slots with a non-empty L column, FTRAN's U pass
 //    U's pivot order without the slots that have a unit diagonal and an
-//    empty U column (a slack-heavy basis has about 2 factor nonzeros per
-//    row, so most slots are such no-ops). Every slot skipped is an exact
-//    no-op, so the arithmetic and its order are those of a full walk. The
+//    empty U column. Every slot skipped is an exact no-op, so the
+//    arithmetic and its order are those of a full walk. The
 //    lists are built with the factors; the update keeps the U list
 //    current (k0 moves to its end; a column that empties leaves it). The
 //    update itself costs O(m) for locating and moving k0 in the pivot
@@ -158,7 +157,7 @@
 //    walks a maintained list of them (pivot() swaps the leaving column into
 //    the entering one's slot) instead of testing the status of all n + m
 //    columns; its order is free, because the ratio test pops candidates in
-//    the strict (ratio, column) order. (The pivot rows here average ~20%
+//    the strict (ratio, column) order. (The pivot rows here average ~19%
 //    nonzeros, so an indexed walk over a row-wise copy of A measured no
 //    faster and is not used.)
 //
